@@ -54,7 +54,7 @@ train_task(model, t1.train, config, rng)
 book = PrototypeBook()
 book.add_task(compute_prototypes(model.embed_np(t1.train.features),
                                  t1.train.labels), task_index=1)
-frozen = EmbeddingNet.from_snapshot(snapshot(model, task_index=1))
+before_task2 = snapshot(model, task_index=1)
 
 train_task(model, t2.train, config, rng)
 book.add_task(compute_prototypes(model.embed_np(t2.train.features),
@@ -78,10 +78,10 @@ def accuracies(b):
 err_stale = staleness(book)
 acc_stale = accuracies(book)
 
-# The drift field: where each task-2 training point sat under the old
-# model, and how far it moved. Task-1 prototypes get the kernel-weighted
-# average of nearby displacements.
-field = collect_drift(frozen, model, t2.train)
+# The drift field: where each task-2 training point sat under the
+# task-1 snapshot, and how far it moved. Task-1 prototypes get the
+# kernel-weighted average of nearby displacements.
+field = collect_drift(before_task2, model, t2.train)
 compensate(book, field, KernelConfig(sigma=0.2), current_task=2)
 
 err_comp = staleness(book)

@@ -176,6 +176,8 @@ def _read_a_matrix(path: Path) -> dict:
     lines = path.read_text().strip().split("\n")
     if not lines or lines[0] != "k,j,accuracy":
         raise ValueError(f"{path}: not an a_matrix.csv")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: header only, no accuracy rows")
     for line in lines[1:]:
         k, j, v = line.split(",")
         acc.setdefault(int(k), {})[int(j)] = float(v)

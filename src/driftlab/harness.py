@@ -44,6 +44,7 @@ SOFTMAX_METHODS = ("FT", "FT*")
 METHODS = EMBEDDING_METHODS + SOFTMAX_METHODS
 
 GAMMA_DEFAULTS = {"E-LwF": 1.0, "E-EWC": 1e7, "E-MAS": 1e6}
+FISHER_VARIANTS = ("triplet", "squared_norm")
 
 
 class TrainingError(RuntimeError):
@@ -167,6 +168,21 @@ class MethodConfig:
             raise ValueError(f"unknown importance_mode {self.importance_mode!r}")
         if self.mining not in ("random", "semihard"):
             raise ValueError(f"unknown mining strategy {self.mining!r}")
+        if self.fisher_variant not in FISHER_VARIANTS:
+            raise ValueError(f"unknown fisher_variant {self.fisher_variant!r}; "
+                             f"pick from {FISHER_VARIANTS}")
+        for key, ok, rule in (
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 2, "at least 2"),
+            ("lr", self.lr > 0, "positive"),
+            ("sigma", self.sigma > 0, "positive"),
+            ("margin", self.margin >= 0, "nonnegative"),
+            ("weight_floor", self.weight_floor > 0, "positive"),
+            ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
+            ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if self.gamma is None:
             self.gamma = GAMMA_DEFAULTS.get(self.method, 0.0)
         if self.method not in GAMMA_DEFAULTS:
@@ -364,47 +380,36 @@ def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConf
 
 
 def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
-                    record: RunRecord, k: int, feature_fn=None):
-    """NCM evaluation over all seen classes; fills row k, confusion, and
-    prototype-distance diagnostics."""
-    emb = feature_fn if feature_fn is not None else model.embed_np
+                    record: RunRecord, k: int, embed):
+    """Evaluation over all seen classes at checkpoint k: fills row k and the
+    confusion. It classifies by NCM over ``book`` on ``embed``'s features
+    and records prototype-to-true-mean distances, or, when ``embed`` is
+    None, by the model's heads."""
     seen_classes = sorted(c for t in tasks_seen for c in t.classes)
     col = {c: i for i, c in enumerate(seen_classes)}
     counts = np.zeros((len(seen_classes), len(seen_classes)), dtype=int)
-
-    for task in tasks_seen:
-        z = emb(task.test.features)
-        pred = ncm_classify(z, book)
-        record.set_acc(k, task.index, float(np.mean(pred == task.test.labels)))
-        for true, p in zip(task.test.labels, pred):
-            counts[col[int(true)], col[int(p)]] += 1
-
-    record.confusions[k] = {"classes": seen_classes, "counts": counts.tolist()}
     dists = {}
     for task in tasks_seen:
-        z = emb(task.test.features)
-        for c in task.classes:
-            true_mean = z[task.test.labels == c].mean(axis=0)
-            dists[int(c)] = float(np.linalg.norm(book.entries[c].vector - true_mean))
-    record.proto_distance[k] = dists
-
-
-def _softmax_eval(model: GrowingSoftmaxNet, tasks_seen: list[Task],
-                  record: RunRecord, k: int):
-    seen_classes = sorted(c for t in tasks_seen for c in t.classes)
-    col = {c: i for i, c in enumerate(seen_classes)}
-    counts = np.zeros((len(seen_classes), len(seen_classes)), dtype=int)
-    for task in tasks_seen:
-        pred = model.predict_multihead(task.test.features)
-        record.set_acc(k, task.index, float(np.mean(pred == task.test.labels)))
-        for true, p in zip(task.test.labels, pred):
+        x, y = task.test.features, task.test.labels
+        if embed is None:
+            pred = model.predict_multihead(x)
+        else:
+            z = embed(x)
+            pred = ncm_classify(z, book)
+            for c in task.classes:
+                true_mean = z[y == c].mean(axis=0)
+                dists[int(c)] = float(np.linalg.norm(book.entries[c].vector - true_mean))
+        record.set_acc(k, task.index, float(np.mean(pred == y)))
+        for true, p in zip(y, pred):
             counts[col[int(true)], col[int(p)]] += 1
     record.confusions[k] = {"classes": seen_classes, "counts": counts.tolist()}
+    if embed is not None:
+        record.proto_distance[k] = dists
 
 
 def _capture_2d(model, book, sequence, record, k):
     """Keep task-1 test embeddings and prototype state for the figure."""
-    if model.embedding_dim != 2:
+    if model.kind != "embedding" or model.embedding_dim != 2:
         return
     t1 = sequence.tasks[0]
     z = model.embed_np(t1.test.features)
@@ -421,71 +426,85 @@ def _capture_2d(model, book, sequence, record, k):
     }
 
 
+def _pretrain_data(config: MethodConfig, sequence: TaskSequence,
+                   pretrain_data: LabeledDataset | None) -> LabeledDataset | None:
+    """Data for the stage before task 1: the union of all tasks for Joint,
+    the held-out classes for E-Pre-substitute, none otherwise."""
+    if config.method == "Joint":
+        return LabeledDataset(
+            np.concatenate([t.train.features for t in sequence.tasks]),
+            np.concatenate([t.train.labels for t in sequence.tasks]),
+        )
+    if config.method != "E-Pre-substitute":
+        return None
+    if pretrain_data is None:
+        raise TrainingError(
+            "E-Pre-substitute needs held-out pretraining data "
+            "(dataset option pretrain_classes)"
+        )
+    return pretrain_data
+
+
 def run_sequence(config: MethodConfig, sequence: TaskSequence,
                  pretrain_data: LabeledDataset | None = None) -> RunRecord:
     """Drive one method over the whole task sequence; returns the filled
-    RunRecord (with the final PrototypeBook attached as ``record.book``)."""
+    RunRecord (with the final PrototypeBook attached as ``record.book``).
+
+    Every method runs the same loop: an optional pretraining stage, then
+    per task training, prototypes, drift compensation, importance,
+    snapshot and evaluation. Joint trains once on the union of all tasks
+    and evaluates only after the last; FT classifies with its heads, FT*
+    by NCM over its trunk features.
+    """
     start = time.perf_counter()
     record = RunRecord(
         method=config.method, seed=config.seed, n_tasks=len(sequence),
         task_classes=[t.classes for t in sequence.tasks], config=config.to_dict(),
     )
     rng = np.random.default_rng([config.seed, 101])
-
-    if config.method in SOFTMAX_METHODS:
-        record.book = _run_softmax(config, sequence, record, rng)
-    elif config.method == "Joint":
-        record.book = _run_joint(config, sequence, record, rng)
+    softmax = config.method in SOFTMAX_METHODS
+    if softmax:
+        model = GrowingSoftmaxNet(sequence.input_dim, config.embedding_dim,
+                                  config.hidden, seed=config.seed)
+        embed = model.features_np if config.method == "FT*" else None
     else:
-        record.book = _run_embedding(config, sequence, record, rng, pretrain_data)
-
-    record.wall_time = time.perf_counter() - start
-    return record
-
-
-def _run_embedding(config, sequence, record, rng, pretrain_data):
-    model = EmbeddingNet(sequence.input_dim, config.embedding_dim,
-                         config.hidden, seed=config.seed)
-    if config.method == "E-Pre-substitute":
-        if pretrain_data is None:
-            raise TrainingError(
-                "E-Pre-substitute needs held-out pretraining data "
-                "(dataset option pretrain_classes)"
-            )
-        train_task(model, pretrain_data, config, rng)
+        model = EmbeddingNet(sequence.input_dim, config.embedding_dim,
+                             config.hidden, seed=config.seed)
+        embed = model.embed_np
+    pretrain = _pretrain_data(config, sequence, pretrain_data)
+    if pretrain is not None:
+        train_task(model, pretrain, config, rng)
 
     book = PrototypeBook()
     kcfg = KernelConfig(sigma=config.sigma, weight_floor=config.weight_floor)
     snap = None
-    frozen_prev = None
     maps: list[ImportanceMap] = []
-
     for task in sequence.tasks:
         t = task.index
-        trains = {
-            "E-FT": True, "E-LwF": True, "E-EWC": True, "E-MAS": True,
-            "E-Fix": t == 1, "E-Pre-substitute": False,
-        }[config.method]
-
-        if trains:
+        trains = {"E-Fix": t == 1, "E-Pre-substitute": False, "Joint": False}.get(
+            config.method, True)
+        if softmax:
+            model.add_head(task.classes)
+            _train_softmax_task(model, task, config, rng)
+        elif trains:
             importance = None
-            if config.method in ("E-EWC", "E-MAS") and maps:
+            if maps:
                 importance = maps[-1] if config.importance_mode == "latest" \
                     else ImportanceMap.average(maps)
-            train_task(model, task.train, config, rng,
-                       snap=snap if t > 1 else None, importance=importance)
+            train_task(model, task.train, config, rng, snap=snap, importance=importance)
 
-        book.add_task(
-            compute_prototypes(model.embed_np(task.train.features), task.train.labels,
-                               classes=task.classes),
-            task_index=t,
-        )
+        if embed is not None:
+            book.add_task(
+                compute_prototypes(embed(task.train.features), task.train.labels,
+                                   classes=task.classes),
+                task_index=t,
+            )
 
         if config.sdc and t > 1:
-            field = collect_drift(frozen_prev, model, task.train)
+            drift = collect_drift(snap, model, task.train)
             before = {c: book.entries[c].vector.copy()
                       for c in book.class_ids() if book.entries[c].learned_at < t}
-            compensate(book, field, kcfg, current_task=t)
+            compensate(book, drift, kcfg, current_task=t)
             if config.renormalize_prototypes:
                 for c in before:
                     e = book.entries[c]
@@ -503,60 +522,15 @@ def _run_embedding(config, sequence, record, rng, pretrain_data):
                                         config.fisher_variant))
         elif config.method == "E-MAS":
             maps.append(estimate_mas_importance(model, task.train))
+        if config.sdc or config.gamma > 0:  # the next task's reference
+            snap = snapshot(model, task_index=t)
 
-        snap = snapshot(model, task_index=t)
-        frozen_prev = EmbeddingNet.from_snapshot(snap)
-
+        if config.method == "Joint" and t < len(sequence):
+            continue
         record.param_digest[t] = _digest(model)
-        _embedding_eval(model, book, sequence.tasks[:t], record, t)
+        _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
         _capture_2d(model, book, sequence, record, t)
-    return book
 
-
-def _run_joint(config, sequence, record, rng):
-    """Upper bound: one training phase on the union of all tasks' data,
-    then a single evaluation filling only the final row."""
-    model = EmbeddingNet(sequence.input_dim, config.embedding_dim,
-                         config.hidden, seed=config.seed)
-    union = LabeledDataset(
-        np.concatenate([t.train.features for t in sequence.tasks]),
-        np.concatenate([t.train.labels for t in sequence.tasks]),
-    )
-    train_task(model, union, config, rng)
-    book = PrototypeBook()
-    for task in sequence.tasks:
-        book.add_task(
-            compute_prototypes(model.embed_np(task.train.features), task.train.labels,
-                               classes=task.classes),
-            task_index=task.index,
-        )
-    k = len(sequence)
-    record.param_digest[k] = _digest(model)
-    _embedding_eval(model, book, sequence.tasks, record, k)
-    _capture_2d(model, book, sequence, record, k)
-    return book
-
-
-def _run_softmax(config, sequence, record, rng):
-    model = GrowingSoftmaxNet(sequence.input_dim, config.embedding_dim,
-                              config.hidden, seed=config.seed)
-    book = PrototypeBook()  # FT* classifies by NCM over penultimate features
-
-    def feats(x):
-        return model.penultimate_features(x).data
-
-    for task in sequence.tasks:
-        t = task.index
-        model.add_head(task.classes)
-        _train_softmax_task(model, task, config, rng)
-        record.param_digest[t] = _digest(model)
-        if config.method == "FT*":
-            book.add_task(
-                compute_prototypes(feats(task.train.features), task.train.labels,
-                                   classes=task.classes),
-                task_index=t,
-            )
-            _embedding_eval(model, book, sequence.tasks[:t], record, t, feature_fn=feats)
-        else:
-            _softmax_eval(model, sequence.tasks[:t], record, t)
-    return book
+    record.book = book
+    record.wall_time = time.perf_counter() - start
+    return record

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import EmbeddingNet, ModelSnapshot
+from .models import EmbeddingNet, ModelSnapshot, embed_snapshot
 from .tensor import ShapeError, Tensor
 
 log = logging.getLogger(__name__)
@@ -45,11 +45,6 @@ class TripletBatch:
 
     def __len__(self):
         return len(self.anchors)
-
-    def check_labels(self, labels):
-        labels = np.asarray(labels)
-        assert np.all(labels[self.anchors] == labels[self.positives])
-        assert np.all(labels[self.anchors] != labels[self.negatives])
 
 
 def _pair_dist(emb: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
@@ -135,8 +130,7 @@ def lwf_align_loss(model: EmbeddingNet, snap: ModelSnapshot, batch) -> Tensor:
     The snapshot side is a constant; gradient flows through the current
     model only.
     """
-    old = EmbeddingNet.from_snapshot(snap, trainable=False).embed(batch).data
-    d = T.sub(model.embed(batch), Tensor(old))
+    d = T.sub(model.embed(batch), Tensor(embed_snapshot(snap, batch)))
     return T.sqrt((d * d).sum())
 
 

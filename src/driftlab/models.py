@@ -1,6 +1,6 @@
 """Network definitions: a unit-norm embedding MLP and a multi-head softmax
-classifier sharing the same trunk, plus snapshot/restore and flat-binary
-serialization.
+classifier sharing the same trunk, plus task-boundary snapshots, one
+tape-free inference path and flat-binary serialization.
 
 Both nets use the stack input -> hidden ReLU layers -> linear projection.
 The embedding net L2-normalizes the projection; the softmax net feeds it
@@ -24,17 +24,18 @@ def _kaiming_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _init_stack(rng, dims: tuple[int, ...], trainable: bool) -> list[Tensor]:
-    """Affine parameters for consecutive dim pairs: w1,b1,w2,b2,..."""
+def _init_stack(rng, dims: tuple[int, ...]) -> list[Tensor]:
+    """Trainable affine parameters for consecutive dim pairs: w1,b1,w2,b2,..."""
     params = []
     for din, dout in zip(dims[:-1], dims[1:]):
-        params.append(Tensor(_kaiming_uniform(rng, din, dout), requires_grad=trainable))
-        params.append(Tensor(np.zeros(dout), requires_grad=trainable))
+        params.append(Tensor(_kaiming_uniform(rng, din, dout), requires_grad=True))
+        params.append(Tensor(np.zeros(dout), requires_grad=True))
     return params
 
 
-def _run_stack(params: list[Tensor], x: Tensor) -> Tensor:
-    """Affine/ReLU chain; the last affine stays linear."""
+def _run_stack(params, x) -> Tensor:
+    """Affine/ReLU chain; the last affine stays linear. ``params`` may be
+    tensors or plain arrays."""
     n_layers = len(params) // 2
     h = x
     for i in range(n_layers):
@@ -42,6 +43,26 @@ def _run_stack(params: list[Tensor], x: Tensor) -> Tensor:
         if i < n_layers - 1:
             h = T.relu(h)
     return h
+
+
+def _check_batch(x, input_dim: int) -> Tensor:
+    x = T.astensor(x)
+    if x.data.ndim != 2 or x.data.shape[1] != input_dim:
+        raise ShapeError(f"batch shape {x.data.shape}, expected [n, {input_dim}]")
+    return x
+
+
+def infer(params, x, normalize: bool = False, batch: int = 512) -> np.ndarray:
+    """Stack output for ``x`` over plain parameter arrays, ``batch`` rows at
+    a time; ``normalize`` puts each row on the unit sphere.
+
+    No operand requires grad, so the ops record no tape.
+    """
+    outs = []
+    for i in range(0, len(x), batch):
+        h = _run_stack(params, x[i : i + batch])
+        outs.append((T.l2_normalize(h, axis=1) if normalize else h).data)
+    return np.concatenate(outs) if outs else np.zeros((0, len(params[-1])))
 
 
 @dataclass(frozen=True)
@@ -68,14 +89,13 @@ class EmbeddingNet:
 
     kind = "embedding"
 
-    def __init__(self, input_dim: int, embedding_dim: int, hidden=(256, 256), seed: int = 0,
-                 trainable: bool = True):
+    def __init__(self, input_dim: int, embedding_dim: int, hidden=(256, 256), seed: int = 0):
         self.input_dim = input_dim
         self.embedding_dim = embedding_dim
         self.hidden = tuple(hidden)
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.params = _init_stack(rng, (input_dim, *self.hidden, embedding_dim), trainable)
+        self.params = _init_stack(rng, (input_dim, *self.hidden, embedding_dim))
 
     @property
     def arch(self) -> dict:
@@ -85,37 +105,17 @@ class EmbeddingNet:
             "embedding_dim": self.embedding_dim,
         }
 
-    def _check_batch(self, x) -> Tensor:
-        x = T.astensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"batch shape {x.data.shape}, expected [n, {self.input_dim}]"
-            )
-        return x
-
     def forward_raw(self, x) -> Tensor:
         """Pre-normalization output; sensitivity estimates hang off this."""
-        return _run_stack(self.params, self._check_batch(x))
+        return _run_stack(self.params, _check_batch(x, self.input_dim))
 
     def embed(self, x) -> Tensor:
         return T.l2_normalize(self.forward_raw(x), axis=1)
 
     def embed_np(self, x, batch: int = 512) -> np.ndarray:
         """Inference helper: plain array out, no graph kept."""
-        x = np.asarray(x, dtype=np.float64)
-        frozen = _detached(self)
-        outs = [frozen.embed(x[i : i + batch]).data for i in range(0, len(x), batch)]
-        return np.concatenate(outs) if outs else np.zeros((0, self.embedding_dim))
-
-    @classmethod
-    def from_snapshot(cls, snap: ModelSnapshot, trainable: bool = False) -> "EmbeddingNet":
-        if snap.kind != cls.kind:
-            raise StateError(f"snapshot holds a {snap.kind} model")
-        m = cls(snap.arch["input_dim"], snap.arch["embedding_dim"],
-                tuple(snap.arch["hidden"]), trainable=trainable)
-        for p, a in zip(m.params, snap.params):
-            p.data = a.copy()
-        return m
+        x = _check_batch(x, self.input_dim).data
+        return infer([p.data for p in self.params], x, normalize=True, batch=batch)
 
 
 class GrowingSoftmaxNet:
@@ -130,7 +130,7 @@ class GrowingSoftmaxNet:
         self.hidden = tuple(hidden)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.trunk = _init_stack(self._rng, (input_dim, *self.hidden, feat_dim), True)
+        self.trunk = _init_stack(self._rng, (input_dim, *self.hidden, feat_dim))
         self.heads: list[tuple[Tensor, Tensor, tuple[int, ...]]] = []
 
     @property
@@ -167,12 +167,12 @@ class GrowingSoftmaxNet:
         self.heads.append((w, b, ids))
 
     def penultimate_features(self, x) -> Tensor:
-        x = T.astensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"batch shape {x.data.shape}, expected [n, {self.input_dim}]"
-            )
-        return _run_stack(self.trunk, x)
+        return _run_stack(self.trunk, _check_batch(x, self.input_dim))
+
+    def features_np(self, x) -> np.ndarray:
+        """Trunk features as a plain array, no graph kept."""
+        x = _check_batch(x, self.input_dim).data
+        return infer([p.data for p in self.trunk], x)
 
     def head_logits(self, x, head: int) -> Tensor:
         w, b, _ = self.heads[head]
@@ -182,7 +182,7 @@ class GrowingSoftmaxNet:
         """Global argmax over the concatenation of per-head softmax rows."""
         if not self.heads:
             raise StateError("no heads; train at least one task first")
-        feats = _detached(self).penultimate_features(x).data
+        feats = self.features_np(x)
         probs = []
         all_ids = []
         for w, b, ids in self.heads:
@@ -190,23 +190,6 @@ class GrowingSoftmaxNet:
             all_ids.extend(ids)
         stacked = np.concatenate(probs, axis=1)
         return np.asarray(all_ids)[stacked.argmax(axis=1)]
-
-
-def _detached(model):
-    """Clone with requires_grad off so forwards build no graph."""
-    if isinstance(model, EmbeddingNet):
-        c = EmbeddingNet(model.input_dim, model.embedding_dim, model.hidden, trainable=False)
-        for p, q in zip(c.params, model.params):
-            p.data = q.data
-        return c
-    c = GrowingSoftmaxNet(model.input_dim, model.feat_dim, model.hidden)
-    for p, q in zip(c.trunk, model.trunk):
-        p.data = q.data
-        p.requires_grad = False
-        p.grad = None
-    for w, b, ids in model.heads:
-        c.heads.append((Tensor(w.data), Tensor(b.data), ids))
-    return c
 
 
 def snapshot(model, task_index: int = 0) -> ModelSnapshot:
@@ -218,14 +201,12 @@ def snapshot(model, task_index: int = 0) -> ModelSnapshot:
     )
 
 
-def restore(model, snap: ModelSnapshot) -> None:
-    if model.kind != snap.kind or model.arch != snap.arch:
-        raise StateError(
-            f"architecture mismatch: model {model.kind}/{model.arch} "
-            f"vs snapshot {snap.kind}/{snap.arch}"
-        )
-    for p, a in zip(model.params, snap.params):
-        p.data = a.copy()
+def embed_snapshot(snap: ModelSnapshot, x) -> np.ndarray:
+    """Unit-norm embeddings of ``x`` under an embedding-net snapshot."""
+    if snap.kind != EmbeddingNet.kind:
+        raise StateError(f"snapshot holds a {snap.kind} model")
+    x = _check_batch(x, snap.arch["input_dim"]).data
+    return infer(snap.params, x, normalize=True)
 
 
 def save_model(model, path) -> None:

@@ -1,4 +1,4 @@
-"""First-order optimizers over lists of parameter tensors.
+"""Adam over a list of parameter tensors.
 
 Training code calls ``zero_grad`` explicitly between steps; the engine
 keeps accumulating otherwise. A fresh optimizer is built per training
@@ -8,22 +8,6 @@ stage so no moment estimates leak across stage boundaries.
 import numpy as np
 
 from .tensor import StateError, Tensor
-
-
-class SGD:
-    def __init__(self, params: list[Tensor], lr: float = 1e-2):
-        self.params = list(params)
-        self.lr = lr
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self):
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise StateError(f"parameter {i} has no gradient; call backward first")
-            p.data -= self.lr * p.grad
 
 
 class Adam:

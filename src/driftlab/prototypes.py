@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import ModelSnapshot, embed_snapshot
 from .tensor import ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -142,14 +143,15 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     return ids[np.argmin(d2, axis=1)]
 
 
-def collect_drift(snapshot_model, current_model, task_data) -> DriftField:
-    """Endpoint drift of the current task's training data: where the old
-    model put each sample, and how far the new model moved it."""
-    if snapshot_model.arch != current_model.arch:
+def collect_drift(snapshot: ModelSnapshot, current_model, task_data) -> DriftField:
+    """Endpoint drift of the current task's training data: where the
+    snapshot (the previous model) put each sample, and how far the
+    current model moved it."""
+    if snapshot.arch != current_model.arch:
         raise StateError(
-            f"model mismatch: {snapshot_model.arch} vs {current_model.arch}"
+            f"model mismatch: {snapshot.arch} vs {current_model.arch}"
         )
-    before = snapshot_model.embed_np(task_data.features)
+    before = embed_snapshot(snapshot, task_data.features)
     after = current_model.embed_np(task_data.features)
     return DriftField(before, after - before, task_data.labels.copy())
 

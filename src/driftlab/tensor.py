@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The engine is deliberately small: dense arrays, a handful of ops (affine,
-ReLU, 2-d convolution and max-pool, fused softmax cross-entropy, L2
-normalization, elementwise arithmetic, reductions), and a tape built
-dynamically as ops execute. Gradients accumulate into leaf tensors until
-explicitly zeroed, so a composite loss may be driven either by one backward
-pass over a summed loss or by several passes.
+ReLU, row gather, fused softmax cross-entropy, L2 normalization,
+elementwise arithmetic, reductions), and a tape built dynamically as ops
+execute. An op none of whose operands requires grad records nothing, so
+inference over plain arrays builds no tape. Gradients accumulate into
+leaf tensors until explicitly zeroed, so a composite loss may be driven
+either by one backward pass over a summed loss or by several passes.
 """
 
 from __future__ import annotations
@@ -333,65 +334,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def conv2d(x, w, b, stride: int = 1) -> Tensor:
-    """Valid-padding 2-d convolution: x [N,C,H,W], w [F,C,kh,kw], b [F]."""
-    x, w, b = astensor(x), astensor(w), astensor(b)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError("conv2d expects x [N,C,H,W] and w [F,C,kh,kw]")
-    n, c, h, wd = x.data.shape
-    f, cw, kh, kw = w.data.shape
-    if cw != c:
-        raise ShapeError(f"channel mismatch: input {c}, kernel {cw}")
-    if b.data.shape != (f,):
-        raise ShapeError(f"bias shape {b.data.shape}, expected ({f},)")
-    oh = (h - kh) // stride + 1
-    ow = (wd - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd}")
-
-    out = np.tile(b.data[None, :, None, None], (n, 1, oh, ow))
-    for u in range(kh):
-        for v in range(kw):
-            patch = x.data[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
-            out += np.einsum("nchw,fc->nfhw", patch, w.data[:, :, u, v])
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        for u in range(kh):
-            for v in range(kw):
-                patch = x.data[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
-                gw[:, :, u, v] = np.einsum("nfhw,nchw->fc", g, patch)
-                gx[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += np.einsum(
-                    "nfhw,fc->nchw", g, w.data[:, :, u, v]
-                )
-        return gx, gw, g.sum(axis=(0, 2, 3))
-
-    return _make(out, (x, w, b), back)
-
-
-def maxpool2d(x, k: int) -> Tensor:
-    """Non-overlapping k-by-k max pooling; spatial dims must divide by k."""
-    x = astensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2d expects [N,C,H,W], got {x.data.shape}")
-    n, c, h, w = x.data.shape
-    if h % k or w % k:
-        raise ShapeError(f"pool size {k} must divide spatial dims {h}x{w}")
-    oh, ow = h // k, w // k
-    windows = (
-        x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
-    )
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-
-    def back(g):
-        gwin = np.zeros((n, c, oh, ow, k * k))
-        np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
-        return (
-            gwin.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w),
-        )
-
-    return _make(out, (x,), back)

@@ -181,6 +181,14 @@ def test_compare_missing_dir(tmp_path, capsys):
     assert "no a_matrix.csv" in capsys.readouterr().err
 
 
+def test_compare_header_only_csv(tmp_path, capsys):
+    run = tmp_path / "results" / "E-FT" / "0"
+    run.mkdir(parents=True)
+    (run / "a_matrix.csv").write_text("k,j,accuracy\n")
+    assert main(["compare", str(tmp_path / "results")]) == 1
+    assert "no accuracy rows" in capsys.readouterr().err
+
+
 def test_compare_inconsistent_tasks(results_dir, tmp_path, capsys):
     cfg = write_config(tmp_path, seeds="0", dataset={"n_classes": 6,
                                                      "n_tasks": 3})

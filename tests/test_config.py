@@ -131,6 +131,25 @@ def test_method_validation_happens_at_load(tmp_path):
         load_config(write_ini(tmp_path, bad))
 
 
+def test_fisher_variant_checked_at_load(tmp_path):
+    ewc = BASE.replace("[method E-FT]", "[method E-EWC]")
+    cfg = load_config(write_ini(tmp_path, ewc + "fisher_variant = squared_norm\n"))
+    assert cfg.methods[0][1]["fisher_variant"] == "squared_norm"
+    with pytest.raises(ConfigError, match="fisher_variant.*proto-softmax"):
+        load_config(write_ini(tmp_path, ewc + "fisher_variant = proto-softmax\n"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "0"), ("batch_size", "1"), ("lr", "-0.01"), ("lr", "0"),
+    ("sigma", "-1"), ("margin", "-0.1"), ("weight_floor", "0"),
+    ("embedding_dim", "0"), ("hidden", "256 0"),
+])
+def test_out_of_range_numbers_rejected_at_load(tmp_path, key, value):
+    body = BASE.replace("epochs = 5\n", "") + f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[method E-FT\]: {key} must be"):
+        load_config(write_ini(tmp_path, body))
+
+
 def test_source_required_keys(tmp_path):
     body = BASE.replace("source = synthetic", "source = idx")
     with pytest.raises(ConfigError, match="images"):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from driftlab import losses, models, prototypes
+from driftlab.data import gen_gaussian_clusters
 from driftlab.models import (
     EmbeddingNet,
     GrowingSoftmaxNet,
+    embed_snapshot,
     load_model,
-    restore,
     save_model,
     snapshot,
 )
@@ -106,9 +108,13 @@ def test_penultimate_dim_contract(rng):
 
 
 def test_snapshot_restore_round_trip(rng):
+    """A snapshot outlives training: it stays frozen, and inference over it
+    reproduces the model as it was."""
     m = EmbeddingNet(4, 2, seed=5)
     snap = snapshot(m, task_index=1)
     before = [p.data.copy() for p in m.params]
+    probe = rng.normal(size=(6, 4))
+    z_before = m.embed_np(probe)
 
     # a few real training steps perturb everything
     opt = Adam(m.params, lr=1e-2)
@@ -123,16 +129,76 @@ def test_snapshot_restore_round_trip(rng):
         assert np.array_equal(a, b)
         assert not a.flags.writeable
 
-    restore(m, snap)
-    for p, b in zip(m.params, before):
-        assert np.array_equal(p.data, b)
+    assert not np.array_equal(m.embed_np(probe), z_before)
+    assert np.array_equal(embed_snapshot(snap, probe), z_before)
 
 
-def test_restore_rejects_other_architecture():
-    a = EmbeddingNet(4, 2)
-    b = EmbeddingNet(4, 3)
+def test_embed_snapshot_checks_kind_and_shape(rng):
+    s = GrowingSoftmaxNet(4, 2)
+    s.add_head(2)
     with pytest.raises(StateError):
-        restore(b, snapshot(a))
+        embed_snapshot(snapshot(s), rng.normal(size=(3, 4)))
+    with pytest.raises(ShapeError):
+        embed_snapshot(snapshot(EmbeddingNet(4, 2)), rng.normal(size=(3, 5)))
+
+
+@pytest.fixture
+def nets_built(monkeypatch):
+    """Counts EmbeddingNet and GrowingSoftmaxNet constructions."""
+    built = []
+    for cls in (EmbeddingNet, GrowingSoftmaxNet):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_embed_np_matches_embed_and_builds_no_net(rng, nets_built):
+    m = EmbeddingNet(6, 3, hidden=(16, 8), seed=4)
+    x = rng.normal(size=(40, 6))
+    want = m.embed(x).data
+    del nets_built[:]
+    got = m.embed_np(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(m.embed_np(x, batch=7), want)  # chunking is row-wise
+    assert m.embed_np(np.zeros((0, 6))).shape == (0, 3)
+    with pytest.raises(ShapeError):
+        m.embed_np(rng.normal(size=(2, 5)))
+    assert nets_built == []
+
+
+def test_softmax_inference_builds_no_net(rng, nets_built):
+    s = GrowingSoftmaxNet(5, 4, hidden=(8,), seed=1)
+    s.add_head(3)
+    x = rng.normal(size=(12, 5))
+    del nets_built[:]
+    assert np.array_equal(s.features_np(x), s.penultimate_features(x).data)
+    s.predict_multihead(x)
+    assert nets_built == []
+
+
+def test_infer_records_no_tape(rng):
+    m = EmbeddingNet(4, 3, hidden=(5,), seed=2)
+    params = [p.data for p in m.params]
+    out = models._run_stack(params, rng.normal(size=(3, 4)))
+    assert not out.requires_grad and out._parents == ()
+    assert models.infer(params, np.zeros((0, 4))).shape == (0, 3)
+
+
+def test_lwf_and_collect_drift_build_no_net(rng, nets_built):
+    ds = gen_gaussian_clusters(2, 8, 4, 0.2, seed=1)
+    m = EmbeddingNet(4, 3, hidden=(8,), seed=1)
+    snap = snapshot(m, task_index=1)
+    del nets_built[:]
+    loss = losses.lwf_align_loss(m, snap, ds.features[:5])
+    assert loss.item() == 0.0
+    field = prototypes.collect_drift(snap, m, ds)
+    assert np.max(np.abs(field.displacements)) == 0.0
+    assert nets_built == []
 
 
 def test_save_load_round_trip(tmp_path, rng):

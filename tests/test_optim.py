@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from driftlab.optim import SGD, Adam
+from driftlab.optim import Adam
 from driftlab.tensor import StateError, Tensor
 
 
-def quadratic_step(opt_cls, **kw):
+def quadratic_step(**kw):
     # minimize (theta - 5)^2 for a few steps
     theta = Tensor(0.0, requires_grad=True)
-    opt = opt_cls([theta], **kw)
+    opt = Adam([theta], **kw)
     for _ in range(200):
         opt.zero_grad()
         d = theta - 5.0
@@ -17,12 +17,8 @@ def quadratic_step(opt_cls, **kw):
     return theta.item()
 
 
-def test_sgd_converges_on_quadratic():
-    assert quadratic_step(SGD, lr=0.1) == pytest.approx(5.0, abs=1e-6)
-
-
 def test_adam_converges_on_quadratic():
-    assert quadratic_step(Adam, lr=0.3) == pytest.approx(5.0, abs=1e-3)
+    assert quadratic_step(lr=0.3) == pytest.approx(5.0, abs=1e-3)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -70,14 +66,5 @@ def test_missing_grad_raises():
     p = Tensor(np.ones(2))  # not a parameter, grad stays None
     p.requires_grad = True
     p.grad = None
-    for opt in (SGD([p]), Adam([p])):
-        with pytest.raises(StateError):
-            opt.step()
-
-
-def test_sgd_step_is_plain_descent():
-    p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    opt = SGD([p], lr=0.1)
-    p.grad[:] = [2.0, -3.0]
-    opt.step()
-    assert np.allclose(p.data, [0.8, 1.3])
+    with pytest.raises(StateError):
+        Adam([p]).step()

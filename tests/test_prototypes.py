@@ -113,15 +113,14 @@ def test_ncm_empty_book():
 def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
-    frozen = EmbeddingNet.from_snapshot(snapshot(m))
-    field = collect_drift(frozen, m, ds)
+    field = collect_drift(snapshot(m), m, ds)
     assert len(field) == 10
     assert np.max(np.abs(field.displacements)) == 0.0
 
 
 def test_collect_drift_counts_and_mismatch(rng):
     ds = gen_gaussian_clusters(2, 6, 4, 0.2, seed=2)
-    a = EmbeddingNet(4, 2, seed=1)
+    a = snapshot(EmbeddingNet(4, 2, seed=1))
     b = EmbeddingNet(4, 3, seed=1)
     with pytest.raises(StateError):
         collect_drift(a, b, ds)

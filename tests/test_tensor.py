@@ -143,40 +143,6 @@ def test_softmax_cross_entropy_label_range():
         T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
 
 
-def test_conv2d_against_quadruple_loop(rng):
-    x = rng.normal(size=(2, 3, 5, 6))
-    w = rng.normal(size=(4, 3, 2, 3))
-    b = rng.normal(size=4)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-
-    want = np.zeros((2, 4, 4, 4))
-    for n in range(2):
-        for f in range(4):
-            for i in range(4):
-                for j in range(4):
-                    want[n, f, i, j] = b[f] + np.sum(
-                        x[n, :, i : i + 2, j : j + 3] * w[f]
-                    )
-    assert np.allclose(out, want, atol=1e-12)
-
-
-def test_maxpool_forward_and_tie(rng):
-    x = rng.normal(size=(1, 1, 4, 4))
-    out = T.maxpool2d(Tensor(x), 2).data
-    want = x.reshape(1, 1, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(1, 1, 2, 2, 4).max(-1)
-    assert np.allclose(out, want)
-
-    # tied maximum routes gradient to the first occurrence only
-    tie = Tensor(np.array([[[[2.0, 2.0], [0.0, 1.0]]]]), requires_grad=True)
-    T.maxpool2d(tie, 2).sum().backward()
-    assert np.array_equal(tie.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
-
-
-def test_maxpool_divisibility():
-    with pytest.raises(ShapeError):
-        T.maxpool2d(Tensor(np.zeros((1, 1, 5, 4))), 2)
-
-
 # finite-difference sweeps over every differentiable op
 
 
@@ -237,17 +203,6 @@ def test_grad_softmax_cross_entropy(rng):
         lambda ts: T.softmax_cross_entropy(ts[0], labels),
         [rng.normal(size=(7, 5))],
         tol=1e-4,
-    )
-
-
-def test_grad_conv_pool_stack(rng):
-    x = rng.normal(size=(2, 2, 6, 6))
-    w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    check_grads(
-        lambda ts: T.maxpool2d(T.conv2d(ts[0], ts[1], ts[2]), 2).sum(),
-        [x, w, b],
-        tol=2e-4,
     )
 
 
