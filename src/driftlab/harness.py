@@ -180,6 +180,8 @@ class MethodConfig:
             ("weight_floor", self.weight_floor > 0, "positive"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
+            ("gamma", self.gamma is None or 0 <= self.gamma < np.inf,
+             "finite and nonnegative"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -187,8 +189,6 @@ class MethodConfig:
             self.gamma = GAMMA_DEFAULTS.get(self.method, 0.0)
         if self.method not in GAMMA_DEFAULTS:
             self.gamma = 0.0  # ignored for methods without a regularizer
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -517,13 +517,14 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
                 for c in before
             }
 
-        if config.method == "E-EWC":
-            maps.append(estimate_fisher(model, task.train, config.batch_size,
-                                        config.fisher_variant))
-        elif config.method == "E-MAS":
-            maps.append(estimate_mas_importance(model, task.train))
-        if config.sdc or config.gamma > 0:  # the next task's reference
-            snap = snapshot(model, task_index=t)
+        if t < len(sequence):  # the next task's importance and reference
+            if config.method == "E-EWC":
+                maps.append(estimate_fisher(model, task.train, config.batch_size,
+                                            config.fisher_variant))
+            elif config.method == "E-MAS":
+                maps.append(estimate_mas_importance(model, task.train))
+            if config.sdc or config.gamma > 0:
+                snap = snapshot(model, task_index=t)
 
         if config.method == "Joint" and t < len(sequence):
             continue

@@ -47,23 +47,34 @@ class TripletBatch:
         return len(self.anchors)
 
 
-def _pair_dist(emb: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
-    d = T.sub(T.index_rows(emb, i), T.index_rows(emb, j))
-    return T.sqrt((d * d).sum(axis=1))
-
-
 def triplet_loss(embeddings: Tensor, triplets: TripletBatch) -> Tensor:
-    """Mean over triples of max(0, d_pos - d_neg + margin)."""
+    """Mean over triples of max(0, d_pos - d_neg + margin), one tape node.
+
+    Its gradient is (diag(K 1) - K) @ Z for the [B,B] symmetrized weights K
+    of the active triples' edges: w/d_pos on (anchor, positive), -w/d_neg on
+    (anchor, negative), w = 1/len(triplets); a zero-length edge adds none.
+    """
     if len(triplets) == 0:
         log.warning("triplet_loss: no valid triplets in batch, loss is 0")
         return Tensor(0.0)
-    n = embeddings.data.shape[0]
-    hi = max(triplets.anchors.max(), triplets.positives.max(), triplets.negatives.max())
+    z, n = embeddings.data, len(embeddings.data)
+    a, p, q = triplets.anchors, triplets.positives, triplets.negatives
+    hi = max(a.max(), p.max(), q.max())
     if hi >= n:
         raise ShapeError(f"triplet index {hi} out of range for batch of {n}")
-    d_pos = _pair_dist(embeddings, triplets.anchors, triplets.positives)
-    d_neg = _pair_dist(embeddings, triplets.anchors, triplets.negatives)
-    return T.relu(T.add(T.sub(d_pos, d_neg), triplets.margin)).mean()
+    d_pos = np.sqrt(np.maximum(np.sum((z[a] - z[p]) ** 2, axis=1), 0.0))
+    d_neg = np.sqrt(np.maximum(np.sum((z[a] - z[q]) ** 2, axis=1), 0.0))
+    hinge = d_pos - d_neg + triplets.margin
+
+    def back(g):
+        w = np.where(hinge > 0, float(g) / len(a), 0.0)
+        u = np.divide(w, d_pos, out=np.zeros_like(w), where=d_pos > 0)
+        v = np.divide(-w, d_neg, out=np.zeros_like(w), where=d_neg > 0)
+        k = np.bincount(np.r_[a * n + p, a * n + q], np.r_[u, v], n * n).reshape(n, n)
+        k += k.T
+        return (k.sum(axis=1)[:, None] * z - k @ z,)
+
+    return T._make(np.mean(np.where(hinge > 0, hinge, 0.0)), (embeddings,), back)
 
 
 def mine_triplets(labels, embeddings, strategy: str = "random",
@@ -73,51 +84,37 @@ def mine_triplets(labels, embeddings, strategy: str = "random",
     "random": every ordered same-label pair becomes (anchor, positive) with
     one uniformly drawn negative. "semihard": per pair, the negative with
     the smallest distance still exceeding d_pos; if none exists, the
-    hardest (closest) negative overall.
+    hardest (closest) negative overall. Pairs come in row-major order, and
+    distance ties go to the lowest batch index.
     """
     labels = np.asarray(labels)
     z = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings)
-    anchors, positives, negatives = [], [], []
-
-    if strategy == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for a in range(len(labels)):
-            neg_pool = np.flatnonzero(labels != labels[a])
-            if len(neg_pool) == 0:
-                continue
-            for p in np.flatnonzero(labels == labels[a]):
-                if p == a:
-                    continue
-                anchors.append(a)
-                positives.append(p)
-                negatives.append(int(rng.choice(neg_pool)))
-    elif strategy == "semihard":
-        sq = np.sum(z * z, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
-        dist = np.sqrt(d2)
-        for a in range(len(labels)):
-            neg_pool = np.flatnonzero(labels != labels[a])
-            if len(neg_pool) == 0:
-                continue
-            d_neg = dist[a, neg_pool]
-            for p in np.flatnonzero(labels == labels[a]):
-                if p == a:
-                    continue
-                beyond = d_neg > dist[a, p]
-                if beyond.any():
-                    pick = neg_pool[beyond][np.argmin(d_neg[beyond])]
-                else:
-                    pick = neg_pool[np.argmin(d_neg)]
-                anchors.append(a)
-                positives.append(p)
-                negatives.append(int(pick))
-    else:
+    if strategy not in ("random", "semihard"):
         raise ValueError(f"unknown mining strategy {strategy!r}")
-
-    return TripletBatch(np.array(anchors, dtype=np.intp),
-                        np.array(positives, dtype=np.intp),
-                        np.array(negatives, dtype=np.intp), margin)
+    same = labels[:, None] == labels[None, :]
+    n_neg = len(labels) - same.sum(axis=1)
+    anchors, positives = np.nonzero(
+        same & (n_neg > 0)[:, None] & ~np.eye(len(labels), dtype=bool))
+    if len(anchors) == 0:
+        negatives = anchors
+    elif strategy == "random":
+        rng = np.random.default_rng(0) if rng is None else rng
+        # per pair, the k-th negative in batch order, as rng.choice(pool) drew it
+        by_anchor = np.argsort(same, axis=1, kind="stable")
+        negatives = by_anchor[anchors, rng.integers(0, n_neg[anchors])]
+    else:
+        sq = np.sum(z * z, axis=1)
+        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0))
+        negatives = np.empty_like(anchors)
+        step = max(1, (1 << 18) // len(labels))  # [pairs, B] blocks of <= 2 MB
+        for at in range(0, len(anchors), step):
+            a, p = anchors[at : at + step], positives[at : at + step]
+            neg, d = ~same[a], dist[a]
+            beyond = neg & (d > dist[a, p][:, None])
+            semi = np.where(beyond, d, np.inf).argmin(axis=1)
+            hard = np.where(neg, d, np.inf).argmin(axis=1)
+            negatives[at : at + step] = np.where(beyond.any(axis=1), semi, hard)
+    return TripletBatch(anchors, positives, negatives, margin)
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:

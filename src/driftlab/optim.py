@@ -39,7 +39,9 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise StateError(f"parameter {i} has no gradient; call backward first")
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

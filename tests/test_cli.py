@@ -82,6 +82,14 @@ def test_run_config_error_exit_2(tmp_path, capsys):
     assert "outdir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_run_non_finite_gamma_exit_2(tmp_path, capsys, gamma):
+    cfg = write_config(tmp_path, seeds="0", methods={"E-LwF": {"gamma": gamma}})
+    assert main(["run", str(cfg)]) == 2
+    assert "[method E-LwF]: gamma must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
     assert "not found" in capsys.readouterr().err

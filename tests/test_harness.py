@@ -261,6 +261,25 @@ def test_gamma_zero_equals_plain_finetuning():
     assert eft.a_matrix_csv() == lwf0.a_matrix_csv() == ewc0.a_matrix_csv()
 
 
+@pytest.mark.parametrize("method, estimator", [
+    ("E-EWC", "estimate_fisher"), ("E-MAS", "estimate_mas_importance")])
+def test_importance_skipped_after_last_task(monkeypatch, method, estimator):
+    import driftlab.harness as H
+
+    calls = []
+    inner = getattr(H, estimator)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(H, estimator, counted)
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    rec = run_sequence(quick(method, epochs=2), seq)
+    assert len(calls) == len(seq) - 1
+    assert sorted(rec.accuracy) == [1, 2, 3]
+
+
 def test_efix_frozen_after_first_task():
     seq = tiny_sequence(n_classes=6, n_tasks=3)
     rec = run_sequence(quick("E-Fix"), seq)

@@ -1,5 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftlab import tensor as T
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
@@ -122,9 +126,126 @@ def test_mine_semihard_matches_bruteforce(rng):
     assert count == len(trip)
 
 
+# the per-pair mining loop the vectorized miner replaced, kept as its oracle
+
+
+def loop_mine(labels, z, strategy, rng=None):
+    anchors, positives, negatives = [], [], []
+    if strategy == "semihard":
+        sq = np.sum(z * z, axis=1)
+        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0))
+    for a in range(len(labels)):
+        neg_pool = np.flatnonzero(labels != labels[a])
+        if len(neg_pool) == 0:
+            continue
+        for p in np.flatnonzero(labels == labels[a]):
+            if p == a:
+                continue
+            if strategy == "random":
+                pick = rng.choice(neg_pool)
+            else:
+                d_neg = dist[a, neg_pool]
+                beyond = d_neg > dist[a, p]
+                if beyond.any():
+                    pick = neg_pool[beyond][np.argmin(d_neg[beyond])]
+                else:
+                    pick = neg_pool[np.argmin(d_neg)]
+            anchors.append(a)
+            positives.append(p)
+            negatives.append(int(pick))
+    return anchors, positives, negatives
+
+
+@st.composite
+def mining_batches(draw):
+    """Labels plus embeddings whose rows repeat a few distinct small-integer
+    rows (so distance ties are common), optionally jittered."""
+    n = draw(st.integers(2, 130))
+    n_classes = draw(st.integers(1, 4))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                    min_size=n, max_size=n)))
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                         min_size=1, max_size=8))
+    z = np.array(rows, dtype=np.float64)[
+        draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        z = z + 0.1 * np.random.default_rng(draw(st.integers(0, 99))).normal(size=z.shape)
+    return labels, z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mining_batches(), st.integers(0, 2**32 - 1))
+def test_mining_matches_per_pair_loop(batch, seed):
+    labels, z = batch
+    got = mine_triplets(labels, Tensor(z), "semihard")
+    assert [list(got.anchors), list(got.positives), list(got.negatives)] == \
+        list(loop_mine(labels, z, "semihard"))
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mine_triplets(labels, z, "random", rng=rng)
+    assert [list(got.anchors), list(got.positives), list(got.negatives)] == \
+        list(loop_mine(labels, z, "random", ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got.anchors.dtype == got.negatives.dtype == np.intp
+
+
 def test_mine_unknown_strategy():
     with pytest.raises(ValueError):
         mine_triplets([0, 1], Tensor(np.zeros((2, 2))), "hardcore")
+
+
+def tape_triplet_loss(emb, trip):
+    """The op-by-op composite the fused triplet_loss replaced."""
+    def dist(i, j):
+        d = T.sub(T.index_rows(emb, i), T.index_rows(emb, j))
+        return T.sqrt((d * d).sum(axis=1))
+
+    hinge = T.add(T.sub(dist(trip.anchors, trip.positives),
+                        dist(trip.anchors, trip.negatives)), trip.margin)
+    return T.relu(hinge).mean()
+
+
+def fused_and_tape(z0, trip, scale=2.5):
+    out = []
+    for loss_fn in (triplet_loss, tape_triplet_loss):
+        z = Tensor(z0.copy(), requires_grad=True)
+        loss = loss_fn(T.l2_normalize(z), trip)
+        (loss * scale).backward()
+        out.append((loss.item(), z.grad))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["semihard", "random"])
+def test_fused_triplet_matches_tape_composite(rng, strategy):
+    for trial in range(10):
+        z0 = rng.normal(size=(int(rng.integers(4, 40)), 5))
+        labels = rng.integers(0, 3, size=len(z0))
+        trip = mine_triplets(labels, z0, strategy, margin=0.5, rng=rng)
+        if len(trip) == 0:
+            continue
+        (fused, g_fused), (tape, g_tape) = fused_and_tape(z0, trip)
+        assert fused == pytest.approx(tape, rel=1e-12)
+        np.testing.assert_allclose(g_fused, g_tape, rtol=1e-12, atol=1e-15)
+
+
+def test_fused_triplet_gradient_finite_at_zero_distance():
+    # row 1 repeats the anchor (d_pos = 0), row 2 repeats it too (d_neg = 0)
+    z0 = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [-1.0, 0.5]])
+    trip = TripletBatch([0, 0, 1], [1, 1, 0], [2, 3, 3], margin=2.0)
+    (fused, g_fused), (tape, g_tape) = fused_and_tape(z0, trip)
+    assert np.all(np.isfinite(g_fused)) and np.any(g_fused != 0)
+    assert fused == pytest.approx(tape, rel=1e-12)
+    np.testing.assert_allclose(g_fused, g_tape, rtol=1e-12, atol=1e-15)
+
+
+def test_triplet_loss_argument_names():
+    # the benchmark's triplet counter reads both arguments by keyword
+    assert list(inspect.signature(triplet_loss).parameters) == ["embeddings", "triplets"]
+    z = Tensor(np.array([[0.0], [0.5], [0.2]]))
+    trip = TripletBatch([0], [1], [2])
+    assert triplet_loss(embeddings=z, triplets=trip).item() == pytest.approx(0.5)
 
 
 def test_cross_entropy_uniform_is_log_k():

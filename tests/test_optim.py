@@ -68,3 +68,29 @@ def test_missing_grad_raises():
     p.grad = None
     with pytest.raises(StateError):
         Adam([p]).step()
+
+
+def test_adam_in_place_and_bitwise_equal_to_out_of_place_formula(rng):
+    shapes = [(3, 4), (4,), ()]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    buffers = list(zip(opt.m, opt.v))
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 13):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = np.asarray(g, dtype=np.float64)
+        opt.step()
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            ref[i] = ref[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+            assert np.array_equal(params[i].data, ref[i])
+            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+    # the moment buffers are the arrays the optimizer started with
+    assert all(opt.m[i] is mb and opt.v[i] is vb for i, (mb, vb) in enumerate(buffers))
+    assert all(np.any(mb != 0) for mb, _ in buffers)
