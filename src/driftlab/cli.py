@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -83,9 +84,12 @@ def cmd_run(args) -> int:
                 continue
             run_dir = out_root / label / str(seed)
             run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "a_matrix.csv").write_text(record.a_matrix_csv())
-            (run_dir / "record.json").write_text(record.to_json())
-            (run_dir / "prototypes.json").write_text(record.book.to_json())
+            for name, text in (("a_matrix.csv", record.a_matrix_csv()),
+                               ("record.json", record.to_json()),
+                               ("prototypes.json", record.book.to_json())):
+                tmp = run_dir / f".{name}.tmp"  # renamed whole: never read half-written
+                tmp.write_text(text)
+                os.replace(tmp, run_dir / name)
             records.setdefault(label, {})[seed] = record
             print(f"[done] {label} seed {seed} "
                   f"({record.wall_time:.1f}s) -> {run_dir}")

@@ -174,10 +174,10 @@ class MethodConfig:
         for key, ok, rule in (
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size >= 2, "at least 2"),
-            ("lr", self.lr > 0, "positive"),
-            ("sigma", self.sigma > 0, "positive"),
+            ("lr", 0 < self.lr < np.inf, "finite and positive"),
+            ("sigma", 0 < self.sigma < np.inf, "finite and positive"),
             ("margin", self.margin >= 0, "nonnegative"),
-            ("weight_floor", self.weight_floor > 0, "positive"),
+            ("weight_floor", 0 < self.weight_floor < np.inf, "finite and positive"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
             ("gamma", self.gamma is None or 0 <= self.gamma < np.inf,
@@ -338,7 +338,7 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
         raise TrainingError("task has no training data")
     opt = Adam(model.params, lr=config.lr)  # fresh state every task
     any_triplets = False
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(task_data.labels), config.batch_size, rng):
             xb, yb = task_data.features[idx], task_data.labels[idx]
             z = model.embed(xb)
@@ -353,6 +353,8 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                 else:
                     reg = quadratic_penalty(model, snap, importance)
                 loss = combined_loss(loss, reg, config.gamma)
+            if not np.isfinite(loss.data):
+                raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -287,15 +287,14 @@ def reshape(a, shape) -> Tensor:
 def l2_normalize(a, axis: int = 1) -> Tensor:
     """Scale slices along ``axis`` to unit Euclidean norm.
 
-    Raises NormalizationError when any slice norm falls below 1e-12; a
-    degenerate embedding would otherwise blow up silently.
+    Raises NormalizationError when any slice norm falls below 1e-12 or is
+    not finite; a degenerate embedding would otherwise blow up silently.
     """
     a = astensor(a)
     norms = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
-    if np.min(norms) < 1e-12:
-        raise NormalizationError(
-            f"slice norm {np.min(norms):.3e} below 1e-12 along axis {axis}"
-        )
+    if not 1e-12 <= np.min(norms) <= np.max(norms) < np.inf:  # NaN fails too
+        raise NormalizationError(f"slice norms {np.min(norms):.3e}..{np.max(norms):.3e} "
+                                 f"not finite or below 1e-12 along axis {axis}")
     out = a.data / norms
 
     def back(g):

@@ -45,9 +45,9 @@ def test_run_happy_path(tmp_path, capsys):
     for label in ("E-FT", "E-FT+SDC"):
         for seed in ("0", "1"):
             d = tmp_path / "results" / label / seed
-            assert (d / "a_matrix.csv").exists()
-            assert (d / "record.json").exists()
-            assert (d / "prototypes.json").exists()
+            # written through temp siblings renamed into place; none is left
+            assert sorted(f.name for f in d.iterdir()) == [
+                "a_matrix.csv", "prototypes.json", "record.json"]
     rec = RunRecord.from_json(
         (tmp_path / "results" / "E-FT" / "0" / "record.json").read_text())
     assert rec.method == "E-FT" and rec.seed == 0

@@ -381,3 +381,17 @@ def test_train_task_standalone_on_empty_data():
     empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(TrainingError):
         train_task(m, empty, cfg, np.random.default_rng(0))
+
+
+def test_train_task_stops_on_non_finite_loss():
+    from driftlab.losses import ImportanceMap
+    from driftlab.models import EmbeddingNet, snapshot
+
+    m = EmbeddingNet(6, 2, hidden=(8,), seed=0)
+    snap = snapshot(m)
+    # inf * (theta - theta_snapshot)^2 is inf * 0 = nan on the first batch
+    imp = ImportanceMap("mas", tuple(np.full(p.data.shape, np.inf) for p in m.params))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingError, match="non-finite loss nan in epoch 1"):
+        train_task(m, tiny_sequence().tasks[0].train, quick("E-MAS"),
+                   np.random.default_rng(0), snap=snap, importance=imp)

@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftlab import tensor as T
@@ -550,3 +550,88 @@ def test_mas_empty_dataset():
     m = EmbeddingNet(3, 2, hidden=(5,), seed=4)
     with pytest.raises(EstimationError):
         estimate_mas_importance(m, LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+
+def loop_mas(model, dataset):
+    """Reference MAS: one tape forward and backward per sample, in the
+    canonical order, summing each sample's absolute parameter gradients."""
+    acc = [np.zeros_like(p.data) for p in model.params]
+    for x in dataset.features[interleaved_order(dataset)]:
+        raw = model.forward_raw(x[None, :])
+        for p in model.params:
+            p.zero_grad()
+        (raw * raw).sum().backward()
+        for a, p in zip(acc, model.params):
+            a += np.abs(p.grad)
+    return [a / len(dataset.labels) for a in acc]
+
+
+def mas_case(seed, depth, rows, lattice):
+    """A model and dataset of ``rows`` rows, the first tenth of them (at
+    least one) all zero. On ``lattice``, features and parameters lie in
+    {-1, 0, 1}, so many ReLU inputs are exactly 0; otherwise the zero rows
+    meet the zero biases."""
+    r = np.random.default_rng(seed)
+    m = EmbeddingNet(3, 2, hidden=(5, 4)[:depth], seed=seed)
+    x = r.normal(size=(rows, 3))
+    x[: max(1, rows // 10)] = 0.0
+    if lattice:
+        x = np.rint(np.clip(x, -1, 1))
+        for p in m.params:
+            p.data = np.rint(np.clip(2 * p.data, -1, 1))
+    return m, LabeledDataset(x, r.integers(0, 3, size=rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), depth=st.integers(0, 2),
+       rows=st.integers(1, 1100), lattice=st.booleans())
+@example(seed=1, depth=2, rows=1100, lattice=False)  # three 512-row blocks
+@example(seed=2, depth=1, rows=513, lattice=True)
+def test_batched_mas_matches_per_sample_loop(seed, depth, rows, lattice):
+    m, ds = mas_case(seed, depth, rows, lattice)
+    got = estimate_mas_importance(m, ds).weights
+    for g, want in zip(got, loop_mas(m, ds)):
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+
+
+def test_batched_mas_leaves_grads_and_tape_alone(monkeypatch):
+    m, ds = mas_case(7, 2, 600, lattice=False)
+    for p in m.params:
+        p.grad[...] = 7.0
+
+    def no_backward(self):
+        raise AssertionError("the MAS estimate must not run the tape")
+
+    monkeypatch.setattr(Tensor, "backward", no_backward)
+    estimate_mas_importance(m, ds)
+    assert all(np.all(p.grad == 7.0) for p in m.params)
+
+
+def composite_penalty(model, snap, importance):
+    """Reference quadratic penalty built from elementwise tape ops."""
+    total = Tensor(0.0)
+    for p, old, w in zip(model.params, snap.params, importance.weights):
+        d = T.sub(p, Tensor(old))
+        total = total + (Tensor(0.5 * w) * d * d).sum()
+    return total
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_fused_quadratic_penalty_matches_composite(rng, depth):
+    m = EmbeddingNet(4, 3, hidden=(6, 5)[:depth], seed=depth)
+    snap = snapshot(m)
+    for p in m.params:
+        p.data = p.data + rng.normal(size=p.data.shape)
+    imp = ImportanceMap("mas", tuple(np.abs(rng.normal(size=p.data.shape))
+                                     for p in m.params))
+    values, grads = [], []
+    for build in (quadratic_penalty, composite_penalty):
+        for p in m.params:
+            p.zero_grad()
+        loss = build(m, snap, imp)
+        loss.backward()
+        values.append(loss.item())
+        grads.append([p.grad.copy() for p in m.params])
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+    for fused, composite in zip(*grads):
+        np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=0)

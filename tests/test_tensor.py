@@ -72,6 +72,11 @@ def test_l2_normalize_rejects_degenerate():
     bad[1] = 1e-13
     with pytest.raises(NormalizationError):
         T.l2_normalize(Tensor(bad), axis=1)
+    for value in (np.nan, np.inf):
+        bad = np.ones((3, 4))
+        bad[2, 1] = value
+        with pytest.raises(NormalizationError, match="not finite"):
+            T.l2_normalize(Tensor(bad), axis=1)
 
 
 def test_backward_requires_scalar():
