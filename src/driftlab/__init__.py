@@ -15,7 +15,7 @@ from .harness import (
     run_sequence,
     split_tasks,
 )
-from .models import EmbeddingNet, GrowingSoftmaxNet, load_model, save_model, snapshot
+from .models import EmbeddingNet, GrowingSoftmaxNet, snapshot
 from .prototypes import (
     KernelConfig,
     PrototypeBook,

@@ -38,17 +38,7 @@ from .harness import MethodConfig, TaskSequence, split_tasks
 SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
 
 EXPERIMENT_KEYS = {"output_dir", "seeds"}
-DATASET_KEYS = {
-    "source", "n_classes", "per_class", "dim", "spread",
-    "n_tasks", "first_task_fraction", "test_fraction", "pretrain_classes",
-    "images", "labels", "test_images", "test_labels", "path",
-}
 SOURCES = ("synthetic", "digits", "idx", "csv")
-METHOD_KEYS = {
-    "method", "sdc", "gamma", "sigma", "margin", "lr", "epochs", "batch_size",
-    "embedding_dim", "hidden", "mining", "renormalize_prototypes",
-    "importance_mode", "fisher_variant", "weight_floor",
-}
 _REQUIRED_BY_SOURCE = {"idx": ("images", "labels"), "csv": ("path",)}
 
 
@@ -90,8 +80,7 @@ def _parse_int_list(section, key, raw):
 _METHOD_TYPES = {
     "sdc": bool, "gamma": float, "sigma": float, "margin": float, "lr": float,
     "epochs": int, "batch_size": int, "embedding_dim": int,
-    "renormalize_prototypes": bool, "weight_floor": float,
-    "method": str, "mining": str, "importance_mode": str, "fisher_variant": str,
+    "method": str, "mining": str, "fisher_variant": str,
 }
 
 _DATASET_TYPES = {
@@ -101,6 +90,9 @@ _DATASET_TYPES = {
     "images": str, "labels": str, "test_images": str, "test_labels": str,
     "path": str,
 }
+
+DATASET_KEYS = set(_DATASET_TYPES)
+METHOD_KEYS = set(_METHOD_TYPES) | {"hidden"}  # hidden parses to an int tuple
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -6,7 +6,7 @@ reorders samples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    class_names: list[str] | None = None
     original_labels: tuple = ()
 
     def __post_init__(self):
@@ -50,7 +49,6 @@ class LabeledDataset:
         sub = LabeledDataset.__new__(LabeledDataset)
         sub.features = self.features[mask]
         sub.labels = self.labels[mask]
-        sub.class_names = self.class_names
         sub.original_labels = self.original_labels
         return sub
 

@@ -20,7 +20,6 @@ from .data import LabeledDataset
 from .losses import (
     ImportanceMap,
     combined_loss,
-    cross_entropy_loss,
     estimate_fisher,
     estimate_mas_importance,
     lwf_align_loss,
@@ -38,6 +37,7 @@ from .prototypes import (
     compute_prototypes,
     ncm_classify,
 )
+from .tensor import softmax_cross_entropy
 
 EMBEDDING_METHODS = ("E-FT", "E-LwF", "E-EWC", "E-MAS", "E-Fix", "E-Pre-substitute", "Joint")
 SOFTMAX_METHODS = ("FT", "FT*")
@@ -153,10 +153,7 @@ class MethodConfig:
     embedding_dim: int = 64
     hidden: tuple = (256, 256)
     mining: str = "semihard"
-    renormalize_prototypes: bool = False
-    importance_mode: str = "accumulate"
     fisher_variant: str = "triplet"
-    weight_floor: float = 1e-12
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -164,8 +161,6 @@ class MethodConfig:
         if self.sdc and (self.method in SOFTMAX_METHODS or self.method == "Joint"):
             raise ValueError(f"sdc is only valid for incremental embedding methods, "
                              f"not {self.method}")
-        if self.importance_mode not in ("accumulate", "latest"):
-            raise ValueError(f"unknown importance_mode {self.importance_mode!r}")
         if self.mining not in ("random", "semihard"):
             raise ValueError(f"unknown mining strategy {self.mining!r}")
         if self.fisher_variant not in FISHER_VARIANTS:
@@ -177,7 +172,6 @@ class MethodConfig:
             ("lr", 0 < self.lr < np.inf, "finite and positive"),
             ("sigma", 0 < self.sigma < np.inf, "finite and positive"),
             ("margin", self.margin >= 0, "nonnegative"),
-            ("weight_floor", 0 < self.weight_floor < np.inf, "finite and positive"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
             ("gamma", self.gamma is None or 0 <= self.gamma < np.inf,
@@ -305,15 +299,6 @@ def prototype_distance_trace(record: RunRecord) -> dict[int, list[tuple[int, flo
     return trace
 
 
-def confusion_matrix(record: RunRecord, k: int):
-    """(class ids, counts) at checkpoint k; counts[i][j] = samples of
-    class i predicted as class j."""
-    if k not in record.confusions:
-        raise ValueError(f"no confusion recorded at task {k}")
-    entry = record.confusions[k]
-    return list(entry["classes"]), np.asarray(entry["counts"])
-
-
 def _digest(model) -> str:
     h = hashlib.sha256()
     for p in model.params:
@@ -375,7 +360,7 @@ def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConf
     for _ in range(config.epochs):
         for idx in _batches(len(labels), config.batch_size, rng):
             logits = model.head_logits(task.train.features[idx], head)
-            loss = cross_entropy_loss(logits, labels[idx])
+            loss = softmax_cross_entropy(logits, labels[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -388,7 +373,6 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
     and records prototype-to-true-mean distances, or, when ``embed`` is
     None, by the model's heads."""
     seen_classes = sorted(c for t in tasks_seen for c in t.classes)
-    col = {c: i for i, c in enumerate(seen_classes)}
     counts = np.zeros((len(seen_classes), len(seen_classes)), dtype=int)
     dists = {}
     for task in tasks_seen:
@@ -402,8 +386,8 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
                 true_mean = z[y == c].mean(axis=0)
                 dists[int(c)] = float(np.linalg.norm(book.entries[c].vector - true_mean))
         record.set_acc(k, task.index, float(np.mean(pred == y)))
-        for true, p in zip(y, pred):
-            counts[col[int(true)], col[int(p)]] += 1
+        np.add.at(counts, (np.searchsorted(seen_classes, y),
+                           np.searchsorted(seen_classes, pred)), 1)
     record.confusions[k] = {"classes": seen_classes, "counts": counts.tolist()}
     if embed is not None:
         record.proto_distance[k] = dists
@@ -478,7 +462,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
         train_task(model, pretrain, config, rng)
 
     book = PrototypeBook()
-    kcfg = KernelConfig(sigma=config.sigma, weight_floor=config.weight_floor)
+    kcfg = KernelConfig(sigma=config.sigma)
     snap = None
     maps: list[ImportanceMap] = []
     for task in sequence.tasks:
@@ -489,10 +473,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
             model.add_head(task.classes)
             _train_softmax_task(model, task, config, rng)
         elif trains:
-            importance = None
-            if maps:
-                importance = maps[-1] if config.importance_mode == "latest" \
-                    else ImportanceMap.average(maps)
+            importance = ImportanceMap.average(maps) if maps else None
             train_task(model, task.train, config, rng, snap=snap, importance=importance)
 
         if embed is not None:
@@ -507,12 +488,6 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
             before = {c: book.entries[c].vector.copy()
                       for c in book.class_ids() if book.entries[c].learned_at < t}
             compensate(book, drift, kcfg, current_task=t)
-            if config.renormalize_prototypes:
-                for c in before:
-                    e = book.entries[c]
-                    norm = np.linalg.norm(e.vector)
-                    if norm > 0:
-                        e.vector = e.vector / norm
             record.sdc_events[t] = {
                 int(c): {"before": before[c].tolist(),
                          "delta": (book.entries[c].vector - before[c]).tolist()}

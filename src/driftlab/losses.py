@@ -117,10 +117,6 @@ def mine_triplets(labels, embeddings, strategy: str = "random",
     return TripletBatch(anchors, positives, negatives, margin)
 
 
-def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    return T.softmax_cross_entropy(logits, labels)
-
-
 def lwf_align_loss(model: EmbeddingNet, snap: ModelSnapshot, batch) -> Tensor:
     """Frobenius norm between current and snapshot embeddings of the batch.
 

@@ -1,6 +1,6 @@
 """Network definitions: a unit-norm embedding MLP and a multi-head softmax
-classifier sharing the same trunk, plus task-boundary snapshots, one
-tape-free inference path and flat-binary serialization.
+classifier sharing the same trunk, plus task-boundary snapshots and one
+tape-free inference path.
 
 Both nets use the stack input -> hidden ReLU layers -> linear projection.
 The embedding net L2-normalizes the projection; the softmax net feeds it
@@ -10,7 +10,6 @@ two training regimes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,16 +149,9 @@ class GrowingSoftmaxNet:
         return out
 
     def add_head(self, classes) -> None:
-        """Append a randomly initialized head.
-
-        ``classes`` is either the explicit global class ids or a count, in
-        which case ids continue consecutively from the classes seen so far.
-        """
-        if isinstance(classes, (int, np.integer)):
-            start = 1 + max((max(ids) for _, _, ids in self.heads), default=-1)
-            ids = tuple(range(start, start + int(classes)))
-        else:
-            ids = tuple(int(c) for c in classes)
+        """Append a randomly initialized head for the global class ids
+        ``classes``."""
+        ids = tuple(int(c) for c in classes)
         if not ids:
             raise ValueError("a head needs at least one class")
         w = Tensor(_kaiming_uniform(self._rng, self.feat_dim, len(ids)), requires_grad=True)
@@ -207,41 +199,3 @@ def embed_snapshot(snap: ModelSnapshot, x) -> np.ndarray:
         raise StateError(f"snapshot holds a {snap.kind} model")
     x = _check_batch(x, snap.arch["input_dim"]).data
     return infer(snap.params, x, normalize=True)
-
-
-def save_model(model, path) -> None:
-    """Flat little-endian float64 parameter dump + JSON architecture sidecar."""
-    path = str(path)
-    flat = np.concatenate([p.data.ravel() for p in model.params])
-    with open(path, "wb") as fh:
-        fh.write(flat.astype("<f8").tobytes())
-    sidecar = {
-        "kind": model.kind,
-        "arch": model.arch,
-        "param_shapes": [list(p.data.shape) for p in model.params],
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
-
-
-def load_model(path):
-    path = str(path)
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    arch = sidecar["arch"]
-    if sidecar["kind"] == "embedding":
-        model = EmbeddingNet(arch["input_dim"], arch["embedding_dim"], tuple(arch["hidden"]))
-    else:
-        model = GrowingSoftmaxNet(arch["input_dim"], arch["feat_dim"], tuple(arch["hidden"]))
-        for ids in arch["heads"]:
-            model.add_head(ids)
-    flat = np.frombuffer(open(path, "rb").read(), dtype="<f8")
-    shapes = [tuple(s) for s in sidecar["param_shapes"]]
-    sizes = [int(np.prod(s)) for s in shapes]
-    if flat.size != sum(sizes):
-        raise StateError(f"{path}: {flat.size} values, sidecar wants {sum(sizes)}")
-    at = 0
-    for p, shape, size in zip(model.params, shapes, sizes):
-        p.data = flat[at : at + size].reshape(shape).copy()
-        at += size
-    return model

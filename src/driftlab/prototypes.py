@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,21 @@ from .tensor import ShapeError, StateError
 log = logging.getLogger(__name__)
 
 
+# Total kernel mass below which a query is out of reach of all evidence.
+WEIGHT_FLOOR = 1e-12
+
+
+class NonFiniteError(ValueError):
+    """A prototype or an embedding holds NaN or inf."""
+
+
 @dataclass
 class KernelConfig:
     sigma: float = 0.3
-    weight_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.weight_floor <= 0:
-            raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
 
 
 @dataclass
@@ -40,7 +45,6 @@ class DriftField:
 
     positions: np.ndarray
     displacements: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -132,12 +136,20 @@ def compute_prototypes(embeddings, labels, classes=None) -> dict[int, np.ndarray
 
 def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     """Nearest prototype by Euclidean distance; ties go to the lowest
-    class id. No task information is consulted."""
+    class id. No task information is consulted. A NaN or inf prototype
+    or embedding raises NonFiniteError."""
     if len(book) == 0:
         raise StateError("prototype book is empty")
     z = np.asarray(embeddings, dtype=np.float64)
     ids = np.asarray(book.class_ids())
     protos = book.matrix()
+    bad = ids[~np.isfinite(protos).all(axis=1)]
+    if bad.size:
+        raise NonFiniteError(f"prototypes of classes {bad.tolist()} are not finite")
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{bad.size} embedding rows are not finite "
+                             f"(first: row {bad[0]})")
     diff = z[:, None, :] - protos[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
     return ids[np.argmin(d2, axis=1)]
@@ -153,15 +165,15 @@ def collect_drift(snapshot: ModelSnapshot, current_model, task_data) -> DriftFie
         )
     before = embed_snapshot(snapshot, task_data.features)
     after = current_model.embed_np(task_data.features)
-    return DriftField(before, after - before, task_data.labels.copy())
+    return DriftField(before, after - before)
 
 
 def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray:
     """Gaussian-kernel average of the drift field at one query point.
 
     Weights w_i = exp(-||pos_i - query||^2 / (2 sigma^2)). If the total
-    weight underflows the configured floor the query is out of reach of
-    all evidence: return a zero vector and log the degenerate case.
+    weight underflows WEIGHT_FLOOR the query is out of reach of all
+    evidence: return a zero vector and log the degenerate case.
     """
     if len(field) == 0:
         raise ValueError("empty drift field")
@@ -169,7 +181,7 @@ def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray
     d2 = np.sum((field.positions - q) ** 2, axis=1)
     w = np.exp(-d2 / (2.0 * cfg.sigma**2))
     total = w.sum()
-    if total < cfg.weight_floor:
+    if total < WEIGHT_FLOOR:
         log.warning(
             "degenerate kernel mass %.3e at query (nearest point %.3f away); "
             "leaving prototype in place",
@@ -191,16 +203,3 @@ def compensate(book: PrototypeBook, field: DriftField, cfg: KernelConfig,
         delta = interpolate_drift(field, entry.vector, cfg)
         entry.vector = entry.vector + delta
         entry.compensation = entry.compensation + delta
-
-
-def true_drift(old_book: PrototypeBook, new_embeddings, labels) -> dict[int, np.ndarray]:
-    """Diagnostic ground truth: mean-embedding shift per class, computed
-    from retained data of old classes (never available to the learner)."""
-    labels = np.asarray(labels)
-    new_means = compute_prototypes(new_embeddings, labels)
-    out = {}
-    for c, mean in new_means.items():
-        if c not in old_book.entries:
-            raise KeyError(f"class {c} has no stored prototype")
-        out[c] = mean - (old_book.entries[c].vector - old_book.entries[c].compensation)
-    return out

@@ -3,6 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from driftlab.cli import main
 from driftlab.config import (
     SEED_ENV,
     ConfigError,
@@ -80,7 +81,7 @@ def test_missing_file():
         load_config("/nonexistent/exp.ini")
 
 
-def test_unknown_keys_named(tmp_path):
+def test_unknown_keys_named(tmp_path, capsys, monkeypatch):
     bad = BASE.replace("output_dir", "outdir")
     with pytest.raises(ConfigError, match="'outdir'"):
         load_config(write_ini(tmp_path, bad))
@@ -90,6 +91,15 @@ def test_unknown_keys_named(tmp_path):
     bad = BASE.replace("epochs", "n_epochs")
     with pytest.raises(ConfigError, match="'n_epochs'"):
         load_config(write_ini(tmp_path, bad))
+    # method knobs that no longer exist fail the run at load, by name
+    monkeypatch.chdir(tmp_path)  # BASE writes to the relative output_dir "out"
+    for key, value in (("renormalize_prototypes", "true"),
+                       ("importance_mode", "latest"), ("weight_floor", "1e-12")):
+        ini = write_ini(tmp_path, BASE.replace("[method E-FT]", "[method E-EWC]")
+                        + f"{key} = {value}\n")
+        assert main(["run", ini]) == 2
+        assert f"unknown key {key!r} in [method E-EWC]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_section(tmp_path):
@@ -141,9 +151,9 @@ def test_fisher_variant_checked_at_load(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("epochs", "0"), ("batch_size", "1"), ("lr", "-0.01"), ("lr", "0"),
-    ("sigma", "-1"), ("margin", "-0.1"), ("weight_floor", "0"),
+    ("sigma", "-1"), ("margin", "-0.1"),
     ("embedding_dim", "0"), ("hidden", "256 0"), ("gamma", "-1"), ("gamma", "nan"),
-    ("gamma", "inf"), ("lr", "inf"), ("sigma", "inf"), ("weight_floor", "inf"),
+    ("gamma", "inf"), ("lr", "inf"), ("sigma", "inf"),
 ])
 def test_out_of_range_numbers_rejected_at_load(tmp_path, key, value):
     body = BASE.replace("epochs = 5\n", "") + f"{key} = {value}\n"

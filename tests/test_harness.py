@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftlab.data import gen_gaussian_clusters
+from driftlab.data import LabeledDataset, gen_gaussian_clusters
 from driftlab.harness import (
     MethodConfig,
     RunRecord,
@@ -9,14 +9,14 @@ from driftlab.harness import (
     TrainingError,
     avg_forgetting,
     avg_incremental_accuracy,
-    confusion_matrix,
     prototype_distance_trace,
     run_sequence,
     split_tasks,
     train_task,
 )
 from driftlab.models import GrowingSoftmaxNet
-from driftlab.harness import _train_softmax_task
+from driftlab.harness import Task, _embedding_eval, _train_softmax_task
+from driftlab.prototypes import PrototypeBook, ncm_classify
 
 
 def quick(method, **kw):
@@ -108,8 +108,9 @@ def test_config_validation():
         MethodConfig("Joint", sdc=True)
     with pytest.raises(ValueError):
         MethodConfig("E-FT", mining="hardest")
-    with pytest.raises(ValueError):
-        MethodConfig("E-EWC", importance_mode="sum")
+    for knob in ("renormalize_prototypes", "importance_mode", "weight_floor"):
+        with pytest.raises(TypeError, match=knob):
+            MethodConfig("E-EWC", **{knob: 1})
 
 
 def test_config_gamma_defaults():
@@ -215,7 +216,8 @@ def test_two_task_run_fills_triangle():
     assert set(rec.accuracy) == {1, 2}
     assert set(rec.accuracy[2]) == {1, 2}
     assert rec.wall_time > 0
-    ids, counts = confusion_matrix(rec, 2)
+    ids = rec.confusions[2]["classes"]
+    counts = np.asarray(rec.confusions[2]["counts"])
     assert counts.sum() == sum(len(t.test.labels) for t in seq.tasks)
     # row sums = per-class test counts
     for i, c in enumerate(ids):
@@ -225,6 +227,28 @@ def test_two_task_run_fills_triangle():
     total = counts.sum()
     pooled = sum(rec.accuracy[2][t.index] * len(t.test.labels) for t in seq.tasks)
     assert abs(np.trace(counts) / total - pooled / total) < 1e-12
+
+
+def test_confusion_counts_match_per_sample_loop(rng):
+    """Class ids out of order and with gaps; each row counts its class."""
+    tasks = []
+    for index, classes in ((1, (7, 2)), (2, (5, 11, 0))):
+        y = rng.choice(classes, size=40)
+        data = LabeledDataset(rng.normal(size=(40, 3)), y)
+        tasks.append(Task(index, classes, data, data))
+    book = PrototypeBook()
+    for t in tasks:
+        book.add_task({c: rng.normal(size=3) for c in t.classes}, task_index=t.index)
+    rec = RunRecord("E-FT", 0, 2, [t.classes for t in tasks])
+    _embedding_eval(None, book, tasks, rec, 2, embed=lambda x: x)
+
+    ids = [0, 2, 5, 7, 11]
+    want = np.zeros((5, 5), dtype=int)
+    for t in tasks:
+        for true, p in zip(t.test.labels, ncm_classify(t.test.features, book)):
+            want[ids.index(true), ids.index(p)] += 1
+    assert rec.confusions[2] == {"classes": ids, "counts": want.tolist()}
+    assert want.sum() == 80 and len(set(want.ravel())) > 2
 
 
 def test_joint_fills_final_row_only():
@@ -340,7 +364,7 @@ def test_ft_multihead_run():
     rec = run_sequence(quick("FT"), seq)
     assert set(rec.accuracy) == {1, 2}
     assert rec.proto_distance == {}  # no prototypes in the softmax path
-    ids, counts = confusion_matrix(rec, 2)
+    counts = np.asarray(rec.confusions[2]["counts"])
     assert counts.sum() == sum(len(t.test.labels) for t in seq.tasks)
 
 

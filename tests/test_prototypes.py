@@ -8,15 +8,16 @@ import pytest
 from driftlab.data import gen_gaussian_clusters
 from driftlab.models import EmbeddingNet, snapshot
 from driftlab.prototypes import (
+    WEIGHT_FLOOR,
     DriftField,
     KernelConfig,
+    NonFiniteError,
     PrototypeBook,
     collect_drift,
     compensate,
     compute_prototypes,
     interpolate_drift,
     ncm_classify,
-    true_drift,
 )
 from driftlab.tensor import ShapeError, StateError
 
@@ -108,6 +109,19 @@ def test_ncm_translation_invariance(rng):
 def test_ncm_empty_book():
     with pytest.raises(StateError):
         ncm_classify(np.zeros((1, 2)), PrototypeBook())
+
+
+def test_ncm_rejects_non_finite_prototypes_and_embeddings(rng):
+    book = book_of(rng.normal(size=(3, 2)))
+    z = rng.normal(size=(5, 2))
+    book.entries[1].vector[0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"prototypes of classes \[1\]"):
+        ncm_classify(z, book)
+    book.entries[1].vector[0] = 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        z[3, 1] = bad
+        with pytest.raises(NonFiniteError, match="1 embedding rows.*row 3"):
+            ncm_classify(z, book)
 
 
 def test_collect_drift_zero_for_identical_models(rng):
@@ -204,6 +218,15 @@ def test_interp_degenerate_mass_returns_zero_and_warns(caplog):
     assert any("degenerate" in r.message for r in caplog.records)
 
 
+def test_interp_weight_floor_is_the_fallback_threshold():
+    assert WEIGHT_FLOOR == 1e-12
+    field = DriftField(np.zeros((1, 1)), np.ones((1, 1)))
+    cfg = KernelConfig(sigma=1.0)
+    for mass, want in ((1e-11, 1.0), (1e-13, 0.0)):
+        q = np.array([np.sqrt(-2.0 * np.log(mass))])  # kernel weight = mass
+        assert interpolate_drift(field, q, cfg)[0] == pytest.approx(want)
+
+
 def test_interp_empty_field():
     field = DriftField(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
@@ -211,10 +234,9 @@ def test_interp_empty_field():
 
 
 def test_kernel_config_validation():
-    with pytest.raises(ValueError):
-        KernelConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(weight_floor=0.0)
+    for sigma in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            KernelConfig(sigma=sigma)
     with pytest.raises(ShapeError):
         DriftField(np.zeros((3, 2)), np.zeros((2, 2)))
 
@@ -257,46 +279,6 @@ def test_compensate_two_transitions_unroll(rng):
     d2 = brute_interp(f2.positions, f2.displacements, mu + d1, 0.5)
     assert np.max(np.abs(book.entries[0].vector - (mu + d1 + d2))) < 1e-10
     assert np.max(np.abs(book.entries[0].compensation - (d1 + d2))) < 1e-10
-
-
-def test_true_drift_zero_when_unchanged(rng):
-    z = rng.normal(size=(10, 3))
-    labels = np.array([0] * 5 + [1] * 5)
-    book = PrototypeBook()
-    book.add_task(compute_prototypes(z, labels), 1)
-    drift = true_drift(book, z, labels)
-    for c in (0, 1):
-        assert np.max(np.abs(drift[c])) < 1e-12
-
-
-def test_true_drift_constant_shift(rng):
-    z = rng.normal(size=(12, 4))
-    labels = np.array([0, 1, 2] * 4)
-    book = PrototypeBook()
-    book.add_task(compute_prototypes(z, labels), 1)
-    shift = rng.normal(size=4)
-    drift = true_drift(book, z + shift, labels)
-    for c in (0, 1, 2):
-        assert np.allclose(drift[c], shift, atol=1e-12)
-
-
-def test_true_drift_is_against_uncompensated_origin(rng):
-    z = rng.normal(size=(8, 2))
-    labels = np.array([0] * 4 + [1] * 4)
-    book = PrototypeBook()
-    book.add_task(compute_prototypes(z, labels), 1)
-    # apply some compensation; the reference origin must stay the original mean
-    field = DriftField(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
-    compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
-    drift = true_drift(book, z + 1.5, labels)
-    for c in (0, 1):
-        assert np.allclose(drift[c], [1.5, 1.5], atol=1e-12)
-
-
-def test_true_drift_missing_class(rng):
-    book = book_of(rng.normal(size=(2, 3)))
-    with pytest.raises(KeyError):
-        true_drift(book, rng.normal(size=(4, 3)), [0, 1, 2, 2])
 
 
 def test_book_json_round_trip(rng):
