@@ -81,7 +81,7 @@ def test_missing_file():
         load_config("/nonexistent/exp.ini")
 
 
-def test_unknown_keys_named(tmp_path, capsys, monkeypatch):
+def test_unknown_keys_named(tmp_path):
     bad = BASE.replace("output_dir", "outdir")
     with pytest.raises(ConfigError, match="'outdir'"):
         load_config(write_ini(tmp_path, bad))
@@ -91,14 +91,20 @@ def test_unknown_keys_named(tmp_path, capsys, monkeypatch):
     bad = BASE.replace("epochs", "n_epochs")
     with pytest.raises(ConfigError, match="'n_epochs'"):
         load_config(write_ini(tmp_path, bad))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("renormalize_prototypes", "true"), ("importance_mode", "latest"),
+    ("weight_floor", "0"), ("weight_floor", "inf"), ("weight_floor", "1e-12"),
+])
+def test_removed_method_knobs_rejected_at_load(tmp_path, capsys, monkeypatch,
+                                               key, value):
     # method knobs that no longer exist fail the run at load, by name
     monkeypatch.chdir(tmp_path)  # BASE writes to the relative output_dir "out"
-    for key, value in (("renormalize_prototypes", "true"),
-                       ("importance_mode", "latest"), ("weight_floor", "1e-12")):
-        ini = write_ini(tmp_path, BASE.replace("[method E-FT]", "[method E-EWC]")
-                        + f"{key} = {value}\n")
-        assert main(["run", ini]) == 2
-        assert f"unknown key {key!r} in [method E-EWC]" in capsys.readouterr().err
+    ini = write_ini(tmp_path, BASE.replace("[method E-FT]", "[method E-EWC]")
+                    + f"{key} = {value}\n")
+    assert main(["run", ini]) == 2
+    assert f"unknown key {key!r} in [method E-EWC]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
