@@ -54,7 +54,7 @@ train_task(model, t1.train, config, rng)
 book = PrototypeBook()
 book.add_task(compute_prototypes(model.embed_np(t1.train.features),
                                  t1.train.labels), task_index=1)
-before_task2 = snapshot(model, task_index=1)
+before_task2 = snapshot(model)
 
 train_task(model, t2.train, config, rng)
 book.add_task(compute_prototypes(model.embed_np(t2.train.features),
@@ -103,7 +103,6 @@ payload = {
     "labels": t1.test.labels.tolist(),
     "prototypes": {c: book.entries[c].vector.tolist()
                    for c in book.class_ids()},
-    "learned_at": {c: book.entries[c].learned_at for c in book.class_ids()},
     "compensation": {c: book.entries[c].compensation.tolist()
                      for c in book.class_ids()},
     "true_means": {c: z1[t1.test.labels == c].mean(axis=0).tolist()

@@ -206,9 +206,14 @@ def build_sequence(dataset: dict, seed: int):
 
     ``pretrain_classes`` reserves the highest class ids for pretraining,
     independent of the seed, so every replicate pretrains on the same
-    held-out classes and splits the rest.
+    held-out classes and splits the rest. An unreadable or malformed
+    dataset file, or synthetic counts a generator rejects, is a
+    ConfigError.
     """
-    train, test = _load_source(dataset, seed)
+    try:
+        train, test = _load_source(dataset, seed)
+    except (ValueError, OSError) as e:  # DatasetFormatError is a ValueError
+        raise ConfigError(str(e)) from None
     pretrain = None
     n_pre = dataset.get("pretrain_classes", 0)
     if n_pre:

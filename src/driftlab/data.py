@@ -20,7 +20,8 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Features [n, d] with integer labels forming a contiguous 0..K-1 range.
+    """Finite features [n, d] with integer labels forming a contiguous
+    0..K-1 range.
 
     ``original_labels[k]`` records which source label was remapped to k, so
     the ingestion remap stays a recoverable bijection.
@@ -37,6 +38,10 @@ class LabeledDataset:
             raise DatasetFormatError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
+        finite = np.isfinite(self.features)
+        if not finite.all():
+            row = int(np.argwhere(~finite)[0, 0])
+            raise DatasetFormatError(f"feature row {row} holds NaN or inf")
         if not self.original_labels:
             self.original_labels = tuple(range(self.n_classes))
 
@@ -121,10 +126,13 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
 
 
 def read_csv_dataset(path) -> LabeledDataset:
-    """Read `label,f0,f1,...` rows; labels remapped to 0..K-1 in
-    first-appearance order."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read `label,f0,f1,...` rows; labels must be integer-valued and are
+    remapped to 0..K-1 in first-appearance order."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path}: not an ASCII text file") from None
     if not lines or (len(lines) == 1 and not lines[0].strip()):
         raise DatasetFormatError(f"{path}: empty file (line 1)")
     header = lines[0].split(",")
@@ -148,6 +156,10 @@ def read_csv_dataset(path) -> LabeledDataset:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: non-numeric cell"
             ) from None
+        if not values[0].is_integer():
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: label {cells[0]!r} is not an integer"
+            )
         raw_labels.append(int(values[0]))
         feats.append(values[1:])
     if not feats:
@@ -159,7 +171,10 @@ def read_csv_dataset(path) -> LabeledDataset:
             remap[lab] = len(remap)
     labels = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
     original = tuple(sorted(remap, key=remap.get))
-    return LabeledDataset(np.array(feats), labels, original_labels=original)
+    try:
+        return LabeledDataset(np.array(feats), labels, original_labels=original)
+    except DatasetFormatError as e:  # a NaN or inf cell
+        raise DatasetFormatError(f"{path}: {e}") from None
 
 
 def write_csv_dataset(path, dataset: LabeledDataset):

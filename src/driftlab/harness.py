@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import LabeledDataset
 from .losses import (
     ImportanceMap,
-    combined_loss,
     estimate_fisher,
     estimate_mas_importance,
     lwf_align_loss,
@@ -37,7 +36,7 @@ from .prototypes import (
     compute_prototypes,
     ncm_classify,
 )
-from .tensor import softmax_cross_entropy
+from .tensor import Tensor, softmax_cross_entropy
 
 EMBEDDING_METHODS = ("E-FT", "E-LwF", "E-EWC", "E-MAS", "E-Fix", "E-Pre-substitute", "Joint")
 SOFTMAX_METHODS = ("FT", "FT*")
@@ -199,7 +198,7 @@ class RunRecord:
     accuracy: dict = field(default_factory=dict)  # {k: {j: acc}}
     proto_distance: dict = field(default_factory=dict)  # {k: {class: dist}}
     confusions: dict = field(default_factory=dict)  # {k: {"classes": [...], "counts": [[...]]}}
-    sdc_events: dict = field(default_factory=dict)  # {k: {class: {"before": [...], "delta": [...]}}}
+    sdc_events: dict = field(default_factory=dict)  # {k: {class: {"delta": [...]}}}
     embed2d: dict = field(default_factory=dict)  # {k: plotting payload}, 2-d runs only
     param_digest: dict = field(default_factory=dict)  # {k: sha256 of all params}
     wall_time: float = 0.0
@@ -220,20 +219,7 @@ class RunRecord:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "seed": self.seed,
-            "n_tasks": self.n_tasks,
-            "task_classes": [list(c) for c in self.task_classes],
-            "accuracy": {str(k): v for k, v in self.accuracy.items()},
-            "proto_distance": self.proto_distance,
-            "confusions": self.confusions,
-            "sdc_events": self.sdc_events,
-            "embed2d": self.embed2d,
-            "param_digest": self.param_digest,
-            "wall_time": self.wall_time,
-            "config": self.config,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, indent=1, default=_jsonable)
 
     @classmethod
@@ -311,13 +297,23 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _step(opt: Adam, loss, epoch: int) -> None:
+    """One optimizer step on ``loss``; a NaN or inf loss stops the run."""
+    if not np.isfinite(loss.data):
+        raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+
+
 def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                snap=None, importance=None) -> None:
     """One task's training loop on an embedding model.
 
-    Metric loss per batch, plus the method's regularizer against ``snap``
-    when gamma > 0. Raises TrainingError if no batch in any epoch yields a
-    valid triplet.
+    Metric loss per batch, plus gamma times the method's regularizer
+    against ``snap`` (the previous task's parameters, from
+    ``models.snapshot``) when gamma > 0. Raises TrainingError if a loss is
+    NaN or inf, or if no batch in any epoch yields a valid triplet.
     """
     if len(task_data.labels) == 0:
         raise TrainingError("task has no training data")
@@ -337,12 +333,8 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                     reg = lwf_align_loss(model, snap, xb)
                 else:
                     reg = quadratic_penalty(model, snap, importance)
-                loss = combined_loss(loss, reg, config.gamma)
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+                loss = loss + Tensor(config.gamma) * reg
+            _step(opt, loss, epoch)
     if not any_triplets:
         raise TrainingError(
             "no batch produced a valid triplet; check class mix and batch size"
@@ -351,19 +343,17 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
 
 def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConfig,
                         rng) -> None:
-    """Cross-entropy on the newest head only; older heads get no gradient."""
+    """Cross-entropy on the newest head only; older heads get no gradient.
+    A NaN or inf loss raises TrainingError."""
     head = len(model.heads) - 1
     local = {c: i for i, c in enumerate(model.heads[head][2])}
     labels = np.array([local[c] for c in task.train.labels])
     params = list(model.trunk) + [model.heads[head][0], model.heads[head][1]]
     opt = Adam(params, lr=config.lr)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(labels), config.batch_size, rng):
             logits = model.head_logits(task.train.features[idx], head)
-            loss = softmax_cross_entropy(logits, labels[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+            _step(opt, softmax_cross_entropy(logits, labels[idx]), epoch)
 
 
 def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
@@ -403,7 +393,6 @@ def _capture_2d(model, book, sequence, record, k):
         "points": z.tolist(),
         "labels": t1.test.labels.tolist(),
         "prototypes": {c: book.entries[c].vector.tolist() for c in book.class_ids()},
-        "learned_at": {c: book.entries[c].learned_at for c in book.class_ids()},
         "compensation": {c: book.entries[c].compensation.tolist()
                          for c in book.class_ids()},
         "true_means": {
@@ -437,8 +426,9 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
     RunRecord (with the final PrototypeBook attached as ``record.book``).
 
     Every method runs the same loop: an optional pretraining stage, then
-    per task training, prototypes, drift compensation, importance,
-    snapshot and evaluation. Joint trains once on the union of all tasks
+    per task training, prototypes, drift compensation (recording the
+    delta applied to each old prototype), importance, snapshot and
+    evaluation. Joint trains once on the union of all tasks
     and evaluates only after the last; FT classifies with its heads, FT*
     by NCM over its trunk features.
     """
@@ -484,15 +474,9 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
             )
 
         if config.sdc and t > 1:
-            drift = collect_drift(snap, model, task.train)
-            before = {c: book.entries[c].vector.copy()
-                      for c in book.class_ids() if book.entries[c].learned_at < t}
-            compensate(book, drift, kcfg, current_task=t)
-            record.sdc_events[t] = {
-                int(c): {"before": before[c].tolist(),
-                         "delta": (book.entries[c].vector - before[c]).tolist()}
-                for c in before
-            }
+            deltas = compensate(book, collect_drift(snap, model, task.train), kcfg,
+                                current_task=t)
+            record.sdc_events[t] = {c: {"delta": d.tolist()} for c, d in deltas.items()}
 
         if t < len(sequence):  # the next task's importance and reference
             if config.method == "E-EWC":
@@ -501,7 +485,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
             elif config.method == "E-MAS":
                 maps.append(estimate_mas_importance(model, task.train))
             if config.sdc or config.gamma > 0:
-                snap = snapshot(model, task_index=t)
+                snap = snapshot(model)
 
         if config.method == "Joint" and t < len(sequence):
             continue

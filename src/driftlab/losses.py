@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import EmbeddingNet, ModelSnapshot, embed_snapshot
+from .models import EmbeddingNet, embed_snapshot
 from .tensor import ShapeError, Tensor
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def mine_triplets(labels, embeddings, strategy: str = "random",
     return TripletBatch(anchors, positives, negatives, margin)
 
 
-def lwf_align_loss(model: EmbeddingNet, snap: ModelSnapshot, batch) -> Tensor:
+def lwf_align_loss(model: EmbeddingNet, snap: tuple, batch) -> Tensor:
     """Frobenius norm between current and snapshot embeddings of the batch.
 
     The snapshot side is a constant; gradient flows through the current
@@ -154,29 +154,21 @@ class ImportanceMap:
         return cls(kind=maps[0].kind, weights=weights)
 
 
-def quadratic_penalty(model, snap: ModelSnapshot, importance: ImportanceMap) -> Tensor:
+def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
     """Sum over parameters of 1/2 * w * (theta - theta_snapshot)^2, as one tape node."""
     if len(importance.weights) != len(model.params):
         raise ShapeError(
             f"{len(importance.weights)} weight arrays for {len(model.params)} parameters"
         )
-    for p, old, w in zip(model.params, snap.params, importance.weights):
+    for p, old, w in zip(model.params, snap, importance.weights):
         if w.shape != p.data.shape or old.shape != p.data.shape:
             raise ShapeError(
                 f"importance/snapshot shape {w.shape}/{old.shape} vs parameter {p.data.shape}"
             )
-    ds = [p.data - old for p, old in zip(model.params, snap.params)]
+    ds = [p.data - old for p, old in zip(model.params, snap)]
     value = sum(np.sum(0.5 * w * d * d) for w, d in zip(importance.weights, ds))
     return T._make(value, tuple(model.params),
                    lambda g: tuple(g * w * d for w, d in zip(importance.weights, ds)))
-
-
-def combined_loss(metric_loss: Tensor, regularizer_loss: Tensor, gamma: float) -> Tensor:
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return metric_loss
-    return metric_loss + Tensor(gamma) * regularizer_loss
 
 
 def _canonical_order(dataset) -> np.ndarray:

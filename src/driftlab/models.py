@@ -6,11 +6,13 @@ Both nets use the stack input -> hidden ReLU layers -> linear projection.
 The embedding net L2-normalizes the projection; the softmax net feeds it
 to per-task heads. Sharing the trunk keeps capacity identical across the
 two training regimes.
+
+A snapshot is a tuple of read-only copies of an embedding net's parameter
+arrays: SDC re-embeds the current task's data with it, and the
+regularizers anchor their penalties to it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,24 +66,6 @@ def infer(params, x, normalize: bool = False, batch: int = 512) -> np.ndarray:
     return np.concatenate(outs) if outs else np.zeros((0, len(params[-1])))
 
 
-@dataclass(frozen=True)
-class ModelSnapshot:
-    """Immutable deep copy of a model's parameters at a task boundary."""
-
-    kind: str
-    arch: dict
-    params: tuple
-    task_index: int
-
-    def __post_init__(self):
-        frozen = []
-        for p in self.params:
-            a = np.array(p, dtype=np.float64, copy=True)
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "params", tuple(frozen))
-
-
 class EmbeddingNet:
     """MLP whose output rows are L2-normalized: input -> hidden ReLU
     layers -> embedding_dim -> unit sphere."""
@@ -91,18 +75,8 @@ class EmbeddingNet:
     def __init__(self, input_dim: int, embedding_dim: int, hidden=(256, 256), seed: int = 0):
         self.input_dim = input_dim
         self.embedding_dim = embedding_dim
-        self.hidden = tuple(hidden)
-        self.seed = seed
         rng = np.random.default_rng(seed)
-        self.params = _init_stack(rng, (input_dim, *self.hidden, embedding_dim))
-
-    @property
-    def arch(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "embedding_dim": self.embedding_dim,
-        }
+        self.params = _init_stack(rng, (input_dim, *hidden, embedding_dim))
 
     def forward_raw(self, x) -> Tensor:
         """Pre-normalization output; sensitivity estimates hang off this."""
@@ -126,20 +100,9 @@ class GrowingSoftmaxNet:
     def __init__(self, input_dim: int, feat_dim: int, hidden=(256, 256), seed: int = 0):
         self.input_dim = input_dim
         self.feat_dim = feat_dim
-        self.hidden = tuple(hidden)
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.trunk = _init_stack(self._rng, (input_dim, *self.hidden, feat_dim))
+        self.trunk = _init_stack(self._rng, (input_dim, *hidden, feat_dim))
         self.heads: list[tuple[Tensor, Tensor, tuple[int, ...]]] = []
-
-    @property
-    def arch(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "feat_dim": self.feat_dim,
-            "heads": [list(ids) for _, _, ids in self.heads],
-        }
 
     @property
     def params(self) -> list[Tensor]:
@@ -184,18 +147,17 @@ class GrowingSoftmaxNet:
         return np.asarray(all_ids)[stacked.argmax(axis=1)]
 
 
-def snapshot(model, task_index: int = 0) -> ModelSnapshot:
-    return ModelSnapshot(
-        kind=model.kind,
-        arch=model.arch,
-        params=tuple(p.data for p in model.params),
-        task_index=task_index,
-    )
+def snapshot(model) -> tuple[np.ndarray, ...]:
+    """Read-only copies of an embedding net's parameter arrays."""
+    if model.kind != EmbeddingNet.kind:
+        raise StateError(f"cannot snapshot a {model.kind} model")
+    frozen = tuple(p.data.copy() for p in model.params)
+    for a in frozen:
+        a.setflags(write=False)
+    return frozen
 
 
-def embed_snapshot(snap: ModelSnapshot, x) -> np.ndarray:
-    """Unit-norm embeddings of ``x`` under an embedding-net snapshot."""
-    if snap.kind != EmbeddingNet.kind:
-        raise StateError(f"snapshot holds a {snap.kind} model")
-    x = _check_batch(x, snap.arch["input_dim"]).data
-    return infer(snap.params, x, normalize=True)
+def embed_snapshot(params, x) -> np.ndarray:
+    """Unit-norm embeddings of ``x`` under snapshot ``params``."""
+    x = _check_batch(x, params[0].shape[0]).data
+    return infer(params, x, normalize=True)

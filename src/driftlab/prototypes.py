@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSnapshot, embed_snapshot
+from .models import embed_snapshot
 from .tensor import ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -155,14 +155,14 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     return ids[np.argmin(d2, axis=1)]
 
 
-def collect_drift(snapshot: ModelSnapshot, current_model, task_data) -> DriftField:
+def collect_drift(snapshot: tuple, current_model, task_data) -> DriftField:
     """Endpoint drift of the current task's training data: where the
-    snapshot (the previous model) put each sample, and how far the
-    current model moved it."""
-    if snapshot.arch != current_model.arch:
-        raise StateError(
-            f"model mismatch: {snapshot.arch} vs {current_model.arch}"
-        )
+    snapshot (the previous model's parameters) put each sample, and how
+    far the current model moved it."""
+    old = [a.shape for a in snapshot]
+    new = [p.data.shape for p in current_model.params]
+    if old != new:
+        raise StateError(f"model mismatch: parameter shapes {old} vs {new}")
     before = embed_snapshot(snapshot, task_data.features)
     after = current_model.embed_np(task_data.features)
     return DriftField(before, after - before)
@@ -193,13 +193,16 @@ def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray
 
 
 def compensate(book: PrototypeBook, field: DriftField, cfg: KernelConfig,
-               current_task: int) -> None:
+               current_task: int) -> dict[int, np.ndarray]:
     """Move every prototype learned before ``current_task`` by the drift
-    interpolated at its current (already-compensated) position."""
+    interpolated at its current (already-compensated) position; returns
+    the applied delta by class id."""
+    deltas = {}
     for c in book.class_ids():
         entry = book.entries[c]
         if entry.learned_at >= current_task:
             continue
-        delta = interpolate_drift(field, entry.vector, cfg)
+        deltas[c] = delta = interpolate_drift(field, entry.vector, cfg)
         entry.vector = entry.vector + delta
         entry.compensation = entry.compensation + delta
+    return deltas

@@ -1,4 +1,5 @@
 import json
+import struct
 import textwrap
 import xml.etree.ElementTree as ET
 
@@ -88,6 +89,38 @@ def test_run_non_finite_gamma_exit_2(tmp_path, capsys, gamma):
     assert main(["run", str(cfg)]) == 2
     assert "[method E-LwF]: gamma must be finite" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("missing file", "No such file or directory"),
+    ("bad idx magic", "bad magic 0x03080000"),
+    ("ragged row", "line 3: 2 cells, expected 3"),
+    ("nan cell", "feature row 1 holds NaN or inf"),
+    ("fractional label", "line 2: label '1.5' is not an integer"),
+    ("non-ascii byte", "not an ASCII text file"),
+])
+def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
+    csv = tmp_path / "data.csv"
+    dataset = {"source": "csv", "path": csv}
+    if case == "missing file":
+        dataset["path"] = tmp_path / "nope.csv"
+    elif case == "bad idx magic":
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack("<4i", 0x803, 1, 2, 2) + bytes(4))
+        labels.write_bytes(struct.pack(">2i", 0x801, 1) + bytes(1))
+        dataset = {"source": "idx", "images": images, "labels": labels}
+    elif case == "non-ascii byte":
+        csv.write_bytes(b"label,f0,f1\n0,\xff1.0,2.0\n")
+    else:
+        rows = {"ragged row": "0,1.0,2.0\n1,3.0\n", "nan cell": "0,1.0,2.0\n1,nan,2.0\n",
+                "fractional label": "1.5,1.0,2.0\n"}[case]
+        csv.write_text("label,f0,f1\n" + rows)
+    cfg = write_config(tmp_path, seeds="0", dataset=dataset)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expected in err
+    assert "Traceback" not in err
+    assert list((tmp_path / "results").iterdir()) == []  # nothing trained
 
 
 def test_run_missing_config(tmp_path, capsys):

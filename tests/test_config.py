@@ -217,6 +217,17 @@ def test_indivisible_split_is_config_error():
         build_sequence(opts, seed=0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_classes", 0, "must be positive"), ("per_class", 0, "must be positive"),
+    ("dim", 0, "must be positive"), ("spread", float("nan"), "feature row 0 holds NaN"),
+])
+def test_bad_synthetic_values_are_config_errors(key, value, message):
+    opts = {"source": "synthetic", "n_classes": 4, "per_class": 10, "dim": 3,
+            "n_tasks": 2, key: value}
+    with pytest.raises(ConfigError, match=message):
+        build_sequence(opts, seed=0)
+
+
 def test_build_csv_sequence(tmp_path):
     ds = gen_gaussian_clusters(4, 15, 3, 0.2, seed=1)
     path = tmp_path / "data.csv"

@@ -153,6 +153,39 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DatasetFormatError, match="line 1"):
         read_csv_dataset(empty)
 
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"label,f0\n0,\xff1.0\n")
+    with pytest.raises(DatasetFormatError, match="not an ASCII text file"):
+        read_csv_dataset(binary)
+
+
+@pytest.mark.parametrize("label", ["1.5", "nan", "inf", "-inf"])
+def test_csv_rejects_non_integer_labels(tmp_path, label):
+    p = tmp_path / "labels.csv"
+    p.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
+    with pytest.raises(DatasetFormatError, match=f"line 3: label '{label}' is not an integer"):
+        read_csv_dataset(p)
+
+
+def test_csv_accepts_integer_valued_float_labels(tmp_path):
+    p = tmp_path / "floats.csv"
+    p.write_text("label,f0\n7.0,0.0\n3,0.1\n7,0.2\n")
+    ds = read_csv_dataset(p)
+    assert np.array_equal(ds.labels, [0, 1, 0])
+    assert ds.original_labels == (7, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(tmp_path, bad):
+    feats = np.zeros((4, 3))
+    feats[2, 1] = feats[3, 0] = bad
+    with pytest.raises(DatasetFormatError, match="feature row 2 holds NaN or inf"):
+        LabeledDataset(feats, np.arange(4))
+    p = tmp_path / "nan.csv"
+    p.write_text(f"label,f0\n0,1.0\n1,{bad}\n")
+    with pytest.raises(DatasetFormatError, match="nan.csv: feature row 1"):
+        read_csv_dataset(p)
+
 
 def test_dataset_rejects_count_mismatch():
     with pytest.raises(DatasetFormatError):

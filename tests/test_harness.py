@@ -188,7 +188,7 @@ def test_record_csv_and_json_round_trip():
     assert lines[3] == f"2,2,{1.0 / 3.0!r}"
 
     rec.proto_distance[1] = {0: 0.01}
-    rec.sdc_events[2] = {0: {"before": [0.0, 0.0], "delta": [0.1, 0.2]}}
+    rec.sdc_events[2] = {0: {"delta": [0.1, 0.2]}}
     rec.param_digest[1] = "ab" * 32
     back = RunRecord.from_json(rec.to_json())
     assert back.accuracy == rec.accuracy
@@ -321,6 +321,9 @@ def test_sdc_events_only_for_old_classes():
     assert set(rec.sdc_events) == {2}
     assert set(rec.sdc_events[2]) == set(seq.tasks[0].classes)
     book = rec.book
+    for c, event in rec.sdc_events[2].items():  # one transition: delta == compensation
+        assert list(event) == ["delta"]
+        assert event["delta"] == book.entries[c].compensation.tolist()
     for c in seq.tasks[1].classes:
         assert np.array_equal(book.entries[c].compensation,
                               np.zeros(len(book.entries[c].compensation)))
@@ -394,6 +397,16 @@ def test_ft_old_head_gets_no_update():
     assert np.array_equal(m.heads[0][0].data, head1_w)
     assert np.array_equal(m.heads[0][1].data, head1_b)
     assert any(not np.array_equal(p.data, b) for p, b in zip(m.trunk, trunk_before))
+
+
+def test_softmax_training_stops_on_non_finite_loss():
+    # 1e308-scaled inputs overflow the trunk to inf, and the loss to nan
+    ds = gen_gaussian_clusters(4, 30, 6, 0.25, seed=0)
+    seq = split_tasks(LabeledDataset(ds.features * 1e308, ds.labels), 2, seed=0)
+    for method in ("FT", "FT*"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="non-finite loss nan in epoch 1"):
+            run_sequence(quick(method), seq)
 
 
 def test_train_task_standalone_on_empty_data():

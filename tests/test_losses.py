@@ -11,7 +11,6 @@ from driftlab.losses import (
     EstimationError,
     ImportanceMap,
     TripletBatch,
-    combined_loss,
     estimate_fisher,
     estimate_mas_importance,
     lwf_align_loss,
@@ -287,7 +286,7 @@ def test_align_loss_gradient_stays_on_current_model(rng):
     grads = [p.grad.copy() for p in m.params]
     assert any(np.abs(g).max() > 0 for g in grads)
     # snapshot arrays are untouched and still read-only
-    assert all(not a.flags.writeable for a in snap.params)
+    assert all(not a.flags.writeable for a in snap)
 
     # finite differences over the full loss agree: nothing leaks elsewhere
     base = [p.data.copy() for p in m.params]
@@ -316,15 +315,13 @@ def test_align_loss_architecture_mismatch(rng):
 def one_param_model(values):
     m = EmbeddingNet.__new__(EmbeddingNet)
     m.input_dim = m.embedding_dim = len(values)
-    m.hidden = ()
     m.params = [Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)]
     return m
 
 
 def test_quadratic_penalty_trivial_values():
     m = one_param_model([2.0, 0.0])
-    snap_params = (np.zeros(2),)
-    snap = type("S", (), {"params": snap_params})()
+    snap = (np.zeros(2),)
     imp = ImportanceMap("fisher", (np.ones(2),))
     # 1/2 * 1 * (2^2 + 0) = 2
     assert quadratic_penalty(m, snap, imp).item() == pytest.approx(2.0)
@@ -346,7 +343,7 @@ def test_quadratic_penalty_gradient(rng):
     theta0 = rng.normal(size=5)
     anchor = rng.normal(size=5)
     w = np.abs(rng.normal(size=5))
-    snap = type("S", (), {"params": (anchor,)})()
+    snap = (anchor,)
     imp = ImportanceMap("fisher", (w,))
 
     m = one_param_model(theta0)
@@ -369,15 +366,6 @@ def test_quadratic_penalty_shape_mismatch(rng):
     short = ImportanceMap("fisher", (np.ones((4, 5)),))
     with pytest.raises(ShapeError):
         quadratic_penalty(m, snap, short)
-
-
-def test_combined_loss_rules():
-    metric = Tensor(0.3)
-    reg = Tensor(0.1)
-    assert combined_loss(metric, reg, 2.0).item() == pytest.approx(0.5)
-    assert combined_loss(metric, reg, 0.0) is metric
-    with pytest.raises(ValueError):
-        combined_loss(metric, reg, -1.0)
 
 
 def test_importance_map_validation():
@@ -609,7 +597,7 @@ def test_batched_mas_leaves_grads_and_tape_alone(monkeypatch):
 def composite_penalty(model, snap, importance):
     """Reference quadratic penalty built from elementwise tape ops."""
     total = Tensor(0.0)
-    for p, old, w in zip(model.params, snap.params, importance.weights):
+    for p, old, w in zip(model.params, snap, importance.weights):
         d = T.sub(p, Tensor(old))
         total = total + (Tensor(0.5 * w) * d * d).sum()
     return total

@@ -112,7 +112,7 @@ def test_snapshot_restore_round_trip(rng):
     """A snapshot outlives training: it stays frozen, and inference over it
     reproduces the model as it was."""
     m = EmbeddingNet(4, 2, seed=5)
-    snap = snapshot(m, task_index=1)
+    snap = snapshot(m)
     before = [p.data.copy() for p in m.params]
     probe = rng.normal(size=(6, 4))
     z_before = m.embed_np(probe)
@@ -126,7 +126,7 @@ def test_snapshot_restore_round_trip(rng):
         opt.step()
     assert any(not np.array_equal(p.data, b) for p, b in zip(m.params, before))
     # snapshot stayed immutable while the model moved
-    for a, b in zip(snap.params, before):
+    for a, b in zip(snap, before):
         assert np.array_equal(a, b)
         assert not a.flags.writeable
 
@@ -138,7 +138,7 @@ def test_embed_snapshot_checks_kind_and_shape(rng):
     s = GrowingSoftmaxNet(4, 2)
     s.add_head((0, 1))
     with pytest.raises(StateError):
-        embed_snapshot(snapshot(s), rng.normal(size=(3, 4)))
+        snapshot(s)
     with pytest.raises(ShapeError):
         embed_snapshot(snapshot(EmbeddingNet(4, 2)), rng.normal(size=(3, 5)))
 
@@ -193,7 +193,7 @@ def test_infer_records_no_tape(rng):
 def test_lwf_and_collect_drift_build_no_net(rng, nets_built):
     ds = gen_gaussian_clusters(2, 8, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 3, hidden=(8,), seed=1)
-    snap = snapshot(m, task_index=1)
+    snap = snapshot(m)
     del nets_built[:]
     loss = losses.lwf_align_loss(m, snap, ds.features[:5])
     assert loss.item() == 0.0

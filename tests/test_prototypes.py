@@ -138,6 +138,8 @@ def test_collect_drift_counts_and_mismatch(rng):
     b = EmbeddingNet(4, 3, seed=1)
     with pytest.raises(StateError):
         collect_drift(a, b, ds)
+    with pytest.raises(StateError, match="parameter shapes"):  # hidden widths differ
+        collect_drift(a, EmbeddingNet(4, 2, hidden=(8,), seed=1), ds)
     a2 = EmbeddingNet(4, 2, seed=5)
     field = collect_drift(a, a2, ds)
     assert len(field) == len(ds.labels)
@@ -257,9 +259,12 @@ def test_compensate_skips_current_task_prototypes(rng):
     book.add_task({1: rng.normal(size=2)}, task_index=2)
     keep = book.entries[1].vector.copy()
     field = DriftField(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-    compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
+    deltas = compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
     assert np.array_equal(book.entries[1].vector, keep)  # bit-unchanged
     assert not np.array_equal(book.entries[0].compensation, np.zeros(2))
+    # the returned deltas are exactly what was applied, old classes only
+    assert list(deltas) == [0]
+    assert np.array_equal(deltas[0], book.entries[0].compensation)
 
 
 def test_compensate_two_transitions_unroll(rng):
