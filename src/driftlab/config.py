@@ -134,7 +134,15 @@ def load_config(path: str) -> ExperimentConfig:
     for key in _REQUIRED_BY_SOURCE.get(source, ()):
         if key not in dataset:
             raise ConfigError(f"[dataset] source = {source} needs the {key!r} key")
-    dataset.setdefault("n_tasks", 2)
+    n_tasks = dataset.setdefault("n_tasks", 2)
+    if n_tasks < 1:
+        raise ConfigError(f"[dataset] n_tasks must be at least 1, got {n_tasks}")
+    for key in ("test_fraction", "first_task_fraction"):
+        if key in dataset and not 0 < dataset[key] < 1:
+            raise ConfigError(f"[dataset] {key} must be between 0 and 1 "
+                              f"(exclusive), got {dataset[key]!r}")
+    if "first_task_fraction" in dataset and n_tasks < 2:
+        raise ConfigError("[dataset] first_task_fraction needs n_tasks of at least 2")
 
     methods = []
     for name in parser.sections():

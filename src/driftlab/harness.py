@@ -118,6 +118,9 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
             rows = np.flatnonzero(dataset.labels == c)
             rows = rows[rng.permutation(len(rows))]
             cut = max(1, int(round(test_fraction * len(rows))))
+            if cut >= len(rows):
+                raise ValueError(f"class {int(c)} has {len(rows)} rows; holding out "
+                                 f"{cut} for testing leaves none for training")
             test_idx.extend(rows[:cut])
             train_idx.extend(rows[cut:])
         train_ds = dataset.subset(np.array(sorted(train_idx)))

@@ -7,8 +7,14 @@ no engine code involved.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from driftlab.tensor import Tensor
+
+# Property tests draw the same examples on every run: a tier-1 failure
+# replays, and a pass is not luck of the draw.
+settings.register_profile("driftlab", deadline=None, derandomize=True)
+settings.load_profile("driftlab")
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -91,6 +91,25 @@ def test_run_non_finite_gamma_exit_2(tmp_path, capsys, gamma):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("dataset, expected", [
+    ({"n_tasks": 0}, "n_tasks must be at least 1, got 0"),
+    ({"n_tasks": -1}, "n_tasks must be at least 1, got -1"),
+    ({"n_tasks": 1, "first_task_fraction": 0.5},
+     "first_task_fraction needs n_tasks of at least 2"),
+    ({"first_task_fraction": 1.0}, "first_task_fraction must be between 0 and 1"),
+    ({"test_fraction": 1.5}, "test_fraction must be between 0 and 1"),
+    ({"test_fraction": 0}, "test_fraction must be between 0 and 1"),
+    ({"per_class": 1}, "class 0 has 1 rows; holding out 1 for testing leaves none"),
+])
+def test_run_bad_split_values_exit_2(tmp_path, capsys, dataset, expected):
+    cfg = write_config(tmp_path, seeds="0", dataset=dataset)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expected in err
+    assert "Traceback" not in err
+    assert list((tmp_path / "results").glob("*")) == []  # nothing trained
+
+
 @pytest.mark.parametrize("case, expected", [
     ("missing file", "No such file or directory"),
     ("bad idx magic", "bad magic 0x03080000"),

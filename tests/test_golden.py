@@ -12,6 +12,12 @@ random mining all write different bytes, and E-EWC's seed-0 value
 depends on averaging the importance maps of all earlier tasks rather
 than keeping the latest. A change that moves one of them changes the
 accuracy matrix a user gets back.
+
+A second, 24-class config pins nearest-class-mean predictions where
+they are hardest to keep exact: E-FT+SDC in a 2-D embedding, where
+queries often sit near a tie between prototypes, and FT*, whose
+prototypes are unnormalized trunk features. Its values were taken with
+the [N, C, D] broadcast NCM and the per-class compensation loop.
 """
 
 import hashlib
@@ -31,6 +37,13 @@ GOLDEN = {
     ("E-MAS", 1): "3563736d649e0e9325834b9be241d46aba5af5b4eed9fd02aec4241b559eb190",
 }
 
+GOLDEN_MANY = {
+    ("E-FT+SDC", 0): "8b1e5b47646e969702b96c026095f27da030790cba364e5c74e2534f1a5e2d01",
+    ("E-FT+SDC", 1): "f3396e3903c8ca3d809a98aa1d02722d409acda5c1a5213e88ce76f38b85e605",
+    ("FT*", 0): "74a669adb278ae6a79a363b91cbb3242136fa4a533f0a36a0b3744db741fe615",
+    ("FT*", 1): "15587e08ee0420df6cc0c284b433e45b89781201426e77f3351038f4ad486ce2",
+}
+
 METHODS = {
     "E-FT+SDC": {"method": "E-FT", "sdc": "true", "mining": "semihard"},
     "E-LwF": {"mining": "random"},
@@ -39,20 +52,44 @@ METHODS = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(METHODS))
-def test_a_matrix_bytes_pinned(tmp_path, label):
+METHODS_MANY = {
+    "E-FT+SDC": {"method": "E-FT", "sdc": "true", "mining": "semihard",
+                 "embedding_dim": 2},
+    "FT*": {"embedding_dim": 8},
+}
+
+DATASET = {"n_classes": 6, "per_class": 40, "spread": 0.5, "n_tasks": 3}
+DATASET_MANY = {"n_classes": 24, "per_class": 20, "spread": 0.3, "n_tasks": 4}
+
+
+def run_bytes(tmp_path, label, dataset, method):
     lines = [
         "[experiment]", f"output_dir = {tmp_path / 'out'}", "seeds = 0 1", "",
-        "[dataset]", "source = synthetic", "n_classes = 6", "per_class = 40",
-        "test_fraction = 0.5", "dim = 8", "spread = 0.5", "n_tasks = 3", "",
-        f"[method {label}]", "epochs = 3", "batch_size = 16", "lr = 0.003",
-        "embedding_dim = 8", "hidden = 32",
+        "[dataset]", "source = synthetic", "test_fraction = 0.5", "dim = 8",
     ]
-    lines += [f"{k} = {v}" for k, v in METHODS[label].items()]
+    lines += [f"{k} = {v}" for k, v in dataset.items()]
+    lines += ["", f"[method {label}]", "batch_size = 16", "lr = 0.003", "hidden = 32"]
+    lines += [f"{k} = {v}" for k, v in method.items()]
     ini = tmp_path / "exp.ini"
     ini.write_text("\n".join(lines) + "\n")
     assert main(["run", str(ini)]) == 0
-    for seed in (0, 1):
-        raw = (tmp_path / "out" / label / str(seed) / "a_matrix.csv").read_bytes()
-        assert hashlib.sha256(raw).hexdigest() == GOLDEN[(label, seed)], (
+    return {seed: (tmp_path / "out" / label / str(seed) / "a_matrix.csv").read_bytes()
+            for seed in (0, 1)}
+
+
+def assert_pinned(label, runs, golden):
+    for seed, raw in runs.items():
+        assert hashlib.sha256(raw).hexdigest() == golden[(label, seed)], (
             f"{label} seed {seed}: a_matrix.csv changed:\n{raw.decode()}")
+
+
+@pytest.mark.parametrize("label", sorted(METHODS))
+def test_a_matrix_bytes_pinned(tmp_path, label):
+    method = {"epochs": 3, "embedding_dim": 8, **METHODS[label]}
+    assert_pinned(label, run_bytes(tmp_path, label, DATASET, method), GOLDEN)
+
+
+@pytest.mark.parametrize("label", sorted(METHODS_MANY))
+def test_many_class_ncm_bytes_pinned(tmp_path, label):
+    method = {"epochs": 3, **METHODS_MANY[label]}
+    assert_pinned(label, run_bytes(tmp_path, label, DATASET_MANY, method), GOLDEN_MANY)

@@ -172,8 +172,7 @@ def mining_batches(draw):
     return labels, z
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(mining_batches(), st.integers(0, 2**32 - 1))
 def test_mining_matches_per_pair_loop(batch, seed):
     labels, z = batch
@@ -569,7 +568,7 @@ def mas_case(seed, depth, rows, lattice):
     return m, LabeledDataset(x, r.integers(0, 3, size=rows))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2**16), depth=st.integers(0, 2),
        rows=st.integers(1, 1100), lattice=st.booleans())
 @example(seed=1, depth=2, rows=1100, lattice=False)  # three 512-row blocks

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
 from driftlab.models import EmbeddingNet, snapshot
@@ -124,6 +126,55 @@ def test_ncm_rejects_non_finite_prototypes_and_embeddings(rng):
             ncm_classify(z, book)
 
 
+def broadcast_ncm(z, book):
+    """The coordinate-wise NCM that ncm_classify must reproduce exactly:
+    an [N, C, D] difference tensor, summed, argmin to the lowest id."""
+    ids = np.asarray(book.class_ids())
+    diff = z[:, None, :] - book.matrix()[None, :, :]
+    return ids[np.argmin(np.sum(diff * diff, axis=2), axis=1)]
+
+
+@st.composite
+def ncm_cases(draw):
+    """Prototypes and queries built to tie or nearly tie: duplicate
+    prototypes, exact midpoints, integer lattices, large unnormalized
+    (FT*-like) magnitudes, and scales that underflow or overflow."""
+    kind = draw(st.sampled_from(["lattice", "near-tie", "ft-star"]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    n_classes = draw(st.integers(1, 10))
+    dim, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        protos = 2.0 * r.integers(-3, 4, size=(n_classes, dim))
+        z = r.integers(-6, 7, size=(n, dim)).astype(np.float64)
+    else:
+        protos = r.normal(size=(n_classes, dim))
+        if kind == "ft-star":  # nonnegative trunk features, norms up to ~1e4
+            protos = np.abs(protos) * 10.0 ** r.uniform(0, 4, size=(n_classes, 1))
+        protos += r.normal(size=dim) * 10.0 ** r.uniform(0, 3)  # cancellation
+        z = protos[r.integers(0, n_classes, size=n)] + r.normal(size=(n, dim))
+    src, dst = r.integers(0, n_classes, size=(2, n_classes // 3))
+    protos[dst] = protos[src]  # duplicate prototypes
+    a, b = r.integers(0, n_classes, size=(2, n))
+    mid = (protos[a] + protos[b]) / 2 + r.normal(size=(n, dim)) * 1e-12 * (kind != "lattice")
+    z = np.where(r.random(n)[:, None] < 0.5, mid, z)  # (near-)midpoints
+    ids = np.sort(r.choice(100, size=n_classes, replace=False))
+    book = PrototypeBook()
+    book.add_task({int(c): p * scale for c, p in zip(ids, protos)}, 1)
+    return z * scale, book
+
+
+@settings(max_examples=400)
+@given(ncm_cases())
+@example((np.zeros((1, 2)), book_of(np.array([[1.0, 0.0], [-1.0, 0.0]]))))
+@example((np.array([[0.0, 2.8e154]]),  # ||z||^2 overflows: NaN GEMM row, all
+          book_of(np.array([[1.4e154, -0.85e154], [-1.0e154, 1.3e154]]))))  # inf
+def test_ncm_equals_broadcast_reference(case):
+    z, book = case
+    with np.errstate(over="ignore"):  # at 1e150 some distances are inf
+        assert np.array_equal(ncm_classify(z, book), broadcast_ncm(z, book))
+
+
 def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
@@ -233,6 +284,57 @@ def test_interp_empty_field():
     field = DriftField(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         interpolate_drift(field, np.zeros(2), KernelConfig())
+
+
+def loop_interpolate(field, q, cfg):
+    """The single-query kernel average as it was written before queries
+    went in blocks: the bit-level reference for the block form."""
+    d2 = np.sum((field.positions - q) ** 2, axis=1)
+    w = np.exp(-d2 / (2.0 * cfg.sigma**2))
+    total = w.sum()
+    if total < WEIGHT_FLOOR:
+        return np.zeros_like(q)
+    return (w[:, None] * field.displacements).sum(axis=0) / total
+
+
+def test_interp_block_is_bitwise_the_per_query_loop(rng, caplog):
+    # 200 x 75 field: blocks of 2^16 // 15000 = 4 queries, so 11 queries
+    # cross two block boundaries; rows 2, 3, 4 and 9 sit out of reach
+    field = DriftField(rng.normal(size=(200, 75)), rng.normal(size=(200, 75)))
+    cfg = KernelConfig(sigma=2.5)
+    queries = field.positions[rng.integers(0, 200, size=11)] + rng.normal(size=(11, 75))
+    far = [2, 3, 4, 9]
+    queries[far] += 1e3
+    with caplog.at_level(logging.WARNING):
+        block = interpolate_drift(field, queries, cfg)
+    warned = [r for r in caplog.records if "degenerate kernel" in r.getMessage()]
+    assert len(warned) == len(far)
+    want = np.stack([loop_interpolate(field, q, cfg) for q in queries])
+    assert block.shape == queries.shape and block.tobytes() == want.tobytes()
+    assert not block[far].any() and block[[0, 5, 10]].all()
+    for q, row in zip(queries, block):
+        assert interpolate_drift(field, q, cfg).tobytes() == row.tobytes()
+
+
+def test_compensate_matches_per_class_loop(rng, caplog):
+    field = DriftField(rng.normal(size=(200, 75)), rng.normal(size=(200, 75)) * 0.1)
+    cfg = KernelConfig(sigma=2.5)
+    vecs = field.positions[:12] + rng.normal(size=(12, 75))
+    vecs[[2, 7]] += 1e3  # two old prototypes out of reach of the evidence
+    book = PrototypeBook()
+    book.add_task({c: v for c, v in enumerate(vecs[:10])}, task_index=1)
+    book.add_task({10: vecs[10], 11: vecs[11]}, task_index=2)
+    want = {c: loop_interpolate(field, vecs[c], cfg) for c in range(10)}
+    with caplog.at_level(logging.WARNING):
+        deltas = compensate(book, field, cfg, current_task=2)
+    assert sum("degenerate kernel" in r.getMessage() for r in caplog.records) == 2
+    assert list(deltas) == list(range(10))
+    for c in range(10):
+        assert deltas[c].tobytes() == want[c].tobytes()
+        assert book.entries[c].vector.tobytes() == (vecs[c] + want[c]).tobytes()
+        assert book.entries[c].compensation.tobytes() == (np.zeros(75) + want[c]).tobytes()
+    for c in (10, 11):
+        assert book.entries[c].vector.tobytes() == vecs[c].tobytes()
 
 
 def test_kernel_config_validation():
