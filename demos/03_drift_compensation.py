@@ -57,8 +57,8 @@ book.add_task(compute_prototypes(model.embed_np(t1.train.features),
 before_task2 = snapshot(model)
 
 train_task(model, t2.train, config, rng)
-book.add_task(compute_prototypes(model.embed_np(t2.train.features),
-                                 t2.train.labels), task_index=2)
+z2 = model.embed_np(t2.train.features)
+book.add_task(compute_prototypes(z2, t2.train.labels), task_index=2)
 
 # How far did the saved task-1 prototypes fall from the classes' true
 # means under the drifted model?
@@ -81,7 +81,7 @@ acc_stale = accuracies(book)
 # The drift field: where each task-2 training point sat under the
 # task-1 snapshot, and how far it moved. Task-1 prototypes get the
 # kernel-weighted average of nearby displacements.
-field = collect_drift(before_task2, model, t2.train)
+field = collect_drift(before_task2, model, t2.train, z2)
 compensate(book, field, KernelConfig(sigma=0.2), current_task=2)
 
 err_comp = staleness(book)

@@ -470,15 +470,15 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
             train_task(model, task.train, config, rng, snap=snap, importance=importance)
 
         if embed is not None:
+            z = embed(task.train.features)
             book.add_task(
-                compute_prototypes(embed(task.train.features), task.train.labels,
-                                   classes=task.classes),
+                compute_prototypes(z, task.train.labels, classes=task.classes),
                 task_index=t,
             )
 
-        if config.sdc and t > 1:
-            deltas = compensate(book, collect_drift(snap, model, task.train), kcfg,
-                                current_task=t)
+        if config.sdc and t > 1:  # sdc implies an embedding net: z is embed_np's
+            deltas = compensate(book, collect_drift(snap, model, task.train, z),
+                                kcfg, current_task=t)
             record.sdc_events[t] = {c: {"delta": d.tolist()} for c, d in deltas.items()}
 
         if t < len(sequence):  # the next task's importance and reference

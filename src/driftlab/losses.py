@@ -250,8 +250,9 @@ def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:
     for at in range(0, len(feats), 512):
         acts = [feats[at : at + 512]]  # each layer's input
         for w, b in zip(params[:-2:2], params[1:-2:2]):
-            z = acts[-1] @ w + b
-            acts.append(np.where(z > 0, z, 0.0))
+            z = acts[-1] @ w
+            z += b
+            acts.append(T.relu_values(z, out=z))
         delta = 2.0 * (acts[-1] @ params[-2] + params[-1])  # d sum(raw^2) / d raw
         for k in range(len(acts) - 1, -1, -1):
             abs_delta = np.abs(delta)

@@ -3,6 +3,12 @@
 Training code calls ``zero_grad`` explicitly between steps; the engine
 keeps accumulating otherwise. A fresh optimizer is built per training
 stage so no moment estimates leak across stage boundaries.
+
+A step allocates no arrays: the moments update in place, and the update
+goes through two scratch buffers sized to the largest parameter, made
+once at construction. Each ufunc writes into them in the operand order
+of the textbook expression, so the parameters come out bit-identical to
+``p - lr * (m / c1) / (sqrt(v / c2) + eps)``.
 """
 
 import numpy as np
@@ -27,6 +33,11 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        flat = np.empty((2, size))
+        self._scratch = [(flat[0, : p.data.size].reshape(p.data.shape),
+                          flat[1, : p.data.size].reshape(p.data.shape))
+                         for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -40,8 +51,16 @@ class Adam:
             if p.grad is None:
                 raise StateError(f"parameter {i} has no gradient; call backward first")
             g, m, v = p.grad, self.m[i], self.v[i]
+            num, den = self._scratch[i]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=num)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=num)
+            v += np.multiply(num, g, out=num)
+            np.divide(m, c1, out=num)
+            num *= self.lr  # lr * (m / c1)
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num

@@ -158,7 +158,8 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     twice the sum of both bounds apart has the same argmin under both
     formulas. Every other row (near-ties, exact ties, overflow to inf or
     NaN) is recomputed with _broadcast_d2, so the prediction equals the
-    coordinate-wise one.
+    coordinate-wise one. A row whose coordinate-wise distances all
+    overflow to inf has no nearest prototype and raises NonFiniteError.
     """
     if len(book) == 0:
         raise StateError("prototype book is empty")
@@ -185,22 +186,28 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
         bound = 2.0 * (gamma * 2.0 * (zz + pp.max()) + (4 * dim + 16) * _TINY)
         # the comparison is False for a NaN or inf gap or bound
         certified = (two[:, 1] - two[:, 0] > 2.0 * bound) & np.isfinite(d2).all(axis=1)
-    redo = np.flatnonzero(~certified)
-    if redo.size:
-        best[redo] = np.argmin(_broadcast_d2(z[redo], protos), axis=1)
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            ref = _broadcast_d2(z[redo], protos)
+            lost = redo[~(ref < np.inf).any(axis=1)]
+            if lost.size:
+                raise NonFiniteError(f"{lost.size} embedding rows have every squared "
+                                     f"distance overflow to inf (first: row {lost[0]})")
+            best[redo] = np.argmin(ref, axis=1)
     return ids[best]
 
 
-def collect_drift(snapshot: tuple, current_model, task_data) -> DriftField:
+def collect_drift(snapshot: tuple, current_model, task_data, after) -> DriftField:
     """Endpoint drift of the current task's training data: where the
     snapshot (the previous model's parameters) put each sample, and how
-    far the current model moved it."""
+    far the current model moved it. ``after`` is
+    ``current_model.embed_np(task_data.features)``, which the caller has
+    already computed for the task's prototypes."""
     old = [a.shape for a in snapshot]
     new = [p.data.shape for p in current_model.params]
     if old != new:
         raise StateError(f"model mismatch: parameter shapes {old} vs {new}")
     before = embed_snapshot(snapshot, task_data.features)
-    after = current_model.embed_np(task_data.features)
     return DriftField(before, after - before)
 
 

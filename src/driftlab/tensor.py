@@ -209,20 +209,40 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of two 2-d tensors. The backward computes only the
+    gradients of operands that require one: a first layer's input
+    gradient would be thrown away."""
     a, b = astensor(a), astensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"cannot matmul shapes {a.data.shape} and {b.data.shape}")
     return _make(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (g @ b.data.T if a.requires_grad else None,
+                   a.data.T @ g if b.requires_grad else None),
     )
 
 
+def relu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ReLU of a plain array, bit for bit ``np.where(x > 0, x, 0.0)``
+    (see ``relu``). ``out`` may be ``x`` itself."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 def relu(a) -> Tensor:
+    """Elementwise max(a, 0); the gradient passes where a > 0.
+
+    The forward equals ``np.where(a > 0, a, 0.0)`` bit for bit, without
+    its data-dependent branch, which costs as much as the GEMM before it
+    on a random sign pattern. It is ``fmax(a, 0.0) + 0.0``: ``fmax``
+    maps NaN to 0 where ``np.maximum`` keeps NaN, and either may return
+    -0.0 for -0.0, which adding 0.0 turns into +0.0. Every other value,
+    inf and subnormals included, passes unchanged.
+    """
     a = astensor(a)
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _make(relu_values(a.data), (a,), lambda g: (g * (a.data > 0),))
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:

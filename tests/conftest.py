@@ -5,6 +5,8 @@ measured against: symmetric finite differences on the raw numpy arrays,
 no engine code involved.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -69,6 +71,18 @@ def check_grads(build, arrays, h: float = 1e-5, tol: float = 1e-4) -> float:
         worst = max(worst, max_rel_err(leaves[k].grad, num))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def allocated_bytes(fn) -> int:
+    """Peak bytes that Python objects and numpy arrays allocated while
+    ``fn()`` ran, above what was live when it started (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 
 from driftlab.optim import Adam
 from driftlab.tensor import StateError, Tensor
+from conftest import allocated_bytes
 
 
 def quadratic_step(**kw):
@@ -94,3 +95,14 @@ def test_adam_in_place_and_bitwise_equal_to_out_of_place_formula(rng):
     # the moment buffers are the arrays the optimizer started with
     assert all(opt.m[i] is mb and opt.v[i] is vb for i, (mb, vb) in enumerate(buffers))
     assert all(np.any(mb != 0) for mb, _ in buffers)
+
+
+def test_adam_step_allocates_no_arrays(rng):
+    # the benchmark's embedding net: 64 -> 256 -> 256 -> 64
+    shapes = [(64, 256), (256,), (256, 256), (256,), (256, 64), (64,)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.data.shape)
+    opt = Adam(params, lr=1e-3)
+    opt.step()  # the first step touches the scratch pages
+    assert allocated_bytes(opt.step) < 4096  # one param-sized temporary is 524 KB

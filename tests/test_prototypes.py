@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
-from driftlab.models import EmbeddingNet, snapshot
+from driftlab.models import EmbeddingNet, embed_snapshot, snapshot
 from driftlab.prototypes import (
     WEIGHT_FLOOR,
     DriftField,
@@ -172,13 +172,20 @@ def ncm_cases(draw):
 def test_ncm_equals_broadcast_reference(case):
     z, book = case
     with np.errstate(over="ignore"):  # at 1e150 some distances are inf
-        assert np.array_equal(ncm_classify(z, book), broadcast_ncm(z, book))
+        diff = z[:, None, :] - book.matrix()[None, :, :]
+        lost = np.flatnonzero(np.isinf(np.sum(diff * diff, axis=2)).all(axis=1))
+        if len(book) > 1 and lost.size:  # no nearest prototype, as in the 2nd example
+            with pytest.raises(NonFiniteError,
+                               match=f"{lost.size} embedding rows .* row {lost[0]}"):
+                ncm_classify(z, book)
+        else:
+            assert np.array_equal(ncm_classify(z, book), broadcast_ncm(z, book))
 
 
 def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
-    field = collect_drift(snapshot(m), m, ds)
+    field = collect_drift(snapshot(m), m, ds, m.embed_np(ds.features))
     assert len(field) == 10
     assert np.max(np.abs(field.displacements)) == 0.0
 
@@ -188,12 +195,25 @@ def test_collect_drift_counts_and_mismatch(rng):
     a = snapshot(EmbeddingNet(4, 2, seed=1))
     b = EmbeddingNet(4, 3, seed=1)
     with pytest.raises(StateError):
-        collect_drift(a, b, ds)
+        collect_drift(a, b, ds, b.embed_np(ds.features))
+    narrow = EmbeddingNet(4, 2, hidden=(8,), seed=1)
     with pytest.raises(StateError, match="parameter shapes"):  # hidden widths differ
-        collect_drift(a, EmbeddingNet(4, 2, hidden=(8,), seed=1), ds)
+        collect_drift(a, narrow, ds, narrow.embed_np(ds.features))
     a2 = EmbeddingNet(4, 2, seed=5)
-    field = collect_drift(a, a2, ds)
+    field = collect_drift(a, a2, ds, a2.embed_np(ds.features))
     assert len(field) == len(ds.labels)
+    assert np.max(np.abs(field.displacements)) > 0
+
+
+def test_collect_drift_takes_precomputed_embeddings_bit_for_bit():
+    ds = gen_gaussian_clusters(3, 7, 4, 0.2, seed=3)
+    snap, m = snapshot(EmbeddingNet(4, 2, seed=1)), EmbeddingNet(4, 2, seed=6)
+    before = embed_snapshot(snap, ds.features)  # the reference embeds both sides
+    after = m.embed_np(ds.features)
+    m.embed_np = None  # given its embeddings, the current model is not run again
+    field = collect_drift(snap, m, ds, after)
+    assert field.positions.tobytes() == before.tobytes()
+    assert field.displacements.tobytes() == (after - before).tobytes()
     assert np.max(np.abs(field.displacements)) > 0
 
 

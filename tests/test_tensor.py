@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftlab import tensor as T
 from driftlab.tensor import (
@@ -45,6 +47,37 @@ def test_dead_relu_blocks_gradient():
     x = Tensor(np.array([-2.0, -0.5]), requires_grad=True)
     T.relu(x).sum().backward()
     assert np.array_equal(x.grad, np.zeros(2))
+
+
+_RELU_EDGES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_RELU_EDGES), st.floats()), min_size=1,
+                max_size=64), st.integers(0, 2**32 - 1))
+def test_relu_forward_bytes_equal_masked_where(values, seed):
+    # seed -0.0, NaN, +-inf and +-5e-324 into every draw, shuffled
+    a = np.random.default_rng(seed).permutation(np.array(values + list(_RELU_EDGES)))
+    want = np.where(a > 0, a, 0.0)
+    assert T.relu(a).data.tobytes() == want.tobytes()
+    inplace = a.copy()
+    assert T.relu_values(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
+
+
+def test_matmul_skips_gradient_of_constant_operand(rng):
+    x, w = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
+    g = rng.normal(size=(5, 4))
+    out = T.matmul(Tensor(x), Tensor(w, requires_grad=True))
+    gx, gw = out._backward(g)
+    assert gx is None and np.array_equal(gw, x.T @ g)
+    gx, gw = T.matmul(Tensor(x, requires_grad=True), Tensor(w))._backward(g)
+    assert np.array_equal(gx, g @ w.T) and gw is None
+    # a first layer: bit-identical parameter gradients either way
+    xs, ws = Tensor(x), Tensor(w, requires_grad=True)
+    xp, wp = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    T.relu(T.matmul(xs, ws)).sum().backward()
+    T.relu(T.matmul(xp, wp)).sum().backward()
+    assert np.array_equal(ws.grad, wp.grad) and xs.grad is None
 
 
 def test_identity_dense_layer_is_passthrough():
