@@ -143,6 +143,12 @@ def load_config(path: str) -> ExperimentConfig:
                               f"(exclusive), got {dataset[key]!r}")
     if "first_task_fraction" in dataset and n_tasks < 2:
         raise ConfigError("[dataset] first_task_fraction needs n_tasks of at least 2")
+    if dataset.get("pretrain_classes", 0) < 0:
+        raise ConfigError("[dataset] pretrain_classes must be nonnegative, "
+                          f"got {dataset['pretrain_classes']}")
+    if not 0 <= dataset.get("spread", 0.0) < np.inf:  # NaN fails too
+        raise ConfigError("[dataset] spread must be finite and nonnegative, "
+                          f"got {dataset['spread']!r}")
 
     methods = []
     for name in parser.sections():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import EmbeddingNet, embed_snapshot
+from .models import EmbeddingNet, embed_snapshot, layers_np
 from .tensor import ShapeError, Tensor
 
 log = logging.getLogger(__name__)
@@ -47,6 +47,35 @@ class TripletBatch:
         return len(self.anchors)
 
 
+TRIPLET_BLOCK = 256  # triples per distance block: two [256, D] buffers
+
+
+def _distances(z: np.ndarray, a: np.ndarray, *others: np.ndarray) -> list:
+    """||z[a] - z[o]|| per row, for each index array ``o`` in ``others``.
+
+    The rows go ``TRIPLET_BLOCK`` at a time through two buffers made once
+    per call, so no [triples, D] temporary is allocated. Each row reduces
+    as in ``np.sum((z[a] - z[o]) ** 2, axis=1)``, so the bits match it.
+    Indices must already be in range: ``np.take`` in mode "raise" would
+    buffer its output.
+    """
+    n = len(a)
+    rows, diff = np.empty((2, min(TRIPLET_BLOCK, n), z.shape[1]))
+    dists = [np.empty(n) for _ in others]
+    for at in range(0, n, TRIPLET_BLOCK):
+        m = min(TRIPLET_BLOCK, n - at)
+        za, zo = rows[:m], diff[:m]
+        np.take(z, a[at : at + m], axis=0, out=za, mode="wrap")
+        for o, d in zip(others, dists):
+            np.take(z, o[at : at + m], axis=0, out=zo, mode="wrap")
+            np.subtract(za, zo, out=zo)
+            np.square(zo, out=zo)
+            np.sum(zo, axis=1, out=d[at : at + m])
+    for d in dists:
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    return dists
+
+
 def triplet_loss(embeddings: Tensor, triplets: TripletBatch) -> Tensor:
     """Mean over triples of max(0, d_pos - d_neg + margin), one tape node.
 
@@ -59,11 +88,11 @@ def triplet_loss(embeddings: Tensor, triplets: TripletBatch) -> Tensor:
         return Tensor(0.0)
     z, n = embeddings.data, len(embeddings.data)
     a, p, q = triplets.anchors, triplets.positives, triplets.negatives
-    hi = max(a.max(), p.max(), q.max())
-    if hi >= n:
-        raise ShapeError(f"triplet index {hi} out of range for batch of {n}")
-    d_pos = np.sqrt(np.maximum(np.sum((z[a] - z[p]) ** 2, axis=1), 0.0))
-    d_neg = np.sqrt(np.maximum(np.sum((z[a] - z[q]) ** 2, axis=1), 0.0))
+    lo, hi = min(a.min(), p.min(), q.min()), max(a.max(), p.max(), q.max())
+    if lo < 0 or hi >= n:
+        raise ShapeError(f"triplet index {lo if lo < 0 else hi} out of range "
+                         f"for batch of {n}")
+    d_pos, d_neg = _distances(z, a, p, q)
     hinge = d_pos - d_neg + triplets.margin
 
     def back(g):
@@ -106,7 +135,7 @@ def mine_triplets(labels, embeddings, strategy: str = "random",
         sq = np.sum(z * z, axis=1)
         dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0))
         negatives = np.empty_like(anchors)
-        step = max(1, (1 << 18) // len(labels))  # [pairs, B] blocks of <= 2 MB
+        step = max(1, (1 << 15) // len(labels))  # [pairs, B] blocks of <= 256 KB
         for at in range(0, len(anchors), step):
             a, p = anchors[at : at + step], positives[at : at + step]
             neg, d = ~same[a], dist[a]
@@ -155,20 +184,39 @@ class ImportanceMap:
 
 
 def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
-    """Sum over parameters of 1/2 * w * (theta - theta_snapshot)^2, as one tape node."""
+    """Sum over parameters of 1/2 * w * (theta - theta_snapshot)^2, as one tape node.
+
+    Nothing parameter-sized outlives the call: the forward and the
+    backward each recompute d = theta - theta_snapshot, one parameter at
+    a time, in the operand order of ``0.5 * w * d * d`` and ``g * w * d``.
+    Like every op's backward, it reads the parameters as they are when
+    ``backward`` runs.
+    """
     if len(importance.weights) != len(model.params):
         raise ShapeError(
             f"{len(importance.weights)} weight arrays for {len(model.params)} parameters"
         )
-    for p, old, w in zip(model.params, snap, importance.weights):
+    terms = tuple(zip(model.params, snap, importance.weights))
+    for p, old, w in terms:
         if w.shape != p.data.shape or old.shape != p.data.shape:
             raise ShapeError(
                 f"importance/snapshot shape {w.shape}/{old.shape} vs parameter {p.data.shape}"
             )
-    ds = [p.data - old for p, old in zip(model.params, snap)]
-    value = sum(np.sum(0.5 * w * d * d) for w, d in zip(importance.weights, ds))
-    return T._make(value, tuple(model.params),
-                   lambda g: tuple(g * w * d for w, d in zip(importance.weights, ds)))
+
+    def half_wdd(p, old, w):
+        d = p.data - old
+        t = np.multiply(0.5, w)
+        t *= d
+        t *= d
+        return np.sum(t)
+
+    def back(g):  # one parameter's gradient alive at a time
+        for p, old, w in terms:
+            t = np.multiply(g, w)
+            t *= p.data - old
+            yield t
+
+    return T._make(sum(half_wdd(*term) for term in terms), tuple(model.params), back)
 
 
 def _canonical_order(dataset) -> np.ndarray:
@@ -248,12 +296,9 @@ def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:
     params = [p.data for p in model.params]
     acc = [np.zeros_like(w) for w in params]
     for at in range(0, len(feats), 512):
-        acts = [feats[at : at + 512]]  # each layer's input
-        for w, b in zip(params[:-2:2], params[1:-2:2]):
-            z = acts[-1] @ w
-            z += b
-            acts.append(T.relu_values(z, out=z))
-        delta = 2.0 * (acts[-1] @ params[-2] + params[-1])  # d sum(raw^2) / d raw
+        x = feats[at : at + 512]
+        *acts, raw = x, *layers_np(params, x)
+        delta = 2.0 * raw  # d sum(raw^2) / d raw; acts[k] is layer k's input
         for k in range(len(acts) - 1, -1, -1):
             abs_delta = np.abs(delta)
             acc[2 * k] += np.abs(acts[k]).T @ abs_delta

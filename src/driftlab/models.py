@@ -36,7 +36,7 @@ def _init_stack(rng, dims: tuple[int, ...]) -> list[Tensor]:
 
 def _run_stack(params, x) -> Tensor:
     """Affine/ReLU chain; the last affine stays linear. ``params`` may be
-    tensors or plain arrays."""
+    tensors or plain arrays; inference runs ``layers_np`` instead."""
     n_layers = len(params) // 2
     h = x
     for i in range(n_layers):
@@ -53,16 +53,30 @@ def _check_batch(x, input_dim: int) -> Tensor:
     return x
 
 
+def layers_np(params, x: np.ndarray):
+    """Yield each layer's output of the affine/ReLU chain over plain
+    parameter arrays; the last stays linear.
+
+    Each layer is ``h = x @ W; h += b`` with the ReLU applied in place,
+    the same bits as ``_run_stack`` with one array per layer and no tape.
+    """
+    h = x
+    for i in range(0, len(params), 2):
+        h = h @ params[i]
+        h += params[i + 1]
+        if i + 2 < len(params):
+            T.relu_values(h, out=h)
+        yield h
+
+
 def infer(params, x, normalize: bool = False, batch: int = 512) -> np.ndarray:
     """Stack output for ``x`` over plain parameter arrays, ``batch`` rows at
-    a time; ``normalize`` puts each row on the unit sphere.
-
-    No operand requires grad, so the ops record no tape.
-    """
+    a time; ``normalize`` puts each row on the unit sphere."""
     outs = []
     for i in range(0, len(x), batch):
-        h = _run_stack(params, x[i : i + batch])
-        outs.append((T.l2_normalize(h, axis=1) if normalize else h).data)
+        for h in layers_np(params, x[i : i + batch]):
+            pass  # only the last layer's output is kept
+        outs.append(T.l2_normalize(h, axis=1).data if normalize else h)
     return np.concatenate(outs) if outs else np.zeros((0, len(params[-1])))
 
 

@@ -61,7 +61,9 @@ class Tensor:
         """Propagate d(self)/d(leaf) into every reachable parameter's grad.
 
         ``self`` must be a scalar produced by ops of this engine (or a
-        scalar parameter). Repeated calls keep accumulating.
+        scalar parameter). Each contribution to a parameter is added to
+        its ``grad`` as it arrives (see ``_accumulate``), so repeated
+        calls keep accumulating.
         """
         if self.data.size != 1:
             raise StateError(
@@ -70,23 +72,22 @@ class Tensor:
         if self._backward is None and not self.requires_grad:
             raise StateError("backward called on a tensor with no compute graph")
 
-        topo = _toposort(self)
+        if self._backward is None:  # a scalar parameter
+            _accumulate(self, np.ones_like(self.data))
+            return
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        for node in reversed(_toposort(self)):
             g = flowing.pop(id(node), None)
             if g is None:
-                continue
-            if node._backward is None:
-                if node.requires_grad:
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                acc = flowing.get(id(parent))
-                flowing[id(parent)] = pg if acc is None else acc + pg
+                if parent._backward is None:
+                    _accumulate(parent, pg)
+                else:
+                    acc = flowing.get(id(parent))
+                    flowing[id(parent)] = pg if acc is None else acc + pg
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -124,6 +125,19 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
+
+
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    """Add one gradient contribution straight into a leaf's ``grad``.
+
+    Contributions land one at a time, in the order the backward pass
+    meets them. From a zeroed ``grad`` that gives the same bits as adding
+    their sum once: ``0.0 + x`` is ``x`` for every x but -0.0, and the
+    sum-then-add result turns a -0.0 into +0.0 as well.
+    """
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
 
 
 def astensor(x) -> Tensor:

@@ -100,6 +100,9 @@ def test_run_non_finite_gamma_exit_2(tmp_path, capsys, gamma):
     ({"test_fraction": 1.5}, "test_fraction must be between 0 and 1"),
     ({"test_fraction": 0}, "test_fraction must be between 0 and 1"),
     ({"per_class": 1}, "class 0 has 1 rows; holding out 1 for testing leaves none"),
+    ({"pretrain_classes": -2}, "pretrain_classes must be nonnegative, got -2"),
+    ({"spread": -0.5}, "spread must be finite and nonnegative, got -0.5"),
+    ({"spread": "nan"}, "spread must be finite and nonnegative, got nan"),
 ])
 def test_run_bad_split_values_exit_2(tmp_path, capsys, dataset, expected):
     cfg = write_config(tmp_path, seeds="0", dataset=dataset)

@@ -167,6 +167,15 @@ def test_out_of_range_numbers_rejected_at_load(tmp_path, key, value):
         load_config(write_ini(tmp_path, body))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pretrain_classes", "-2"), ("spread", "-0.1"), ("spread", "nan"), ("spread", "inf"),
+])
+def test_bad_dataset_numbers_rejected_at_load(tmp_path, key, value):
+    body = BASE.replace("n_tasks = 2\n", f"n_tasks = 2\n    {key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[dataset\] {key} must be .*got {value}"):
+        load_config(write_ini(tmp_path, body))
+
+
 def test_source_required_keys(tmp_path):
     body = BASE.replace("source = synthetic", "source = idx")
     with pytest.raises(ConfigError, match="images"):

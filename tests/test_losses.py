@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from driftlab import losses
 from driftlab import tensor as T
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
 from driftlab.losses import (
@@ -20,7 +21,7 @@ from driftlab.losses import (
 )
 from driftlab.models import EmbeddingNet, snapshot
 from driftlab.tensor import ShapeError, Tensor
-from conftest import check_grads, max_rel_err, numeric_grad
+from conftest import allocated_bytes, check_grads, max_rel_err, numeric_grad
 
 
 def line_embeddings(*xs):
@@ -67,6 +68,33 @@ def test_triplet_zero_iff_all_satisfied(rng):
 def test_triplet_index_bounds():
     with pytest.raises(ShapeError):
         triplet_loss(Tensor(np.zeros((2, 2))), TripletBatch([0], [1], [5]))
+    with pytest.raises(ShapeError):
+        triplet_loss(Tensor(np.zeros((2, 2))), TripletBatch([0], [-1], [1]))
+
+
+BLOCK = losses.TRIPLET_BLOCK
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]),
+       st.integers(1, 40), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_blocked_distances_match_unblocked_bytes(count, rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-3, 4)
+    a, p, q = rng.integers(0, rows, size=(3, count))
+    d_pos, d_neg = losses._distances(z, a, p, q)
+    for got, other in ((d_pos, p), (d_neg, q)):
+        want = np.sqrt(np.maximum(np.sum((z[a] - z[other]) ** 2, axis=1), 0.0))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_triplet_loss_allocates_no_triples_by_dim_temporary(rng):
+    z = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    trip = TripletBatch(*rng.integers(0, 64, size=(3, 2000)))
+    run = lambda: triplet_loss(z, trip).backward()
+    run()
+    # the unblocked loss held two [2000, 64] arrays at once, 2 MB
+    assert allocated_bytes(run) < 2000 * 64 * 8
 
 
 def test_triplet_gradient_finite_differences(rng):
@@ -591,6 +619,23 @@ def test_batched_mas_leaves_grads_and_tape_alone(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", no_backward)
     estimate_mas_importance(m, ds)
     assert all(np.all(p.grad == 7.0) for p in m.params)
+
+
+def test_quadratic_penalty_bytes_match_textbook_formula(rng):
+    m = EmbeddingNet(4, 3, hidden=(6,), seed=0)
+    snap = snapshot(m)
+    for p in m.params:
+        p.data = p.data + rng.normal(size=p.data.shape)
+        p.zero_grad()
+    imp = ImportanceMap("fisher", tuple(np.abs(rng.normal(size=p.data.shape))
+                                     for p in m.params))
+    loss = Tensor(3.7) * quadratic_penalty(m, snap, imp)
+    loss.backward()
+    ds = [p.data - old for p, old in zip(m.params, snap)]
+    value = sum(np.sum(0.5 * w * d * d) for w, d in zip(imp.weights, ds))
+    assert loss.item() == 3.7 * value
+    for p, w, d in zip(m.params, imp.weights, ds):
+        assert p.grad.tobytes() == (np.float64(3.7) * w * d).tobytes()
 
 
 def composite_penalty(model, snap, importance):

@@ -43,6 +43,49 @@ def test_grad_accumulates_until_zeroed():
     assert theta.grad == pytest.approx(0.0)
 
 
+def three_taps(rng):
+    """A scalar loss whose backward hands leaf ``x`` three contributions,
+    logged in arrival order: -0.0 in all three, exact cancellations, and
+    magnitudes far apart so the order of the additions shows."""
+    cs = [rng.normal(size=40) * 10.0 ** rng.integers(-8, 9, size=40) for _ in range(3)]
+    for c in cs:
+        c[:4] = -0.0
+    cs[0][4:8], cs[1][4:8], cs[2][4:8] = 1.0, -1.0, -0.0
+    x = Tensor(np.zeros(40), requires_grad=True)
+    arrived = []
+
+    def tap(c):
+        def back(g):
+            arrived.append(g * c)
+            return (arrived[-1],)
+        return T._make(np.float64(0.0), (x,), back)
+
+    return x, tap(cs[0]) + tap(cs[1]) + tap(cs[2]), arrived
+
+
+def test_leaf_contributions_equal_sum_then_add(rng):
+    x, loss, arrived = three_taps(rng)
+    x.zero_grad()
+    loss.backward()
+    assert len(arrived) == 3
+    want = np.zeros(40)
+    want += (arrived[0] + arrived[1]) + arrived[2]
+    assert x.grad.tobytes() == want.tobytes()
+    assert not np.signbit(x.grad[:4]).any()
+
+
+def test_leaf_grads_accumulate_across_backward_calls(rng):
+    x, loss, arrived = three_taps(rng)
+    loss.backward()
+    once = x.grad.copy()
+    loss.backward()
+    want = np.zeros(40)
+    for g in arrived:
+        want += g
+    assert x.grad.tobytes() == want.tobytes()
+    np.testing.assert_allclose(x.grad, 2 * once, rtol=1e-12, atol=0)
+
+
 def test_dead_relu_blocks_gradient():
     x = Tensor(np.array([-2.0, -0.5]), requires_grad=True)
     T.relu(x).sum().backward()
