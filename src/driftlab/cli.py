@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_sequence, load_config
+from .config import ConfigError, build_sequences, load_config
 from .harness import (
     MethodConfig,
     RunRecord,
@@ -63,17 +63,16 @@ def cmd_run(args) -> int:
         print(f"config error: cannot create output_dir: {e}", file=sys.stderr)
         return 2
 
-    sequences = {}
+    try:
+        sequences = build_sequences(cfg.dataset, cfg.seeds)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+
     records: dict = {}
     failed = 0
     for label, kwargs in cfg.methods:
         for seed in cfg.seeds:
-            try:
-                if seed not in sequences:
-                    sequences[seed] = build_sequence(cfg.dataset, seed)
-            except ConfigError as e:
-                print(f"config error: {e}", file=sys.stderr)
-                return 2
             seq, pretrain = sequences[seed]
             try:
                 record = run_sequence(MethodConfig(seed=seed, **kwargs), seq,

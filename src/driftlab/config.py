@@ -39,6 +39,7 @@ SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
 
 EXPERIMENT_KEYS = {"output_dir", "seeds"}
 SOURCES = ("synthetic", "digits", "idx", "csv")
+_SEEDED_SOURCES = ("synthetic",)  # the others load the same data for every seed
 _REQUIRED_BY_SOURCE = {"idx": ("images", "labels"), "csv": ("path",)}
 
 
@@ -215,19 +216,31 @@ def _load_source(dataset: dict, seed: int) -> tuple:
     return train, None
 
 
-def build_sequence(dataset: dict, seed: int):
-    """Realize a dataset section into (TaskSequence, pretrain data or None).
+def build_sequences(dataset: dict, seeds) -> dict:
+    """Realize a dataset section into {seed: (TaskSequence, pretrain data or
+    None)}, one entry per seed.
 
-    ``pretrain_classes`` reserves the highest class ids for pretraining,
-    independent of the seed, so every replicate pretrains on the same
-    held-out classes and splits the rest. An unreadable or malformed
-    dataset file, or synthetic counts a generator rejects, is a
-    ConfigError.
+    A seeded source is drawn once per seed; a file-backed or bundled one is
+    loaded once and split per seed. ``pretrain_classes`` reserves the
+    highest class ids for pretraining, independent of the seed, so every
+    replicate pretrains on the same held-out classes and splits the rest.
+    An unreadable or malformed dataset file, or synthetic counts a
+    generator rejects, is a ConfigError.
     """
-    try:
-        train, test = _load_source(dataset, seed)
-    except (ValueError, OSError) as e:  # DatasetFormatError is a ValueError
-        raise ConfigError(str(e)) from None
+    sequences = {}
+    loaded = None
+    for seed in seeds:
+        try:
+            if loaded is None or dataset["source"] in _SEEDED_SOURCES:
+                loaded = _load_source(dataset, seed)
+        except (ValueError, OSError) as e:  # DatasetFormatError is a ValueError
+            raise ConfigError(str(e)) from None
+        sequences[seed] = _split(dataset, *loaded, seed)
+    return sequences
+
+
+def _split(dataset: dict, train, test, seed: int) -> tuple:
+    """(TaskSequence, pretrain data or None) for one seed."""
     pretrain = None
     n_pre = dataset.get("pretrain_classes", 0)
     if n_pre:

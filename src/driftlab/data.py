@@ -5,6 +5,7 @@ reorders samples.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ class LabeledDataset:
         if self.features.shape[0] != self.labels.shape[0]:
             raise DatasetFormatError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
+            )
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise DatasetFormatError(
+                f"no feature columns: features of shape {self.features.shape}"
             )
         finite = np.isfinite(self.features)
         if not finite.all():
@@ -122,58 +127,93 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * rows * cols, offset=16)
     feats = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
-    return LabeledDataset(feats, labels)
+    try:
+        return LabeledDataset(feats, labels)
+    except DatasetFormatError as e:  # rows * cols == 0
+        raise DatasetFormatError(f"{images_path}: {e}") from None
 
 
-def read_csv_dataset(path) -> LabeledDataset:
-    """Read `label,f0,f1,...` rows; labels must be integer-valued and are
-    remapped to 0..K-1 in first-appearance order."""
+def _parse(lines) -> np.ndarray:
+    """Comma-separated decimal rows as one float64 table. Each cell goes
+    through CPython's correctly rounded strtod, the parser of ``float()``;
+    unlike ``float()`` it rejects ``_`` digit separators."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _data_lines(fh):
+    """The lines of ``fh`` that are not whitespace-only. ``np.loadtxt``
+    strips the separator controls 0x1c-0x1f around a cell, which
+    ``float()`` rejects, so a line holding one ends the stream with an
+    error."""
+    for line in fh:
+        if not line.isspace():
+            if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+                raise DatasetFormatError("separator control character")
+            yield line
+
+
+def _first_fault(path) -> str:
+    """The error of the first line that breaks the CSV rules, checked one
+    line at a time in file order. Only a faulty file, or one without data
+    rows, gets here."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError:
-        raise DatasetFormatError(f"{path}: not an ASCII text file") from None
+        return f"{path}: not an ASCII text file"
     if not lines or (len(lines) == 1 and not lines[0].strip()):
-        raise DatasetFormatError(f"{path}: empty file (line 1)")
+        return f"{path}: empty file (line 1)"
     header = lines[0].split(",")
     if header[0] != "label":
-        raise DatasetFormatError(f"{path}: line 1: header must start with 'label'")
-    width = len(header)
-
-    feats = []
-    raw_labels = []
+        return f"{path}: line 1: header must start with 'label'"
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != width:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: {len(cells)} cells, expected {width}"
-            )
+        if len(cells) != len(header):
+            return f"{path}: line {lineno}: {len(cells)} cells, expected {len(header)}"
         try:
-            values = [float(c) for c in cells]
+            label = _parse(_data_lines([line]))[0, 0]
         except ValueError:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: non-numeric cell"
-            ) from None
-        if not values[0].is_integer():
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: label {cells[0]!r} is not an integer"
-            )
-        raw_labels.append(int(values[0]))
-        feats.append(values[1:])
-    if not feats:
-        raise DatasetFormatError(f"{path}: no data rows (line 2)")
+            return f"{path}: line {lineno}: non-numeric cell"
+        if not label.is_integer():
+            return f"{path}: line {lineno}: label {cells[0]!r} is not an integer"
+    return f"{path}: no data rows (line 2)"
 
-    remap: dict[int, int] = {}
-    for lab in raw_labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-    labels = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
-    original = tuple(sorted(remap, key=remap.get))
+
+def read_csv_dataset(path) -> LabeledDataset:
+    """Read `label,f0,f1,...` rows; labels must be integer-valued and are
+    remapped to 0..K-1 in first-appearance order. Whitespace-only lines
+    are skipped.
+
+    The file is streamed once through one ``np.loadtxt`` call. If that
+    fails, or its table breaks a rule, ``_first_fault`` rereads the file
+    line by line to name the first bad line.
+    """
+    table = None
     try:
-        return LabeledDataset(np.array(feats), labels, original_labels=original)
-    except DatasetFormatError as e:  # a NaN or inf cell
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header[0] == "label":
+                rows = _data_lines(fh)
+                first = next(rows, None)  # loadtxt warns on empty input
+                if first is not None:
+                    table = _parse(itertools.chain((first,), rows))
+    except ValueError:  # a bad cell or row, or a non-ASCII byte
+        pass
+    if table is None or table.shape[1] != len(header):
+        raise DatasetFormatError(_first_fault(path))
+    raw = table[:, 0]
+    if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise DatasetFormatError(_first_fault(path))
+
+    uniq, first_at, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first_at)  # unique labels in first-appearance order
+    original = tuple(int(v) for v in uniq[order])
+    try:
+        return LabeledDataset(table[:, 1:], np.argsort(order)[inverse],
+                              original_labels=original)
+    except DatasetFormatError as e:  # a NaN or inf cell, or no feature column
         raise DatasetFormatError(f"{path}: {e}") from None
 
 

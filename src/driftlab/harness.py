@@ -223,7 +223,8 @@ class RunRecord:
 
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(payload, indent=1, default=_jsonable)
+        # compact: with an indent CPython falls back to its pure-Python encoder
+        return json.dumps(payload, default=_jsonable)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":

@@ -109,7 +109,8 @@ class PrototypeBook:
             }
             for c, e in sorted(self.entries.items())
         ]
-        return json.dumps({"classes": rows}, indent=1)
+        # compact: with an indent CPython falls back to its pure-Python encoder
+        return json.dumps({"classes": rows})
 
     @classmethod
     def from_json(cls, text: str) -> "PrototypeBook":

@@ -5,8 +5,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from driftlab import config
 from driftlab.cli import main
+from driftlab.data import gen_gaussian_clusters, read_csv_dataset, write_csv_dataset
 from driftlab.harness import RunRecord, avg_incremental_accuracy
+from driftlab.prototypes import PrototypeBook
 
 
 def write_config(tmp_path, out_name="results", methods=None, dataset=None,
@@ -120,6 +123,8 @@ def test_run_bad_split_values_exit_2(tmp_path, capsys, dataset, expected):
     ("nan cell", "feature row 1 holds NaN or inf"),
     ("fractional label", "line 2: label '1.5' is not an integer"),
     ("non-ascii byte", "not an ASCII text file"),
+    ("no feature column", "data.csv: no feature columns"),
+    ("empty idx images", "images.idx: no feature columns"),
 ])
 def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
     csv = tmp_path / "data.csv"
@@ -131,8 +136,15 @@ def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
         images.write_bytes(struct.pack("<4i", 0x803, 1, 2, 2) + bytes(4))
         labels.write_bytes(struct.pack(">2i", 0x801, 1) + bytes(1))
         dataset = {"source": "idx", "images": images, "labels": labels}
+    elif case == "empty idx images":  # rows * cols = 0
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">4i", 0x803, 4, 0, 2))
+        labels.write_bytes(struct.pack(">2i", 0x801, 4) + bytes([0, 0, 1, 1]))
+        dataset = {"source": "idx", "images": images, "labels": labels}
     elif case == "non-ascii byte":
         csv.write_bytes(b"label,f0,f1\n0,\xff1.0,2.0\n")
+    elif case == "no feature column":  # loaded as [n, 0] before, then failed in training
+        csv.write_text("label\n" + "0\n1\n2\n3\n" * 24)
     else:
         rows = {"ragged row": "0,1.0,2.0\n1,3.0\n", "nan cell": "0,1.0,2.0\n1,nan,2.0\n",
                 "fractional label": "1.5,1.0,2.0\n"}[case]
@@ -143,6 +155,46 @@ def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
     assert err.startswith("config error: ") and expected in err
     assert "Traceback" not in err
     assert list((tmp_path / "results").iterdir()) == []  # nothing trained
+
+
+def test_run_reads_a_csv_once_for_all_seeds(tmp_path, monkeypatch):
+    csv = tmp_path / "data.csv"
+    write_csv_dataset(csv, gen_gaussian_clusters(4, 24, 5, 0.2, seed=3))
+    dataset = {"source": "csv", "path": csv}
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_csv_dataset(path)
+
+    monkeypatch.setattr(config, "read_csv_dataset", counted)
+    cfg = write_config(tmp_path, seeds="0 1 2", dataset=dataset)
+    assert main(["run", str(cfg)]) == 0
+    assert len(calls) == 1
+    for seed in ("0", "1", "2"):
+        single = write_config(tmp_path, out_name=f"single{seed}", seeds=seed,
+                              dataset=dataset, ini_name=f"single{seed}.ini")
+        assert main(["run", str(single)]) == 0
+        assert ((tmp_path / "results" / "E-FT" / seed / "a_matrix.csv").read_bytes()
+                == (tmp_path / f"single{seed}" / "E-FT" / seed / "a_matrix.csv").read_bytes())
+    assert len(calls) == 4
+
+
+def test_result_json_is_compact_and_indented_files_still_read(tmp_path):
+    cfg = write_config(tmp_path, seeds="0")
+    assert main(["run", str(cfg)]) == 0
+    run_dir = tmp_path / "results" / "E-FT" / "0"
+    record = (run_dir / "record.json").read_text()
+    book = (run_dir / "prototypes.json").read_text()
+    assert "\n" not in record and "\n" not in book
+    assert '"wall_time": ' in record  # default separators, as bench/measure.py expects
+    # result directories written with indent=1 by earlier versions
+    for name, text in (("record.json", record), ("prototypes.json", book)):
+        (run_dir / name).write_text(json.dumps(json.loads(text), indent=1))
+    rec = RunRecord.from_json((run_dir / "record.json").read_text())
+    assert rec.to_json() == record
+    assert PrototypeBook.from_json((run_dir / "prototypes.json").read_text()).to_json() == book
+    assert main(["plot", str(tmp_path / "results"), "--kind", "curves"]) == 0
 
 
 def test_run_missing_config(tmp_path, capsys):

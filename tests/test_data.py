@@ -2,7 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import allocated_bytes
 from driftlab.data import (
     DatasetFormatError,
     LabeledDataset,
@@ -197,3 +200,186 @@ def test_subset_keeps_global_labels():
     sub = ds.subset(ds.labels >= 2)
     assert set(sub.labels) == {2, 3}
     assert sub.features.shape[0] == 6
+
+
+def test_dataset_rejects_zero_feature_columns(tmp_path):
+    with pytest.raises(DatasetFormatError, match="no feature columns"):
+        LabeledDataset(np.zeros((4, 0)), np.arange(4))
+    p = tmp_path / "labels_only.csv"
+    p.write_text("label\n0\n0\n1\n1\n")
+    with pytest.raises(DatasetFormatError, match="labels_only.csv: no feature columns"):
+        read_csv_dataset(p)
+    img, lab = write_idx_pair(tmp_path, np.zeros((3, 0, 4)), np.zeros(3))
+    with pytest.raises(DatasetFormatError, match="imgs.idx: no feature columns"):
+        read_idx(img, lab)
+
+
+# ---- the streaming CSV reader against the per-cell loop it replaced
+
+
+def loop_read_csv(path) -> LabeledDataset:
+    """The per-line, per-cell reader the single np.loadtxt pass replaced,
+    kept as its oracle."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path}: not an ASCII text file") from None
+    if not lines or (len(lines) == 1 and not lines[0].strip()):
+        raise DatasetFormatError(f"{path}: empty file (line 1)")
+    header = lines[0].split(",")
+    if header[0] != "label":
+        raise DatasetFormatError(f"{path}: line 1: header must start with 'label'")
+    width = len(header)
+
+    feats = []
+    raw_labels = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: {len(cells)} cells, expected {width}"
+            )
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: non-numeric cell"
+            ) from None
+        if not values[0].is_integer():
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: label {cells[0]!r} is not an integer"
+            )
+        raw_labels.append(int(values[0]))
+        feats.append(values[1:])
+    if not feats:
+        raise DatasetFormatError(f"{path}: no data rows (line 2)")
+
+    remap: dict[int, int] = {}
+    for lab in raw_labels:
+        if lab not in remap:
+            remap[lab] = len(remap)
+    labels = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
+    original = tuple(sorted(remap, key=remap.get))
+    try:
+        return LabeledDataset(np.array(feats), labels, original_labels=original)
+    except DatasetFormatError as e:  # a NaN or inf cell
+        raise DatasetFormatError(f"{path}: {e}") from None
+
+
+def read_outcome(reader, path):
+    """Everything a reader hands back: the exact error text, or the feature
+    bytes, labels and original label ids with their types."""
+    try:
+        ds = reader(path)
+    except DatasetFormatError as e:
+        return str(e)
+    return (ds.features.shape, ds.features.dtype, ds.features.tobytes(),
+            ds.labels.dtype, ds.labels.tolist(),
+            ds.original_labels, [type(v) for v in ds.original_labels])
+
+
+PAD = st.sampled_from(["", "", "", " ", "\t", "\v", "\f", " \t "])
+LABELS = st.one_of(st.integers(-3, 3).map(str),
+                   st.sampled_from(["7", "7.0", "1e300", "-0.0", "+2", " 5 "]))
+FEATURES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(width=32, allow_nan=False, allow_infinity=False)
+                     .map(lambda v: f"{v:.17g}"),
+                     st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from([".5", "5.", "-0", "1e-400", "+1E3"]))
+# Faults a row may carry: (cell index, 0 for the label, or None for a
+# ragged row, replacement text). 0x1c-0x1f are whitespace to str.strip()
+# but not to float().
+FAULTS = st.sampled_from([
+    (0, "1.5"), (0, "nan"), (0, "inf"), (0, "-inf"), (0, "1e400"), (0, "x"), (0, ""),
+    (1, "nan"), (1, "-Infinity"), (1, "inf"), (1, ""), (1, "abc"), (1, "#"),
+    (1, "1#2"), (1, "#1"), (1, "1e"), (1, "--1"), (1, "1 2"), (1, "0x10"),
+    (1, "\x001"), (1, "\x1c1.0"), (1, "2\x1f"), (1, " \x1d3"), (None, ""),
+])
+BLANKS = st.sampled_from(["", " ", "\t", " \x1c\v ", "\f", "\x1f"])
+ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV dataset with blank and whitespace-only lines, mixed
+    line ends, padded cells and, now and then, rows with a fault, a bad
+    header or a non-ASCII byte. Never a '_' (see
+    test_csv_rejects_digit_separators)."""
+    width = draw(st.sampled_from([2, 1, 2, 3, 4]))
+    header = "label" + "".join(f",f{i}" for i in range(width - 1))
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from(["", "lab,f0", " label,f0", "label ,f0"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(BLANKS))
+            continue
+        cells = [draw(LABELS)] + [draw(FEATURES) for _ in range(width - 1)]
+        if draw(st.integers(0, 5)) == 0:
+            at, text = draw(FAULTS)
+            if at is None:
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+            else:
+                cells[min(at, len(cells) - 1)] = text
+        lines.append(",".join(draw(PAD) + c + draw(PAD) for c in cells))
+    text = "".join(line + draw(ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no trailing newline
+    data = text.encode("ascii")
+    if draw(st.integers(0, 11)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\xa9", b"\x80"])) + data[at:]
+    return data
+
+
+FUZZ = st.text("0123456789.,-+eE \t\n\r#nafiNIl\x1c\x00", max_size=60).map(
+    lambda body: b"label,f0\n" + body.encode("ascii"))
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(csv_files(), FUZZ))
+@example(b"label,f0\n0,1.0\nx,2.0\n3,1.0,2.0\n")  # two faults: the first wins
+@example(b"label,f0\n0,nan\n1.5,2.0\n")  # a later label fault beats a NaN feature
+@example(b"label,f0\r\n7.0,1\r\n\r\n \t\n3,2\r1e300,3")
+@example(b"label,f0\n0,1#2\n")
+@example(b"label,f0\n0, \x1c1.0\n")
+def test_streaming_reader_matches_per_cell_loop(tmp_path, data):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    assert read_outcome(read_csv_dataset, p) == read_outcome(loop_read_csv, p)
+
+
+def test_csv_reports_first_of_faults_far_apart(tmp_path):
+    ds = gen_gaussian_clusters(4, 1000, 3, 0.2, seed=2)
+    p = tmp_path / "long.csv"
+    write_csv_dataset(p, ds)
+    lines = p.read_text().split("\n")
+    lines[2500] = "1.5,0,0,0"  # line 2501: a label fault, seen after the bulk parse
+    lines[3900] = "1,0,zero,0"  # line 3901: a bulk parse fault
+    p.write_text("\n".join(lines))
+    with pytest.raises(DatasetFormatError, match="line 2501: label '1.5'"):
+        read_csv_dataset(p)
+    lines[1200] = "0,0,0"
+    p.write_text("\n".join(lines))
+    with pytest.raises(DatasetFormatError, match="line 1201: 3 cells, expected 4"):
+        read_csv_dataset(p)
+
+
+def test_csv_rejects_digit_separators(tmp_path):
+    # float("1_0") == 10.0, but a cell is a plain decimal
+    p = tmp_path / "underscore.csv"
+    p.write_text("label,f0\n0,1.0\n1,1_0\n")
+    with pytest.raises(DatasetFormatError, match="line 3: non-numeric cell"):
+        read_csv_dataset(p)
+
+
+def test_csv_read_allocates_little_beyond_its_features(tmp_path):
+    p = tmp_path / "big.csv"
+    write_csv_dataset(p, gen_gaussian_clusters(100, 60, 64, 0.35, seed=0))
+    out = []
+    peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
+    assert out[0].features.shape == (6000, 64)
+    assert peak <= 3 * out[0].features.nbytes  # the per-cell loop peaked near 8x
