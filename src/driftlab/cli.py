@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -28,11 +29,14 @@ from .harness import (
 from .svgplot import confusion_figure, curves_figure, embedding_figure
 
 
-def _safe_ak(record: RunRecord, k: int):
-    try:
-        return avg_incremental_accuracy(record, k)
-    except ValueError:
-        return None  # row never evaluated (single-phase methods)
+def _complete_aks(records, k: int) -> list[float]:
+    """A_k of each record whose row k is complete; a single-phase method
+    evaluates its last row only."""
+    out = []
+    for record in records:
+        with contextlib.suppress(ValueError):  # row k incomplete
+            out.append(avg_incremental_accuracy(record, k))
+    return out
 
 
 def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
@@ -42,8 +46,7 @@ def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
     for label in sorted(records):
         cells = [label.ljust(18)]
         for k in range(1, n_tasks + 1):
-            vals = [_safe_ak(r, k) for r in records[label].values()]
-            vals = [v for v in vals if v is not None]
+            vals = _complete_aks(records[label].values(), k)
             cells.append((f"{np.mean(vals):.4f}" if vals else "-").rjust(8))
         lines.append("".join(cells))
     return "\n".join(lines)
@@ -102,13 +105,14 @@ def cmd_run(args) -> int:
 
 
 def _find_records(root: Path):
-    """(label, seed, path) triples under a results root, or the root itself
-    when it holds a single run."""
+    """(label, seed, record) triples under a results root, or the root
+    itself when it holds a single run; each record.json is read once."""
     if (root / "record.json").exists():
         rec = RunRecord.from_json((root / "record.json").read_text())
-        return [(rec.method, str(rec.seed), root / "record.json")]
+        return [(rec.method, str(rec.seed), rec)]
     hits = sorted(root.glob("*/*/record.json"))
-    return [(p.parent.parent.name, p.parent.name, p) for p in hits]
+    return [(p.parent.parent.name, p.parent.name, RunRecord.from_json(p.read_text()))
+            for p in hits]
 
 
 def cmd_plot(args) -> int:
@@ -123,16 +127,14 @@ def cmd_plot(args) -> int:
 
     if args.kind == "curves":
         by_label: dict = {}
-        for label, seed, path in found:
-            by_label.setdefault(label, []).append(
-                RunRecord.from_json(path.read_text()))
+        for label, seed, record in found:
+            by_label.setdefault(label, []).append(record)
         series = []
         for label in sorted(by_label):
             recs = by_label[label]
             pts = []
             for k in range(1, max(r.n_tasks for r in recs) + 1):
-                vals = [_safe_ak(r, k) for r in recs]
-                vals = [v for v in vals if v is not None]
+                vals = _complete_aks(recs, k)
                 if vals:
                     pts.append((k, float(np.mean(vals))))
             if pts:
@@ -142,10 +144,9 @@ def cmd_plot(args) -> int:
         written.append(out)
 
     elif args.kind == "embedding":
-        for label, seed, path in found:
-            record = RunRecord.from_json(path.read_text())
+        for label, seed, record in found:
             if not record.embed2d:
-                print(f"{path}: no 2-d captures; embedding plots need "
+                print(f"{label} seed {seed}: no 2-d captures; embedding plots need "
                       "embedding_dim = 2", file=sys.stderr)
                 return 1
             checkpoints = sorted(record.embed2d)
@@ -159,8 +160,7 @@ def cmd_plot(args) -> int:
                 written.append(out)
 
     else:  # confusion
-        for label, seed, path in found:
-            record = RunRecord.from_json(path.read_text())
+        for label, seed, record in found:
             for k in sorted(record.confusions):
                 entry = record.confusions[k]
                 out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
@@ -174,24 +174,23 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _read_a_matrix(path: Path) -> dict:
-    acc: dict = {}
+def _read_a_matrix(path: Path) -> RunRecord:
+    """An a_matrix.csv as a record of its cells, each checked by ``set_acc``."""
     lines = path.read_text().strip().split("\n")
-    if not lines or lines[0] != "k,j,accuracy":
+    if lines[0] != "k,j,accuracy":
         raise ValueError(f"{path}: not an a_matrix.csv")
     if len(lines) == 1:
         raise ValueError(f"{path}: header only, no accuracy rows")
-    for line in lines[1:]:
-        k, j, v = line.split(",")
-        acc.setdefault(int(k), {})[int(j)] = float(v)
-    return acc
-
-
-def _csv_ak(acc: dict, k: int):
-    row = acc.get(k, {})
-    if any(j not in row for j in range(1, k + 1)):
-        return None
-    return sum(row[j] for j in range(1, k + 1)) / k
+    record = RunRecord(method=path.parent.parent.name, seed=path.parent.name,
+                       n_tasks=0, task_classes=[])
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            k, j, v = line.split(",")
+            record.set_acc(int(k), int(j), float(v))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {n} {line!r}: {e}") from None
+    record.n_tasks = max(record.accuracy)
+    return record
 
 
 def cmd_compare(args) -> int:
@@ -204,22 +203,21 @@ def cmd_compare(args) -> int:
             print(f"no a_matrix.csv under {root}", file=sys.stderr)
             return 1
         for path in hits:
-            label, seed = path.parent.parent.name, path.parent.name
-            if len(args.dirs) > 1:
-                label = f"{root.name}:{label}"
             try:
-                acc = _read_a_matrix(path)
+                record = _read_a_matrix(path)
             except ValueError as e:
                 print(e, file=sys.stderr)
                 return 1
-            top = max(acc)
+            label = record.method
+            if len(args.dirs) > 1:
+                label = f"{root.name}:{label}"
             if n_tasks is None:
-                n_tasks = top
-            elif top != n_tasks:
-                print(f"inconsistent task counts: {path} has {top}, "
+                n_tasks = record.n_tasks
+            elif record.n_tasks != n_tasks:
+                print(f"inconsistent task counts: {path} has {record.n_tasks}, "
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
-            rows.setdefault(label, {})[seed] = acc
+            rows.setdefault(label, []).append(record)
 
     ks = list(range(1, n_tasks + 1))
     out = ["| method | " + " | ".join(f"A_{k}" for k in ks) + " |",
@@ -227,8 +225,7 @@ def cmd_compare(args) -> int:
     for label in sorted(rows):
         cells = []
         for k in ks:
-            vals = [_csv_ak(acc, k) for acc in rows[label].values()]
-            vals = [v for v in vals if v is not None]
+            vals = _complete_aks(rows[label], k)
             if not vals:
                 cells.append("-")
             else:

@@ -71,11 +71,15 @@ def _parse_value(section, key, raw, kind):
         ) from None
 
 
-def _parse_int_list(section, key, raw):
+def _parse_int_list(section, key, raw, distinct=False):
     parts = raw.replace(",", " ").split()
     if not parts:
         raise ConfigError(f"[{section}] {key} must list at least one integer")
-    return [_parse_value(section, key, p, int) for p in parts]
+    values = [_parse_value(section, key, p, int) for p in parts]
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if distinct and repeated:  # two runs of one seed would share a directory
+        raise ConfigError(f"[{section}] {key} lists {repeated[0]} more than once")
+    return values
 
 
 _METHOD_TYPES = {
@@ -117,9 +121,10 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r} in [experiment]")
     if "seeds" not in exp:
         raise ConfigError("[experiment] needs a seeds list")
-    seeds = _parse_int_list("experiment", "seeds", exp["seeds"])
+    seeds = _parse_int_list("experiment", "seeds", exp["seeds"], distinct=True)
     if SEED_ENV in os.environ:
-        seeds = _parse_int_list("environment", SEED_ENV, os.environ[SEED_ENV])
+        seeds = _parse_int_list("environment", SEED_ENV, os.environ[SEED_ENV],
+                                distinct=True)
     output_dir = exp.get("output_dir", "results")
 
     ds = parser["dataset"]

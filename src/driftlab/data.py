@@ -215,12 +215,3 @@ def read_csv_dataset(path) -> LabeledDataset:
                               original_labels=original)
     except DatasetFormatError as e:  # a NaN or inf cell, or no feature column
         raise DatasetFormatError(f"{path}: {e}") from None
-
-
-def write_csv_dataset(path, dataset: LabeledDataset):
-    """Inverse of read_csv_dataset, full float precision."""
-    d = dataset.features.shape[1]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("label," + ",".join(f"f{i}" for i in range(d)) + "\n")
-        for lab, row in zip(dataset.labels, dataset.features):
-            fh.write(f"{int(lab)}," + ",".join(f"{v:.17g}" for v in row) + "\n")

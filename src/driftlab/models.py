@@ -3,9 +3,11 @@ classifier sharing the same trunk, plus task-boundary snapshots and one
 tape-free inference path.
 
 Both nets use the stack input -> hidden ReLU layers -> linear projection.
-The embedding net L2-normalizes the projection; the softmax net feeds it
-to per-task heads. Sharing the trunk keeps capacity identical across the
-two training regimes.
+The taped forward (``_run_stack``, one ``dense`` node per layer) and the
+tape-free one (``layers_np``) compute each layer with one function,
+``tensor.dense_values``. The embedding net L2-normalizes the projection;
+the softmax net feeds it to per-task heads. Sharing the trunk keeps
+capacity identical across the two training regimes.
 
 A snapshot is a tuple of read-only copies of an embedding net's parameter
 arrays: SDC re-embeds the current task's data with it, and the
@@ -35,15 +37,12 @@ def _init_stack(rng, dims: tuple[int, ...]) -> list[Tensor]:
 
 
 def _run_stack(params, x) -> Tensor:
-    """Affine/ReLU chain; the last affine stays linear. ``params`` may be
-    tensors or plain arrays; inference runs ``layers_np`` instead."""
-    n_layers = len(params) // 2
-    h = x
-    for i in range(n_layers):
-        h = T.add(T.matmul(h, params[2 * i]), params[2 * i + 1])
-        if i < n_layers - 1:
-            h = T.relu(h)
-    return h
+    """Affine/ReLU chain, one ``dense`` tape node per layer; the last layer
+    stays linear. Inference runs ``layers_np``, over the same layer
+    function, instead."""
+    for i in range(0, len(params), 2):
+        x = T.dense(x, params[i], params[i + 1], relu=i + 2 < len(params))
+    return x
 
 
 def _check_batch(x, input_dim: int) -> Tensor:
@@ -55,18 +54,12 @@ def _check_batch(x, input_dim: int) -> Tensor:
 
 def layers_np(params, x: np.ndarray):
     """Yield each layer's output of the affine/ReLU chain over plain
-    parameter arrays; the last stays linear.
-
-    Each layer is ``h = x @ W; h += b`` with the ReLU applied in place,
-    the same bits as ``_run_stack`` with one array per layer and no tape.
-    """
-    h = x
+    parameter arrays; the last stays linear. Each layer is
+    ``tensor.dense_values``, the function ``_run_stack``'s tape nodes
+    compute, with no tape."""
     for i in range(0, len(params), 2):
-        h = h @ params[i]
-        h += params[i + 1]
-        if i + 2 < len(params):
-            T.relu_values(h, out=h)
-        yield h
+        x = T.dense_values(x, params[i], params[i + 1], relu=i + 2 < len(params))
+        yield x
 
 
 def infer(params, x, normalize: bool = False, batch: int = 512) -> np.ndarray:
@@ -101,8 +94,7 @@ class EmbeddingNet:
 
     def embed_np(self, x, batch: int = 512) -> np.ndarray:
         """Inference helper: plain array out, no graph kept."""
-        x = _check_batch(x, self.input_dim).data
-        return infer([p.data for p in self.params], x, normalize=True, batch=batch)
+        return embed_snapshot([p.data for p in self.params], x, batch)
 
 
 class GrowingSoftmaxNet:
@@ -145,7 +137,7 @@ class GrowingSoftmaxNet:
 
     def head_logits(self, x, head: int) -> Tensor:
         w, b, _ = self.heads[head]
-        return T.add(T.matmul(self.penultimate_features(x), w), b)
+        return T.dense(self.penultimate_features(x), w, b, relu=False)
 
     def predict_multihead(self, x) -> np.ndarray:
         """Global argmax over the concatenation of per-head softmax rows."""
@@ -155,7 +147,8 @@ class GrowingSoftmaxNet:
         probs = []
         all_ids = []
         for w, b, ids in self.heads:
-            probs.append(T.softmax(feats @ w.data + b.data, axis=1))
+            probs.append(T.softmax(T.dense_values(feats, w.data, b.data, relu=False),
+                                   axis=1))
             all_ids.extend(ids)
         stacked = np.concatenate(probs, axis=1)
         return np.asarray(all_ids)[stacked.argmax(axis=1)]
@@ -171,7 +164,7 @@ def snapshot(model) -> tuple[np.ndarray, ...]:
     return frozen
 
 
-def embed_snapshot(params, x) -> np.ndarray:
+def embed_snapshot(params, x, batch: int = 512) -> np.ndarray:
     """Unit-norm embeddings of ``x`` under snapshot ``params``."""
     x = _check_batch(x, params[0].shape[0]).data
-    return infer(params, x, normalize=True)
+    return infer(params, x, normalize=True, batch=batch)

@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-The engine is deliberately small: dense arrays, a handful of ops (affine,
-ReLU, row gather, fused softmax cross-entropy, L2 normalization,
-elementwise arithmetic, reductions), and a tape built dynamically as ops
-execute. An op none of whose operands requires grad records nothing, so
-inference over plain arrays builds no tape. Gradients accumulate into
-leaf tensors until explicitly zeroed, so a composite loss may be driven
-either by one backward pass over a summed loss or by several passes.
+The engine is deliberately small: dense arrays, a handful of ops (matmul,
+ReLU, a fused dense layer, row gather, fused softmax cross-entropy, L2
+normalization, elementwise arithmetic, reductions), and a tape built
+dynamically as ops execute. An op none of whose operands requires grad
+records nothing, so inference over plain arrays builds no tape. Gradients
+accumulate into leaf tensors until explicitly zeroed, so a composite loss
+may be driven either by one backward pass over a summed loss or by
+several passes.
 """
 
 from __future__ import annotations
@@ -96,26 +97,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(astensor(other), self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(astensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(astensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -238,25 +227,50 @@ def matmul(a, b) -> Tensor:
 
 
 def relu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ReLU of a plain array, bit for bit ``np.where(x > 0, x, 0.0)``
-    (see ``relu``). ``out`` may be ``x`` itself."""
+    """ReLU of a plain array; ``out`` may be ``x`` itself.
+
+    It equals ``np.where(x > 0, x, 0.0)`` bit for bit, without its
+    data-dependent branch, which costs as much as the GEMM before it on a
+    random sign pattern. It is ``fmax(x, 0.0) + 0.0``: ``fmax`` maps NaN
+    to 0 where ``np.maximum`` keeps NaN, and either may return -0.0 for
+    -0.0, which adding 0.0 turns into +0.0. Every other value, inf and
+    subnormals included, passes unchanged.
+    """
     out = np.fmax(x, 0.0, out=out)
     out += 0.0
     return out
 
 
 def relu(a) -> Tensor:
-    """Elementwise max(a, 0); the gradient passes where a > 0.
-
-    The forward equals ``np.where(a > 0, a, 0.0)`` bit for bit, without
-    its data-dependent branch, which costs as much as the GEMM before it
-    on a random sign pattern. It is ``fmax(a, 0.0) + 0.0``: ``fmax``
-    maps NaN to 0 where ``np.maximum`` keeps NaN, and either may return
-    -0.0 for -0.0, which adding 0.0 turns into +0.0. Every other value,
-    inf and subnormals included, passes unchanged.
-    """
+    """Elementwise max(a, 0) by ``relu_values``; the gradient passes where a > 0."""
     a = astensor(a)
     return _make(relu_values(a.data), (a,), lambda g: (g * (a.data > 0),))
+
+
+def dense_values(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ w + b`` over plain arrays, through ``relu_values`` in place when
+    ``relu`` is set: the one layer formula of ``dense`` and ``models.layers_np``."""
+    h = x @ w
+    h += b
+    return relu_values(h, out=h) if relu else h
+
+
+def dense(x, w, b, relu: bool) -> Tensor:
+    """``relu(add(matmul(x, w), b))``, or its affine part alone, as one tape
+    node. The ReLU passes exactly the positive values, so its mask is read
+    off the output; like ``matmul``, the backward skips the input gradient
+    of an ``x`` that needs none."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(f"dense layer {w.data.shape} + {b.data.shape} on {x.data.shape}")
+    h = dense_values(x.data, w.data, b.data, relu)
+
+    def back(g):
+        g = g * (h > 0) if relu else g
+        return (g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0))
+
+    return _make(h, (x, w, b), back)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:

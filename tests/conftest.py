@@ -1,4 +1,4 @@
-"""Shared numerical oracles for the test suite.
+"""Shared numerical oracles and helpers for the test suite.
 
 The gradient checker below is the ground truth every backward rule is
 measured against: symmetric finite differences on the raw numpy arrays,
@@ -71,6 +71,16 @@ def check_grads(build, arrays, h: float = 1e-5, tol: float = 1e-4) -> float:
         worst = max(worst, max_rel_err(leaves[k].grad, num))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def write_csv_dataset(path, dataset) -> None:
+    """Inverse of ``driftlab.data.read_csv_dataset``: ``%.17g`` floats read
+    back bit for bit."""
+    d = dataset.features.shape[1]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("label," + ",".join(f"f{i}" for i in range(d)) + "\n")
+        for lab, row in zip(dataset.labels, dataset.features):
+            fh.write(f"{int(lab)}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def allocated_bytes(fn) -> int:

@@ -5,9 +5,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import write_csv_dataset
 from driftlab import config
 from driftlab.cli import main
-from driftlab.data import gen_gaussian_clusters, read_csv_dataset, write_csv_dataset
+from driftlab.data import gen_gaussian_clusters, read_csv_dataset
 from driftlab.harness import RunRecord, avg_incremental_accuracy
 from driftlab.prototypes import PrototypeBook
 
@@ -302,6 +303,20 @@ def test_compare_header_only_csv(tmp_path, capsys):
     (run / "a_matrix.csv").write_text("k,j,accuracy\n")
     assert main(["compare", str(tmp_path / "results")]) == 1
     assert "no accuracy rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, cell", [
+    ("1,1,nan", "accuracy nan outside [0, 1]"),
+    ("1,1,1.5", "accuracy 1.5 outside [0, 1]"),
+    ("1,2,0.3", "a[1][2] above the diagonal"),
+])
+def test_compare_rejects_bad_cell(tmp_path, capsys, row, cell):
+    path = tmp_path / "results" / "E-FT" / "0" / "a_matrix.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(f"k,j,accuracy\n{row}\n2,1,0.8\n2,2,0.7\n")
+    assert main(["compare", str(tmp_path / "results")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"line 2 '{row}'" in err and cell in err
 
 
 def test_compare_inconsistent_tasks(results_dir, tmp_path, capsys):

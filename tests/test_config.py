@@ -3,6 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import write_csv_dataset
 from driftlab.cli import main
 from driftlab.config import (
     SEED_ENV,
@@ -10,7 +11,7 @@ from driftlab.config import (
     build_sequences,
     load_config,
 )
-from driftlab.data import write_csv_dataset, gen_gaussian_clusters
+from driftlab.data import gen_gaussian_clusters
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -57,6 +58,21 @@ def test_seed_override_env(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "7 8")
     cfg = load_config(write_ini(tmp_path, BASE))
     assert cfg.seeds == [7, 8]
+
+
+def test_duplicate_seeds_rejected(tmp_path, monkeypatch, capsys):
+    ini = write_ini(tmp_path, BASE.replace("seeds = 0 1 2", "seeds = 0 1 0"))
+    with pytest.raises(ConfigError, match=r"\[experiment\] seeds lists 0 more than once"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert "config error:" in capsys.readouterr().err
+    monkeypatch.setenv(SEED_ENV, "7 8 8")
+    ini = write_ini(tmp_path, BASE)
+    with pytest.raises(ConfigError, match=f"{SEED_ENV} lists 8 more than once"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "lists 8 more than once" in err
 
 
 def test_label_different_from_method(tmp_path):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import allocated_bytes
+from conftest import allocated_bytes, write_csv_dataset
 from driftlab.data import (
     DatasetFormatError,
     LabeledDataset,
     gen_gaussian_clusters,
     read_csv_dataset,
     read_idx,
-    write_csv_dataset,
 )
 
 

@@ -202,6 +202,24 @@ def test_lwf_and_collect_drift_build_no_net(rng, nets_built):
     assert nets_built == []
 
 
+def test_eft_step_tapes_one_node_per_layer(rng):
+    m = EmbeddingNet(64, 64, hidden=(256, 256), seed=0)
+    opt = Adam(m.params, lr=1e-3)
+    ds = gen_gaussian_clusters(4, 8, 64, 0.3, seed=0)
+    z = m.embed(ds.features)
+    loss = losses.triplet_loss(z, losses.mine_triplets(ds.labels, z, "semihard",
+                                                       rng=rng))
+    ops = [n for n in T._toposort(loss) if n._parents]
+    # three dense layers, then l2_normalize and triplet_loss
+    assert len(ops) == 5 and ops[-2:] == [z, loss]
+    params = [id(p) for p in m.params]
+    for i, node in enumerate(ops[:3]):
+        assert [id(p) for p in node._parents[1:]] == params[2 * i : 2 * i + 2]
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+
+
 def test_trained_embedding_separates_synthetic_classes(rng):
     """After triplet-free supervised pull (simple pull-to-center loss),
     intra-class distances shrink below inter-class ones."""

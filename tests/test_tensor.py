@@ -234,6 +234,54 @@ def test_grad_matmul_add_bias(rng):
     )
 
 
+@pytest.mark.parametrize("relu", [True, False])
+def test_grad_dense(rng, relu):
+    x = rng.normal(size=(6, 4))
+    w, c = rng.normal(size=(4, 5)), rng.normal(size=(6, 5))
+    b = -(x @ w).mean(axis=0)  # rows on both sides of the ReLU kink
+    assert np.abs(x @ w + b).min() > 1e-3
+    # every leaf, x included, requires grad
+    check_grads(lambda ts: (T.dense(ts[0], ts[1], ts[2], relu) * Tensor(c)).sum(),
+                [x, w, b])
+    # a constant input, as in a first layer
+    check_grads(lambda ts: (T.dense(Tensor(x), ts[0], ts[1], relu) * Tensor(c)).sum(),
+                [w, b])
+
+
+def _with_edges(rng, *shape):
+    """Normal draws with about a fifth of the cells set to 0.0, -0.0 or NaN."""
+    a = rng.normal(size=shape)
+    hit = rng.random(shape) < 0.2
+    a[hit] = rng.choice(np.array([0.0, -0.0, np.nan]), size=int(hit.sum()))
+    return a
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_dense_bytes_equal_unfused_ops(seed, relu):
+    rng = np.random.default_rng(seed)
+    x, w, b = _with_edges(rng, 6, 3), _with_edges(rng, 3, 4), _with_edges(rng, 4)
+    x[0] = rng.choice(np.array([0.0, -0.0]), size=3)  # on the kink where b is 0
+    c = _with_edges(rng, 6, 4)
+    runs = []
+    for fused in (True, False):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        if fused:
+            out = T.dense(*leaves, relu)
+        else:
+            out = T.add(T.matmul(leaves[0], leaves[1]), leaves[2])
+            out = T.relu(out) if relu else out
+        T.tsum(T.mul(out, Tensor(c))).backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
+
+
+def test_dense_shape_mismatch():
+    with pytest.raises(ShapeError):
+        T.dense(np.ones((2, 3)), np.ones((3, 4)), np.ones(3), relu=True)
+    with pytest.raises(ShapeError):
+        T.dense(np.ones((2, 3)), np.ones((2, 4)), np.ones(4), relu=False)
+
+
 def test_grad_mul_and_scalar(rng):
     check_grads(
         lambda ts: (ts[0] * ts[1]).sum(),
