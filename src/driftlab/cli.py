@@ -53,33 +53,24 @@ def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
+    try:  # a dataset file's OSError surfaces as a ConfigError
         cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    out_root = Path(cfg.output_dir)
-    try:
+        out_root = Path(cfg.output_dir)
         out_root.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        print(f"config error: cannot create output_dir: {e}", file=sys.stderr)
-        return 2
-
-    try:
         sequences = build_sequences(cfg.dataset, cfg.seeds)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"config error: cannot create output_dir: {e}", file=sys.stderr)
         return 2
 
     records: dict = {}
     failed = 0
     for label, kwargs in cfg.methods:
         for seed in cfg.seeds:
-            seq, pretrain = sequences[seed]
             try:
-                record = run_sequence(MethodConfig(seed=seed, **kwargs), seq,
-                                      pretrain_data=pretrain)
+                record = run_sequence(MethodConfig(seed=seed, **kwargs), sequences[seed])
             except Exception as e:  # isolate per (method, seed)
                 failed += 1
                 print(f"[fail] {label} seed {seed}: {e}", file=sys.stderr)
@@ -104,20 +95,30 @@ def cmd_run(args) -> int:
     return 1 if failed else 0
 
 
+def _read_record(path: Path) -> RunRecord:
+    try:
+        return RunRecord.from_json(path.read_text())
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _find_records(root: Path):
     """(label, seed, record) triples under a results root, or the root
     itself when it holds a single run; each record.json is read once."""
     if (root / "record.json").exists():
-        rec = RunRecord.from_json((root / "record.json").read_text())
+        rec = _read_record(root / "record.json")
         return [(rec.method, str(rec.seed), rec)]
     hits = sorted(root.glob("*/*/record.json"))
-    return [(p.parent.parent.name, p.parent.name, RunRecord.from_json(p.read_text()))
-            for p in hits]
+    return [(p.parent.parent.name, p.parent.name, _read_record(p)) for p in hits]
 
 
 def cmd_plot(args) -> int:
     root = Path(args.dir)
-    found = _find_records(root)
+    try:
+        found = _find_records(root)
+    except ValueError as e:
+        print(e, file=sys.stderr)
+        return 1
     if not found:
         print(f"no record.json under {root}", file=sys.stderr)
         return 1
@@ -174,25 +175,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _read_a_matrix(path: Path) -> RunRecord:
-    """An a_matrix.csv as a record of its cells, each checked by ``set_acc``."""
-    lines = path.read_text().strip().split("\n")
-    if lines[0] != "k,j,accuracy":
-        raise ValueError(f"{path}: not an a_matrix.csv")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: header only, no accuracy rows")
-    record = RunRecord(method=path.parent.parent.name, seed=path.parent.name,
-                       n_tasks=0, task_classes=[])
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            k, j, v = line.split(",")
-            record.set_acc(int(k), int(j), float(v))
-        except ValueError as e:
-            raise ValueError(f"{path}: line {n} {line!r}: {e}") from None
-    record.n_tasks = max(record.accuracy)
-    return record
-
-
 def cmd_compare(args) -> int:
     rows: dict = {}
     n_tasks = None
@@ -204,9 +186,10 @@ def cmd_compare(args) -> int:
             return 1
         for path in hits:
             try:
-                record = _read_a_matrix(path)
+                record = RunRecord.from_a_matrix_csv(
+                    path.read_text(), path.parent.parent.name, path.parent.name)
             except ValueError as e:
-                print(e, file=sys.stderr)
+                print(f"{path}: {e}", file=sys.stderr)
                 return 1
             label = record.method
             if len(args.dirs) > 1:

@@ -176,6 +176,9 @@ def load_config(path: str) -> ExperimentConfig:
                 kwargs[key] = _parse_value(name, key, parser[name][key],
                                            _METHOD_TYPES[key])
         kwargs.setdefault("method", label)
+        if kwargs["method"] == "E-Pre-substitute" and dataset.get("pretrain_classes", 0) < 1:
+            raise ConfigError(f"[{name}] E-Pre-substitute needs [dataset] "
+                              "pretrain_classes of at least 1")
         try:  # surface bad method names/values as config errors, not at run time
             MethodConfig(**kwargs)
         except ValueError as e:
@@ -222,8 +225,8 @@ def _load_source(dataset: dict, seed: int) -> tuple:
 
 
 def build_sequences(dataset: dict, seeds) -> dict:
-    """Realize a dataset section into {seed: (TaskSequence, pretrain data or
-    None)}, one entry per seed.
+    """Realize a dataset section into {seed: TaskSequence}, one entry per
+    seed; a sequence carries its held-out pretraining data, if any.
 
     A seeded source is drawn once per seed; a file-backed or bundled one is
     loaded once and split per seed. ``pretrain_classes`` reserves the
@@ -244,8 +247,8 @@ def build_sequences(dataset: dict, seeds) -> dict:
     return sequences
 
 
-def _split(dataset: dict, train, test, seed: int) -> tuple:
-    """(TaskSequence, pretrain data or None) for one seed."""
+def _split(dataset: dict, train, test, seed: int) -> TaskSequence:
+    """The TaskSequence for one seed."""
     pretrain = None
     n_pre = dataset.get("pretrain_classes", 0)
     if n_pre:
@@ -267,4 +270,5 @@ def _split(dataset: dict, train, test, seed: int) -> tuple:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return seq, pretrain
+    seq.pretrain = pretrain
+    return seq

@@ -44,6 +44,7 @@ METHODS = EMBEDDING_METHODS + SOFTMAX_METHODS
 
 GAMMA_DEFAULTS = {"E-LwF": 1.0, "E-EWC": 1e7, "E-MAS": 1e6}
 FISHER_VARIANTS = ("triplet", "squared_norm")
+A_MATRIX_HEADER = "k,j,accuracy"
 
 
 class TrainingError(RuntimeError):
@@ -61,6 +62,7 @@ class Task:
 @dataclass
 class TaskSequence:
     tasks: list[Task]
+    pretrain: LabeledDataset | None = None  # held-out classes for E-Pre-substitute
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -210,16 +212,38 @@ class RunRecord:
     def set_acc(self, k: int, j: int, value: float):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"accuracy {value} outside [0, 1]")
+        if j < 1 or k < 1:
+            raise ValueError(f"a[{k}][{j}]: task indices start at 1")
         if j > k:
             raise ValueError(f"a[{k}][{j}] above the diagonal")
         self.accuracy.setdefault(k, {})[j] = float(value)
 
     def a_matrix_csv(self) -> str:
-        lines = ["k,j,accuracy"]
+        lines = [A_MATRIX_HEADER]
         for k in sorted(self.accuracy):
             for j in sorted(self.accuracy[k]):
                 lines.append(f"{k},{j},{self.accuracy[k][j]!r}")
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_a_matrix_csv(cls, text: str, method: str, seed) -> "RunRecord":
+        """An ``a_matrix_csv`` text; each cell once, checked by ``set_acc``."""
+        lines = text.strip().split("\n")
+        if lines[0] != A_MATRIX_HEADER:
+            raise ValueError("not an a_matrix.csv")
+        if len(lines) == 1:
+            raise ValueError("header only, no accuracy rows")
+        record = cls(method=method, seed=seed, n_tasks=0, task_classes=[])
+        for n, line in enumerate(lines[1:], start=2):
+            try:
+                k, j, v = line.split(",")
+                if int(j) in record.accuracy.get(int(k), {}):
+                    raise ValueError(f"a[{k}][{j}] given twice")
+                record.set_acc(int(k), int(j), float(v))
+            except ValueError as e:
+                raise ValueError(f"line {n} {line!r}: {e}") from None
+        record.n_tasks = max(record.accuracy)
+        return record
 
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -229,6 +253,9 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         raw = json.loads(text)
+        for name in ("method", "seed", "n_tasks", "task_classes", "accuracy"):
+            if not isinstance(raw, dict) or name not in raw:
+                raise ValueError(f"missing field {name!r}")
         rec = cls(
             method=raw["method"], seed=raw["seed"], n_tasks=raw["n_tasks"],
             task_classes=[tuple(c) for c in raw["task_classes"]],
@@ -362,51 +389,47 @@ def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConf
 
 def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
                     record: RunRecord, k: int, embed):
-    """Evaluation over all seen classes at checkpoint k: fills row k and the
-    confusion. It classifies by NCM over ``book`` on ``embed``'s features
-    and records prototype-to-true-mean distances, or, when ``embed`` is
-    None, by the model's heads."""
-    seen_classes = sorted(c for t in tasks_seen for c in t.classes)
-    counts = np.zeros((len(seen_classes), len(seen_classes)), dtype=int)
-    dists = {}
-    for task in tasks_seen:
-        x, y = task.test.features, task.test.labels
-        if embed is None:
-            pred = model.predict_multihead(x)
-        else:
-            z = embed(x)
-            pred = ncm_classify(z, book)
-            for c in task.classes:
-                true_mean = z[y == c].mean(axis=0)
-                dists[int(c)] = float(np.linalg.norm(book.entries[c].vector - true_mean))
-        record.set_acc(k, task.index, float(np.mean(pred == y)))
-        np.add.at(counts, (np.searchsorted(seen_classes, y),
-                           np.searchsorted(seen_classes, pred)), 1)
-    record.confusions[k] = {"classes": seen_classes, "counts": counts.tolist()}
-    if embed is not None:
-        record.proto_distance[k] = dists
+    """One pass over all seen test rows at checkpoint k: fills row k and the
+    confusion by NCM over ``book`` on ``embed``'s features, with
+    prototype-to-true-mean distances, or by the heads when ``embed`` is
+    None. Returns the features and the means of the classes present."""
+    x = np.concatenate([t.test.features for t in tasks_seen])
+    y = np.concatenate([t.test.labels for t in tasks_seen])
+    z, means = None, {}
+    if embed is None:
+        pred = model.predict_multihead(x)
+    else:
+        z = embed(x)
+        pred = ncm_classify(z, book)
+        means = compute_prototypes(z, y)
+        record.proto_distance[k] = {
+            c: float(np.linalg.norm(book.entries[c].vector - m)) for c, m in means.items()}
+    ends = np.cumsum([len(t.test.labels) for t in tasks_seen])
+    for task, hit in zip(tasks_seen, np.split(pred == y, ends[:-1])):
+        record.set_acc(k, task.index, float(np.mean(hit)))
+    seen = np.array(sorted(c for t in tasks_seen for c in t.classes))
+    n = len(seen)
+    cells = np.searchsorted(seen, y) * n + np.searchsorted(seen, pred)
+    counts = np.bincount(cells, minlength=n * n).reshape(n, n)
+    record.confusions[k] = {"classes": seen.tolist(), "counts": counts.tolist()}
+    return z, means
 
 
-def _capture_2d(model, book, sequence, record, k):
-    """Keep task-1 test embeddings and prototype state for the figure."""
+def _capture_2d(model, book, task1: Task, record, k, z, means):
+    """Keep task-1 test embeddings (``z``'s leading rows) and prototype state."""
     if model.kind != "embedding" or model.embedding_dim != 2:
         return
-    t1 = sequence.tasks[0]
-    z = model.embed_np(t1.test.features)
     record.embed2d[k] = {
-        "points": z.tolist(),
-        "labels": t1.test.labels.tolist(),
+        "points": z[: len(task1.test.labels)].tolist(),
+        "labels": task1.test.labels.tolist(),
         "prototypes": {c: book.entries[c].vector.tolist() for c in book.class_ids()},
         "compensation": {c: book.entries[c].compensation.tolist()
                          for c in book.class_ids()},
-        "true_means": {
-            int(c): z[t1.test.labels == c].mean(axis=0).tolist() for c in t1.classes
-        },
+        "true_means": {c: means[c].tolist() for c in task1.classes if c in means},
     }
 
 
-def _pretrain_data(config: MethodConfig, sequence: TaskSequence,
-                   pretrain_data: LabeledDataset | None) -> LabeledDataset | None:
+def _pretrain_data(config: MethodConfig, sequence: TaskSequence) -> LabeledDataset | None:
     """Data for the stage before task 1: the union of all tasks for Joint,
     the held-out classes for E-Pre-substitute, none otherwise."""
     if config.method == "Joint":
@@ -414,18 +437,13 @@ def _pretrain_data(config: MethodConfig, sequence: TaskSequence,
             np.concatenate([t.train.features for t in sequence.tasks]),
             np.concatenate([t.train.labels for t in sequence.tasks]),
         )
-    if config.method != "E-Pre-substitute":
-        return None
-    if pretrain_data is None:
-        raise TrainingError(
-            "E-Pre-substitute needs held-out pretraining data "
-            "(dataset option pretrain_classes)"
-        )
-    return pretrain_data
+    if config.method == "E-Pre-substitute" and sequence.pretrain is None:
+        raise TrainingError("E-Pre-substitute needs held-out pretraining data "
+                            "(dataset option pretrain_classes)")
+    return sequence.pretrain if config.method == "E-Pre-substitute" else None
 
 
-def run_sequence(config: MethodConfig, sequence: TaskSequence,
-                 pretrain_data: LabeledDataset | None = None) -> RunRecord:
+def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     """Drive one method over the whole task sequence; returns the filled
     RunRecord (with the final PrototypeBook attached as ``record.book``).
 
@@ -451,7 +469,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
         model = EmbeddingNet(sequence.input_dim, config.embedding_dim,
                              config.hidden, seed=config.seed)
         embed = model.embed_np
-    pretrain = _pretrain_data(config, sequence, pretrain_data)
+    pretrain = _pretrain_data(config, sequence)
     if pretrain is not None:
         train_task(model, pretrain, config, rng)
 
@@ -494,8 +512,8 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence,
         if config.method == "Joint" and t < len(sequence):
             continue
         record.param_digest[t] = _digest(model)
-        _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
-        _capture_2d(model, book, sequence, record, t)
+        z, means = _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
+        _capture_2d(model, book, sequence.tasks[0], record, t, z, means)
 
     record.book = book
     record.wall_time = time.perf_counter() - start

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import EmbeddingNet, embed_snapshot, layers_np
+from .models import EmbeddingNet, infer, layers_np
 from .tensor import ShapeError, Tensor
 
 log = logging.getLogger(__name__)
@@ -152,7 +152,7 @@ def lwf_align_loss(model: EmbeddingNet, snap: tuple, batch) -> Tensor:
     The snapshot side is a constant; gradient flows through the current
     model only.
     """
-    d = T.sub(model.embed(batch), Tensor(embed_snapshot(snap, batch)))
+    d = T.sub(model.embed(batch), Tensor(infer(snap, batch, normalize=True)))
     return T.sqrt((d * d).sum())
 
 

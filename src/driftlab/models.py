@@ -4,14 +4,14 @@ tape-free inference path.
 
 Both nets use the stack input -> hidden ReLU layers -> linear projection.
 The taped forward (``_run_stack``, one ``dense`` node per layer) and the
-tape-free one (``layers_np``) compute each layer with one function,
+tape-free one (``infer``) compute each layer with one function,
 ``tensor.dense_values``. The embedding net L2-normalizes the projection;
 the softmax net feeds it to per-task heads. Sharing the trunk keeps
 capacity identical across the two training regimes.
 
 A snapshot is a tuple of read-only copies of an embedding net's parameter
-arrays: SDC re-embeds the current task's data with it, and the
-regularizers anchor their penalties to it.
+arrays: SDC re-embeds the current task's data with it through ``infer``,
+and the regularizers anchor their penalties to it.
 """
 
 from __future__ import annotations
@@ -62,12 +62,18 @@ def layers_np(params, x: np.ndarray):
         yield x
 
 
-def infer(params, x, normalize: bool = False, batch: int = 512) -> np.ndarray:
-    """Stack output for ``x`` over plain parameter arrays, ``batch`` rows at
-    a time; ``normalize`` puts each row on the unit sphere."""
+# Rows per ``infer`` chunk: bounds the [rows, width] activations it holds.
+INFER_ROWS = 512
+
+
+def infer(params, x, normalize: bool = False) -> np.ndarray:
+    """Stack output for ``x`` over plain parameter arrays (a model's or a
+    snapshot's), ``INFER_ROWS`` rows at a time, with no tape; ``normalize``
+    puts each row on the unit sphere. The only tape-free forward."""
+    x = _check_batch(x, params[0].shape[0]).data
     outs = []
-    for i in range(0, len(x), batch):
-        for h in layers_np(params, x[i : i + batch]):
+    for i in range(0, len(x), INFER_ROWS):
+        for h in layers_np(params, x[i : i + INFER_ROWS]):
             pass  # only the last layer's output is kept
         outs.append(T.l2_normalize(h, axis=1).data if normalize else h)
     return np.concatenate(outs) if outs else np.zeros((0, len(params[-1])))
@@ -92,9 +98,9 @@ class EmbeddingNet:
     def embed(self, x) -> Tensor:
         return T.l2_normalize(self.forward_raw(x), axis=1)
 
-    def embed_np(self, x, batch: int = 512) -> np.ndarray:
+    def embed_np(self, x) -> np.ndarray:
         """Inference helper: plain array out, no graph kept."""
-        return embed_snapshot([p.data for p in self.params], x, batch)
+        return infer([p.data for p in self.params], x, normalize=True)
 
 
 class GrowingSoftmaxNet:
@@ -132,7 +138,6 @@ class GrowingSoftmaxNet:
 
     def features_np(self, x) -> np.ndarray:
         """Trunk features as a plain array, no graph kept."""
-        x = _check_batch(x, self.input_dim).data
         return infer([p.data for p in self.trunk], x)
 
     def head_logits(self, x, head: int) -> Tensor:
@@ -162,9 +167,3 @@ def snapshot(model) -> tuple[np.ndarray, ...]:
     for a in frozen:
         a.setflags(write=False)
     return frozen
-
-
-def embed_snapshot(params, x, batch: int = 512) -> np.ndarray:
-    """Unit-norm embeddings of ``x`` under snapshot ``params``."""
-    x = _check_batch(x, params[0].shape[0]).data
-    return infer(params, x, normalize=True, batch=batch)

@@ -15,21 +15,15 @@ import numpy as np
 
 from .tensor import StateError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction and the textbook BETA1, BETA2 and EPS."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -45,22 +39,22 @@ class Adam:
 
     def step(self):
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise StateError(f"parameter {i} has no gradient; call backward first")
             g, m, v = p.grad, self.m[i], self.v[i]
             num, den = self._scratch[i]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=num)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=num)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=num)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=num)
             v += np.multiply(num, g, out=num)
             np.divide(m, c1, out=num)
             num *= self.lr  # lr * (m / c1)
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             num /= den
             p.data -= num

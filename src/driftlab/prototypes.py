@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import embed_snapshot
+from .models import infer
 from .tensor import ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -208,7 +208,7 @@ def collect_drift(snapshot: tuple, current_model, task_data, after) -> DriftFiel
     new = [p.data.shape for p in current_model.params]
     if old != new:
         raise StateError(f"model mismatch: parameter shapes {old} vs {new}")
-    before = embed_snapshot(snapshot, task_data.features)
+    before = infer(snapshot, task_data.features, normalize=True)
     return DriftField(before, after - before)
 
 

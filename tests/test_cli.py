@@ -337,3 +337,44 @@ def test_compare_multiple_dirs_prefixed(results_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| other:E-FT |" in out
     assert "| results:E-FT |" in out
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("0,0,0.5", "line 2 '0,0,0.5'", "a[0][0]: task indices start at 1"),
+    ("1,1,0.9\n2,-1,0.4\n2,1,0.8\n2,2,0.7", "line 3 '2,-1,0.4'",
+     "a[2][-1]: task indices start at 1"),
+    ("1,1,0.9\n1,1,0.1", "line 3 '1,1,0.1'", "a[1][1] given twice"),
+])
+def test_compare_rejects_bad_indices_and_repeated_cells(tmp_path, capsys, rows, line,
+                                                        message):
+    path = tmp_path / "results" / "E-FT" / "0" / "a_matrix.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(f"k,j,accuracy\n{rows}\n")
+    assert main(["compare", str(tmp_path / "results")]) == 1
+    assert capsys.readouterr().err == f"{path}: {line}: {message}\n"
+
+
+@pytest.mark.parametrize("dataset", [{}, {"pretrain_classes": 0}])
+def test_pre_substitute_without_pretrain_classes_exit_2(tmp_path, capsys, dataset):
+    cfg = write_config(tmp_path, dataset=dataset, methods={
+        "E-FT": {}, "Frozen": {"method": "E-Pre-substitute"}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [method Frozen] E-Pre-substitute needs" in err
+    assert "pretrain_classes of at least 1" in err
+    assert not (tmp_path / "results").exists()  # nothing trained, nothing written
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"method": "E-FT"}', "missing field 'seed'"),
+    ("[1, 2]", "missing field 'method'"),
+    ("not json", "Expecting value"),
+])
+def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "results" / "E-FT" / "0" / "record.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    for root in (tmp_path / "results", path.parent):
+        assert main(["plot", str(root), "--kind", "curves"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and message in err

@@ -207,11 +207,11 @@ def test_source_required_keys(tmp_path):
 def test_build_synthetic_sequence():
     opts = {"source": "synthetic", "n_classes": 4, "per_class": 20,
             "dim": 5, "n_tasks": 2, "test_fraction": 0.25}
-    seq, pretrain = build_sequences(opts, [0])[0]
-    assert pretrain is None
+    seq = build_sequences(opts, [0])[0]
+    assert seq.pretrain is None
     assert len(seq) == 2
     assert all(len(t.test.labels) == 10 for t in seq.tasks)
-    again, _ = build_sequences(opts, [0])[0]
+    again = build_sequences(opts, [0])[0]
     assert np.array_equal(seq.tasks[0].train.features,
                           again.tasks[0].train.features)
 
@@ -219,13 +219,12 @@ def test_build_synthetic_sequence():
 def test_pretrain_carve_reserves_top_classes():
     opts = {"source": "synthetic", "n_classes": 6, "per_class": 20,
             "dim": 5, "n_tasks": 2, "pretrain_classes": 2}
-    seq, pretrain = build_sequences(opts, [3])[3]
-    assert sorted(np.unique(pretrain.labels)) == [4, 5]
+    seq = build_sequences(opts, [3])[3]
+    assert sorted(np.unique(seq.pretrain.labels)) == [4, 5]
     task_classes = sorted(c for t in seq.tasks for c in t.classes)
     assert task_classes == [0, 1, 2, 3]
     # reservation is seed-independent
-    _, pretrain2 = build_sequences(opts, [9])[9]
-    assert sorted(np.unique(pretrain2.labels)) == [4, 5]
+    assert sorted(np.unique(build_sequences(opts, [9])[9].pretrain.labels)) == [4, 5]
 
 
 def test_pretrain_carve_too_large():
@@ -257,7 +256,7 @@ def test_build_csv_sequence(tmp_path):
     ds = gen_gaussian_clusters(4, 15, 3, 0.2, seed=1)
     path = tmp_path / "data.csv"
     write_csv_dataset(str(path), ds)
-    seq, _ = build_sequences({"source": "csv", "path": str(path),
+    seq = build_sequences({"source": "csv", "path": str(path),
                               "n_tasks": 2}, [0])[0]
     assert len(seq) == 2
     assert sum(len(t.train.labels) + len(t.test.labels) for t in seq.tasks) == 60
@@ -265,7 +264,7 @@ def test_build_csv_sequence(tmp_path):
 
 def test_build_digits_sequence():
     pytest.importorskip("sklearn")
-    seq, _ = build_sequences({"source": "digits", "n_tasks": 5}, [0])[0]
+    seq = build_sequences({"source": "digits", "n_tasks": 5}, [0])[0]
     assert len(seq) == 5
     assert all(len(t.classes) == 2 for t in seq.tasks)
     assert seq.input_dim == 64

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from driftlab import harness
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
 from driftlab.harness import (
     MethodConfig,
@@ -14,7 +17,7 @@ from driftlab.harness import (
     split_tasks,
     train_task,
 )
-from driftlab.models import GrowingSoftmaxNet
+from driftlab.models import EmbeddingNet, GrowingSoftmaxNet
 from driftlab.harness import Task, _embedding_eval, _train_softmax_task
 from driftlab.prototypes import PrototypeBook, ncm_classify
 
@@ -251,6 +254,73 @@ def test_confusion_counts_match_per_sample_loop(rng):
     assert want.sum() == 80 and len(set(want.ravel())) > 2
 
 
+@pytest.mark.parametrize("method, cls, forward", [
+    ("E-FT", EmbeddingNet, "embed_np"),
+    ("FT*", GrowingSoftmaxNet, "features_np"),
+    ("FT", GrowingSoftmaxNet, "predict_multihead"),
+])
+def test_one_forward_per_checkpoint_and_none_for_2d_capture(monkeypatch, method, cls,
+                                                            forward):
+    rows = []  # row count of each forward call
+    inner = getattr(cls, forward)
+    monkeypatch.setattr(cls, forward, lambda self, x: rows.append(len(x)) or inner(self, x))
+    calls = {}  # phase -> forward calls made inside each of its calls
+    for phase in ("_embedding_eval", "_capture_2d"):
+        def counted(*args, _fn=getattr(harness, phase), _phase=phase):
+            before = len(rows)
+            out = _fn(*args)
+            calls.setdefault(_phase, []).append(rows[before:])
+            return out
+        monkeypatch.setattr(harness, phase, counted)
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    rec = run_sequence(quick(method, epochs=2), seq)
+    seen = np.cumsum([len(t.test.labels) for t in seq.tasks])
+    assert calls["_embedding_eval"] == [[n] for n in seen]
+    assert calls["_capture_2d"] == [[], [], []]
+    assert set(rec.embed2d) == ({1, 2, 3} if method == "E-FT" else set())
+
+
+def test_true_means_match_per_task_reference(monkeypatch):
+    """proto_distance and the embed2d true means equal, byte for byte, a
+    per-task reference; a seen class with no test rows has no entry and
+    raises no warning."""
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    t1 = seq.tasks[0]
+    gone = t1.classes[0]
+    t1.test = t1.test.subset(t1.test.labels != gone)
+    refs = {}
+    inner = harness._embedding_eval
+
+    def reference(model, book, tasks_seen, record, k, embed):
+        # one forward over all rows, as a row's last bit can depend on its
+        # position in the BLAS call; the means are then taken task by task
+        z_all = model.embed_np(np.concatenate([t.test.features for t in tasks_seen]))
+        dists, means, at = {}, {}, 0
+        for task in tasks_seen:
+            y = task.test.labels
+            z, at = z_all[at : at + len(y)], at + len(y)
+            for c in task.classes:
+                if c != gone:
+                    means[c] = z[y == c].mean(axis=0)
+                    dists[c] = float(np.linalg.norm(book.entries[c].vector - means[c]))
+        refs[k] = dists, means, z_all[: len(t1.test.labels)]
+        return inner(model, book, tasks_seen, record, k, embed)
+
+    monkeypatch.setattr(harness, "_embedding_eval", reference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_sequence(quick("E-FT", sdc=True, epochs=2), seq)
+    assert sorted(refs) == [1, 2, 3]
+    for k, (dists, means, points) in refs.items():
+        assert rec.proto_distance[k] == dists
+        assert gone not in rec.proto_distance[k]
+        got = rec.embed2d[k]
+        assert sorted(got["true_means"]) == sorted(c for c in t1.classes if c != gone)
+        for c, mean in got["true_means"].items():
+            assert np.array(mean).tobytes() == means[c].tobytes()
+        assert np.array(got["points"]).tobytes() == points.tobytes()
+
+
 def test_joint_fills_final_row_only():
     seq = tiny_sequence(n_classes=4, n_tasks=2)
     rec = run_sequence(quick("Joint"), seq)
@@ -356,8 +426,8 @@ def test_pre_substitute_requires_pretrain_data():
 
 def test_pre_substitute_never_trains_on_tasks():
     seq = tiny_sequence(n_classes=4, n_tasks=2, dim=6)
-    held_out = gen_gaussian_clusters(3, 30, 6, 0.25, seed=99)
-    rec = run_sequence(quick("E-Pre-substitute"), seq, pretrain_data=held_out)
+    seq.pretrain = gen_gaussian_clusters(3, 30, 6, 0.25, seed=99)
+    rec = run_sequence(quick("E-Pre-substitute"), seq)
     assert rec.param_digest[1] == rec.param_digest[2]
     assert set(rec.accuracy) == {1, 2}
 

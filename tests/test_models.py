@@ -6,7 +6,7 @@ from driftlab.data import gen_gaussian_clusters
 from driftlab.models import (
     EmbeddingNet,
     GrowingSoftmaxNet,
-    embed_snapshot,
+    infer,
     snapshot,
 )
 from driftlab.optim import Adam
@@ -131,16 +131,19 @@ def test_snapshot_restore_round_trip(rng):
         assert not a.flags.writeable
 
     assert not np.array_equal(m.embed_np(probe), z_before)
-    assert np.array_equal(embed_snapshot(snap, probe), z_before)
+    assert np.array_equal(infer(snap, probe, normalize=True), z_before)
 
 
-def test_embed_snapshot_checks_kind_and_shape(rng):
+def test_snapshot_and_infer_check_kind_and_shape(rng):
     s = GrowingSoftmaxNet(4, 2)
     s.add_head((0, 1))
     with pytest.raises(StateError):
         snapshot(s)
-    with pytest.raises(ShapeError):
-        embed_snapshot(snapshot(EmbeddingNet(4, 2)), rng.normal(size=(3, 5)))
+    snap = snapshot(EmbeddingNet(4, 2))
+    for x in (rng.normal(size=(3, 5)), rng.normal(size=(3, 3)), rng.normal(size=4)):
+        for normalize in (False, True):
+            with pytest.raises(ShapeError, match=r"expected \[n, 4\]"):
+                infer(snap, x, normalize=normalize)
 
 
 @pytest.fixture
@@ -158,14 +161,15 @@ def nets_built(monkeypatch):
     return built
 
 
-def test_embed_np_matches_embed_and_builds_no_net(rng, nets_built):
+def test_embed_np_matches_embed_and_builds_no_net(rng, nets_built, monkeypatch):
     m = EmbeddingNet(6, 3, hidden=(16, 8), seed=4)
     x = rng.normal(size=(40, 6))
     want = m.embed(x).data
     del nets_built[:]
     got = m.embed_np(x)
     assert np.array_equal(got, want)
-    assert np.array_equal(m.embed_np(x, batch=7), want)  # chunking is row-wise
+    monkeypatch.setattr(models, "INFER_ROWS", 7)
+    assert np.array_equal(m.embed_np(x), want)  # chunking is row-wise
     assert m.embed_np(np.zeros((0, 6))).shape == (0, 3)
     with pytest.raises(ShapeError):
         m.embed_np(rng.normal(size=(2, 5)))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
-from driftlab.models import EmbeddingNet, embed_snapshot, snapshot
+from driftlab.models import EmbeddingNet, infer, snapshot
 from driftlab.prototypes import (
     WEIGHT_FLOOR,
     DriftField,
@@ -208,7 +208,7 @@ def test_collect_drift_counts_and_mismatch(rng):
 def test_collect_drift_takes_precomputed_embeddings_bit_for_bit():
     ds = gen_gaussian_clusters(3, 7, 4, 0.2, seed=3)
     snap, m = snapshot(EmbeddingNet(4, 2, seed=1)), EmbeddingNet(4, 2, seed=6)
-    before = embed_snapshot(snap, ds.features)  # the reference embeds both sides
+    before = infer(snap, ds.features, normalize=True)  # the reference embeds both sides
     after = m.embed_np(ds.features)
     m.embed_np = None  # given its embeddings, the current model is not run again
     field = collect_drift(snap, m, ds, after)
