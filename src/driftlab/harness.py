@@ -29,6 +29,7 @@ from .losses import (
 from .models import EmbeddingNet, GrowingSoftmaxNet, snapshot
 from .optim import Adam
 from .prototypes import (
+    Compensation,
     KernelConfig,
     PrototypeBook,
     collect_drift,
@@ -88,6 +89,8 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     The first task optionally takes ``first_task_fraction`` of the classes;
     the rest must divide evenly over the remaining tasks. With no separate
     ``test`` set, ``test_fraction`` of each class is held out (seeded).
+    A task with no test rows (an explicit ``test`` set that lacks all of
+    its classes) is a ValueError.
     """
     classes = np.unique(dataset.labels)
     if n_tasks > len(classes):
@@ -125,21 +128,20 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
                                  f"{cut} for testing leaves none for training")
             test_idx.extend(rows[:cut])
             train_idx.extend(rows[cut:])
-        train_ds = dataset.subset(np.array(sorted(train_idx)))
-        test_ds = dataset.subset(np.array(sorted(test_idx)))
+        sources = ((dataset, np.sort(train_idx)), (dataset, np.sort(test_idx)))
     else:
-        train_ds, test_ds = dataset, test
+        sources = ((dataset, np.arange(len(dataset.labels))),
+                   (test, np.arange(len(test.labels))))
 
     tasks = []
     for i, group in enumerate(groups, start=1):
-        tr_mask = np.isin(train_ds.labels, group)
-        te_mask = np.isin(test_ds.labels, group)
-        tasks.append(Task(
-            index=i,
-            classes=tuple(int(c) for c in group),
-            train=train_ds.subset(tr_mask),
-            test=test_ds.subset(te_mask),
-        ))
+        # each task's rows straight from the source, in row order
+        train, test_rows = (src.subset(idx[np.isin(src.labels[idx], group)])
+                            for src, idx in sources)
+        ids = tuple(int(c) for c in group)
+        if len(test_rows.labels) == 0:
+            raise ValueError(f"task {i} (classes {list(ids)}) has no test rows")
+        tasks.append(Task(index=i, classes=ids, train=train, test=test_rows))
     return TaskSequence(tasks)
 
 
@@ -203,7 +205,7 @@ class RunRecord:
     accuracy: dict = field(default_factory=dict)  # {k: {j: acc}}
     proto_distance: dict = field(default_factory=dict)  # {k: {class: dist}}
     confusions: dict = field(default_factory=dict)  # {k: {"classes": [...], "counts": [[...]]}}
-    sdc_events: dict = field(default_factory=dict)  # {k: {class: {"delta": [...]}}}
+    sdc_events: dict = field(default_factory=dict)  # {k: {class: _sdc_event scalars}}
     embed2d: dict = field(default_factory=dict)  # {k: plotting payload}, 2-d runs only
     param_digest: dict = field(default_factory=dict)  # {k: sha256 of all params}
     wall_time: float = 0.0
@@ -319,7 +321,7 @@ def prototype_distance_trace(record: RunRecord) -> dict[int, list[tuple[int, flo
 def _digest(model) -> str:
     h = hashlib.sha256()
     for p in model.params:
-        h.update(p.data.tobytes())
+        h.update(p.data)
     return h.hexdigest()
 
 
@@ -389,7 +391,8 @@ def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConf
 
 def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
                     record: RunRecord, k: int, embed):
-    """One pass over all seen test rows at checkpoint k: fills row k and the
+    """One pass over all seen test rows at checkpoint k (the forward and
+    NCM each go ``INFER_ROWS`` rows at a time): fills row k and the
     confusion by NCM over ``book`` on ``embed``'s features, with
     prototype-to-true-mean distances, or by the heads when ``embed`` is
     None. Returns the features and the means of the classes present."""
@@ -413,6 +416,28 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
     counts = np.bincount(cells, minlength=n * n).reshape(n, n)
     record.confusions[k] = {"classes": seen.tolist(), "counts": counts.tolist()}
     return z, means
+
+
+def _sdc_event(move: Compensation, before, after) -> dict:
+    """Scalars that explain one class's compensation at a checkpoint: the
+    applied drift ``move.delta``, its kernel reach, and how it compares
+    with the true change, the shift of the class's test-embedding mean
+    from the previous checkpoint (``before``) to this one (``after``).
+    ``before`` or ``after`` is None for a class without test rows, and
+    the true change's three fields are then None. The cosine is also None
+    where either norm is 0."""
+    delta_norm = float(np.linalg.norm(move.delta))
+    event = {"delta_norm": delta_norm, "mass": move.mass, "nearest": move.nearest,
+             "fallback": move.fallback, "true_norm": None, "error_norm": None,
+             "cosine": None}
+    if before is not None and after is not None:
+        true = after - before
+        true_norm = float(np.linalg.norm(true))
+        event["true_norm"] = true_norm
+        event["error_norm"] = float(np.linalg.norm(true - move.delta))
+        if true_norm > 0 and delta_norm > 0:
+            event["cosine"] = float(true @ move.delta) / (true_norm * delta_norm)
+    return event
 
 
 def _capture_2d(model, book, task1: Task, record, k, z, means):
@@ -448,9 +473,9 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     RunRecord (with the final PrototypeBook attached as ``record.book``).
 
     Every method runs the same loop: an optional pretraining stage, then
-    per task training, prototypes, drift compensation (recording the
-    delta applied to each old prototype), importance, snapshot and
-    evaluation. Joint trains once on the union of all tasks
+    per task training, prototypes, drift compensation, importance,
+    snapshot and evaluation, after which each compensated class gets its
+    ``_sdc_event`` diagnostics. Joint trains once on the union of all tasks
     and evaluates only after the last; FT classifies with its heads, FT*
     by NCM over its trunk features.
     """
@@ -477,6 +502,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     kcfg = KernelConfig(sigma=config.sigma)
     snap = None
     maps: list[ImportanceMap] = []
+    means: dict = {}  # class -> test-embedding mean at the last checkpoint
     for task in sequence.tasks:
         t = task.index
         trains = {"E-Fix": t == 1, "E-Pre-substitute": False, "Joint": False}.get(
@@ -495,10 +521,10 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
                 task_index=t,
             )
 
+        moves = None
         if config.sdc and t > 1:  # sdc implies an embedding net: z is embed_np's
-            deltas = compensate(book, collect_drift(snap, model, task.train, z),
-                                kcfg, current_task=t)
-            record.sdc_events[t] = {c: {"delta": d.tolist()} for c, d in deltas.items()}
+            moves = compensate(book, collect_drift(snap, model, task.train, z),
+                               kcfg, current_task=t)
 
         if t < len(sequence):  # the next task's importance and reference
             if config.method == "E-EWC":
@@ -512,8 +538,12 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         if config.method == "Joint" and t < len(sequence):
             continue
         record.param_digest[t] = _digest(model)
+        before = means
         z, means = _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
         _capture_2d(model, book, sequence.tasks[0], record, t, z, means)
+        if moves is not None:
+            record.sdc_events[t] = {c: _sdc_event(m, before.get(c), means.get(c))
+                                    for c, m in moves.items()}
 
     record.book = book
     record.wall_time = time.perf_counter() - start

@@ -62,7 +62,8 @@ def layers_np(params, x: np.ndarray):
         yield x
 
 
-# Rows per ``infer`` chunk: bounds the [rows, width] activations it holds.
+# Rows per block of ``infer``, of the softmax heads and of NCM: bounds the
+# [rows, width] and [rows, classes] temporaries they hold.
 INFER_ROWS = 512
 
 
@@ -71,12 +72,12 @@ def infer(params, x, normalize: bool = False) -> np.ndarray:
     snapshot's), ``INFER_ROWS`` rows at a time, with no tape; ``normalize``
     puts each row on the unit sphere. The only tape-free forward."""
     x = _check_batch(x, params[0].shape[0]).data
-    outs = []
+    out = np.empty((len(x), len(params[-1])))
     for i in range(0, len(x), INFER_ROWS):
         for h in layers_np(params, x[i : i + INFER_ROWS]):
             pass  # only the last layer's output is kept
-        outs.append(T.l2_normalize(h, axis=1).data if normalize else h)
-    return np.concatenate(outs) if outs else np.zeros((0, len(params[-1])))
+        out[i : i + len(h)] = T.l2_normalize(h, axis=1).data if normalize else h
+    return out
 
 
 class EmbeddingNet:
@@ -145,18 +146,19 @@ class GrowingSoftmaxNet:
         return T.dense(self.penultimate_features(x), w, b, relu=False)
 
     def predict_multihead(self, x) -> np.ndarray:
-        """Global argmax over the concatenation of per-head softmax rows."""
+        """Global argmax over the concatenation of per-head softmax rows,
+        ``INFER_ROWS`` rows at a time."""
         if not self.heads:
             raise StateError("no heads; train at least one task first")
         feats = self.features_np(x)
-        probs = []
-        all_ids = []
-        for w, b, ids in self.heads:
-            probs.append(T.softmax(T.dense_values(feats, w.data, b.data, relu=False),
-                                   axis=1))
-            all_ids.extend(ids)
-        stacked = np.concatenate(probs, axis=1)
-        return np.asarray(all_ids)[stacked.argmax(axis=1)]
+        ids = np.asarray([c for _, _, classes in self.heads for c in classes])
+        pred = np.empty(len(feats), dtype=ids.dtype)
+        for i in range(0, len(feats), INFER_ROWS):
+            f = feats[i : i + INFER_ROWS]
+            probs = [T.softmax(T.dense_values(f, w.data, b.data, relu=False), axis=1)
+                     for w, b, _ in self.heads]
+            pred[i : i + len(f)] = ids[np.concatenate(probs, axis=1).argmax(axis=1)]
+        return pred
 
 
 def snapshot(model) -> tuple[np.ndarray, ...]:

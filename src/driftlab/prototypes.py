@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import infer
+from .models import INFER_ROWS, infer
 from .tensor import ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -151,16 +151,20 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     class id. No task information is consulted. A NaN or inf prototype
     or embedding raises NonFiniteError.
 
-    Distances come from one GEMM, ||z||^2 - 2 z.p + ||p||^2. That formula
-    and the coordinate-wise sum of _broadcast_d2 are each within
+    Distances come from a GEMM, ||z||^2 - 2 z.p + ||p||^2, over
+    ``INFER_ROWS`` rows at a time, so the ``[rows, classes]`` temporaries
+    do not grow with the number of rows. That formula and the
+    coordinate-wise sum of _broadcast_d2 are each within
     gamma_{D+4} * 2 (||z||^2 + max ||p||^2) + (4 D + 16) * tiny of the true
     squared distance (tiny: the smallest subnormal, for gradual
     underflow). A row whose two smallest GEMM distances are more than
     twice the sum of both bounds apart has the same argmin under both
     formulas. Every other row (near-ties, exact ties, overflow to inf or
     NaN) is recomputed with _broadcast_d2, so the prediction equals the
-    coordinate-wise one. A row whose coordinate-wise distances all
-    overflow to inf has no nearest prototype and raises NonFiniteError.
+    coordinate-wise one whatever rows share its block. A row whose
+    coordinate-wise distances all overflow to inf has no nearest
+    prototype and raises NonFiniteError. Errors name rows by their
+    position in ``embeddings``.
     """
     if len(book) == 0:
         raise StateError("prototype book is empty")
@@ -170,7 +174,11 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     bad = ids[~np.isfinite(protos).all(axis=1)]
     if bad.size:
         raise NonFiniteError(f"prototypes of classes {bad.tolist()} are not finite")
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    blocks = [slice(at, at + INFER_ROWS) for at in range(0, z.shape[0], INFER_ROWS)]
+    finite = np.empty(z.shape[0], dtype=bool)
+    for rows in blocks:
+        np.isfinite(z[rows]).all(axis=1, out=finite[rows])
+    bad = np.flatnonzero(~finite)
     if bad.size:
         raise NonFiniteError(f"{bad.size} embedding rows are not finite "
                              f"(first: row {bad[0]})")
@@ -178,23 +186,29 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
         return np.full(z.shape[0], ids[0])
     dim = z.shape[1]
     gamma = (dim + 4) * _UNIT_ROUNDOFF / (1.0 - (dim + 4) * _UNIT_ROUNDOFF)
+    best = np.empty(z.shape[0], dtype=np.intp)
+    lost = []
     with np.errstate(over="ignore", invalid="ignore"):
-        zz = np.einsum("ij,ij->i", z, z)
         pp = np.einsum("ij,ij->i", protos, protos)
-        d2 = zz[:, None] - 2.0 * (z @ protos.T) + pp[None, :]
-        best = np.argmin(d2, axis=1)
-        two = np.partition(d2, 1, axis=1)
-        bound = 2.0 * (gamma * 2.0 * (zz + pp.max()) + (4 * dim + 16) * _TINY)
-        # the comparison is False for a NaN or inf gap or bound
-        certified = (two[:, 1] - two[:, 0] > 2.0 * bound) & np.isfinite(d2).all(axis=1)
-        redo = np.flatnonzero(~certified)
-        if redo.size:
-            ref = _broadcast_d2(z[redo], protos)
-            lost = redo[~(ref < np.inf).any(axis=1)]
-            if lost.size:
-                raise NonFiniteError(f"{lost.size} embedding rows have every squared "
-                                     f"distance overflow to inf (first: row {lost[0]})")
-            best[redo] = np.argmin(ref, axis=1)
+        pmax = pp.max()
+        for rows in blocks:
+            zb = z[rows]
+            zz = np.einsum("ij,ij->i", zb, zb)
+            d2 = zz[:, None] - 2.0 * (zb @ protos.T) + pp[None, :]
+            pick = np.argmin(d2, axis=1)
+            two = np.partition(d2, 1, axis=1)
+            bound = 2.0 * (gamma * 2.0 * (zz + pmax) + (4 * dim + 16) * _TINY)
+            # the comparison is False for a NaN or inf gap or bound
+            certified = (two[:, 1] - two[:, 0] > 2.0 * bound) & np.isfinite(d2).all(axis=1)
+            redo = np.flatnonzero(~certified)
+            if redo.size:
+                ref = _broadcast_d2(zb[redo], protos)
+                lost.extend(rows.start + redo[~(ref < np.inf).any(axis=1)])
+                pick[redo] = np.argmin(ref, axis=1)
+            best[rows] = pick
+    if lost:
+        raise NonFiniteError(f"{len(lost)} embedding rows have every squared "
+                             f"distance overflow to inf (first: row {lost[0]})")
     return ids[best]
 
 
@@ -225,44 +239,72 @@ def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray
     temporaries hold at most 2^16 entries (512 KB), small enough to stay
     in cache: blocks of 2^18 entries were slower than one query at a time.
     """
+    q = np.asarray(query, dtype=np.float64)
+    return _kernel_pass(field, q.reshape(-1, q.shape[-1]), cfg)[0].reshape(q.shape)
+
+
+@dataclass(frozen=True)
+class Compensation:
+    """One old prototype's move at a task boundary: the drift applied to
+    it, the total kernel mass behind that estimate, and the distance from
+    the prototype to the nearest drift evidence."""
+
+    delta: np.ndarray
+    mass: float
+    nearest: float
+
+    @property
+    def fallback(self) -> bool:
+        """Out of reach of all evidence: the prototype stayed in place."""
+        return self.mass < WEIGHT_FLOOR
+
+
+def _kernel_pass(field: DriftField, queries: np.ndarray, cfg: KernelConfig):
+    """The kernel average at each row of ``queries`` ``[C, D]``, with each
+    query's total kernel mass and its distance to the nearest evidence:
+    ``(average [C, D], mass [C], nearest [C])``. See ``interpolate_drift``."""
     if len(field) == 0:
         raise ValueError("empty drift field")
-    q = np.asarray(query, dtype=np.float64)
-    queries = q.reshape(-1, q.shape[-1])
     out = np.zeros_like(queries)
+    mass = np.empty(len(queries))
+    nearest = np.empty(len(queries))
     step = max(1, (1 << 16) // field.positions.size)
     for at in range(0, len(queries), step):
         block = queries[at : at + step]
         d2 = np.sum((field.positions - block[:, None, :]) ** 2, axis=2)
         w = np.exp(-d2 / (2.0 * cfg.sigma**2))
         total = w.sum(axis=1)
+        mass[at : at + step] = total
+        nearest[at : at + step] = np.sqrt(d2.min(axis=1))
         degenerate = total < WEIGHT_FLOOR
         for i in np.flatnonzero(degenerate):
             log.warning(
                 "degenerate kernel mass %.3e at query (nearest point %.3f away); "
                 "leaving prototype in place",
                 total[i],
-                float(np.sqrt(d2[i].min())),
+                nearest[at + i],
             )
         ok = ~degenerate
         weighted = (w[ok, :, None] * field.displacements).sum(axis=1)
         out[at : at + step][ok] = weighted / total[ok, None]
-    return out.reshape(q.shape)
+    return out, mass, nearest
 
 
 def compensate(book: PrototypeBook, field: DriftField, cfg: KernelConfig,
-               current_task: int) -> dict[int, np.ndarray]:
+               current_task: int) -> dict[int, Compensation]:
     """Move every prototype learned before ``current_task`` by the drift
     interpolated at its current (already-compensated) position; returns
-    the applied delta by class id. All old prototypes go through one
-    block call of ``interpolate_drift``."""
+    the applied move by class id. All old prototypes go through one
+    kernel pass, the one ``interpolate_drift`` makes."""
     old = [c for c in book.class_ids() if book.entries[c].learned_at < current_task]
     if not old:
         return {}
-    moved = interpolate_drift(field, np.stack([book.entries[c].vector for c in old]), cfg)
-    deltas = dict(zip(old, moved))
-    for c, delta in deltas.items():
+    moved, mass, nearest = _kernel_pass(
+        field, np.stack([book.entries[c].vector for c in old]), cfg)
+    moves = {}
+    for c, delta, m, d in zip(old, moved, mass, nearest):
         entry = book.entries[c]
         entry.vector = entry.vector + delta
         entry.compensation = entry.compensation + delta
-    return deltas
+        moves[c] = Compensation(delta, float(m), float(d))
+    return moves

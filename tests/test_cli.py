@@ -2,11 +2,13 @@ import json
 import struct
 import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_csv_dataset
-from driftlab import config
+from driftlab import cli, config
 from driftlab.cli import main
 from driftlab.data import gen_gaussian_clusters, read_csv_dataset
 from driftlab.harness import RunRecord, avg_incremental_accuracy
@@ -158,6 +160,25 @@ def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
     assert list((tmp_path / "results").iterdir()) == []  # nothing trained
 
 
+def test_run_task_without_test_rows_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    ds = gen_gaussian_clusters(4, 24, 4, 0.2, seed=0)
+    pixels = np.clip(ds.features * 64 + 128, 0, 255).astype(np.uint8)
+    dataset = {"source": "idx"}
+    for key, rows in (("", slice(None)), ("test_", ds.labels == 0)):  # test: class 0 only
+        images, labels = tmp_path / f"{key}images.idx", tmp_path / f"{key}labels.idx"
+        n = len(ds.labels[rows])
+        images.write_bytes(struct.pack(">4i", 0x803, n, 2, 2) + pixels[rows].tobytes())
+        labels.write_bytes(struct.pack(">2i", 0x801, n) + ds.labels[rows].astype(np.uint8).tobytes())
+        dataset.update({f"{key}images": images, f"{key}labels": labels})
+    calls = []
+    monkeypatch.setattr(cli, "run_sequence", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, seeds="0 1", dataset=dataset)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: task ") and "has no test rows" in err
+    assert calls == []  # nothing trained
+
+
 def test_run_reads_a_csv_once_for_all_seeds(tmp_path, monkeypatch):
     csv = tmp_path / "data.csv"
     write_csv_dataset(csv, gen_gaussian_clusters(4, 24, 5, 0.2, seed=3))
@@ -247,6 +268,24 @@ def test_plot_confusion(results_dir):
     for k in (1, 2):
         out = results_dir / "plots" / f"E-FT_seed0_confusion_task{k}.svg"
         assert out.exists()
+
+
+def test_records_with_drift_vectors_still_load_and_plot(tmp_path):
+    """A record.json written when each SDC event held the applied delta
+    vector, {"delta": [...]}, in place of the diagnostic scalars."""
+    text = (Path(__file__).parent / "data" / "record_with_drift_vectors.json").read_text()
+    rec = RunRecord.from_json(text)
+    assert sorted(rec.sdc_events) == [2]
+    assert all(list(e) == ["delta"] and len(e["delta"]) == 3
+               for e in rec.sdc_events[2].values())
+    run_dir = tmp_path / "results" / "E-FT+SDC" / "0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "record.json").write_text(text)
+    plots = tmp_path / "results" / "plots"
+    for kind, name in (("curves", "curves.svg"),
+                       ("confusion", "E-FT+SDC_seed0_confusion_task2.svg")):
+        assert main(["plot", str(tmp_path / "results"), "--kind", kind]) == 0
+        ET.fromstring((plots / name).read_text())
 
 
 def test_plot_single_run_dir(results_dir):

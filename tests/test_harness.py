@@ -1,8 +1,12 @@
+import hashlib
+import logging
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import allocated_bytes
 from driftlab import harness
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
 from driftlab.harness import (
@@ -18,8 +22,8 @@ from driftlab.harness import (
     train_task,
 )
 from driftlab.models import EmbeddingNet, GrowingSoftmaxNet
-from driftlab.harness import Task, _embedding_eval, _train_softmax_task
-from driftlab.prototypes import PrototypeBook, ncm_classify
+from driftlab.harness import Task, _digest, _embedding_eval, _train_softmax_task
+from driftlab.prototypes import WEIGHT_FLOOR, PrototypeBook, ncm_classify
 
 
 def quick(method, **kw):
@@ -90,6 +94,70 @@ def test_split_holdout_fraction():
     for t in seq.tasks:
         assert len(t.test.labels) == 5
         assert len(t.train.labels) == 15
+
+
+def two_step_split(dataset, n_tasks, first_task_fraction=None, seed=0, test=None,
+                   test_fraction=0.2):
+    """split_tasks as it was written before it read each task's rows
+    straight from the source: copy every train and test row first, then
+    subset per task. The reference for the rows and their order."""
+    classes = np.unique(dataset.labels)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(classes)
+    if first_task_fraction:
+        n_first = int(round(first_task_fraction * len(classes)))
+        per = (len(classes) - n_first) // (n_tasks - 1)
+        groups = [tuple(order[:n_first])]
+        groups += [tuple(order[n_first + i * per : n_first + (i + 1) * per])
+                   for i in range(n_tasks - 1)]
+    else:
+        per = len(classes) // n_tasks
+        groups = [tuple(order[i * per : (i + 1) * per]) for i in range(n_tasks)]
+    if test is None:
+        train_idx, test_idx = [], []
+        for c in classes:
+            rows = np.flatnonzero(dataset.labels == c)
+            rows = rows[rng.permutation(len(rows))]
+            cut = max(1, int(round(test_fraction * len(rows))))
+            test_idx.extend(rows[:cut])
+            train_idx.extend(rows[cut:])
+        train_ds = dataset.subset(np.array(sorted(train_idx)))
+        test_ds = dataset.subset(np.array(sorted(test_idx)))
+    else:
+        train_ds, test_ds = dataset, test
+    return [(tuple(int(c) for c in group),
+             train_ds.subset(np.isin(train_ds.labels, group)),
+             test_ds.subset(np.isin(test_ds.labels, group))) for group in groups]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_tasks=4, seed=3), dict(n_tasks=4, seed=3, test_fraction=0.5),
+    dict(n_tasks=3, seed=1, first_task_fraction=0.5), dict(n_tasks=2, seed=5, test=True),
+])
+def test_split_subsets_equal_the_two_step_copies(kwargs):
+    ds = gen_gaussian_clusters(8, 25, 64, 0.3, seed=4)
+    if kwargs.get("test"):
+        kwargs = {**kwargs, "test": gen_gaussian_clusters(8, 6, 64, 0.3, seed=5)}
+    seq = split_tasks(ds, **kwargs)
+    want = two_step_split(ds, **kwargs)
+    assert len(seq) == len(want)
+    for task, (classes, train, test) in zip(seq.tasks, want):
+        assert task.classes == classes
+        for got, ref in ((task.train, train), (task.test, test)):
+            assert got.features.tobytes() == ref.features.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+            assert got.original_labels == ref.original_labels
+    # no full copy of the source before the per-task subsets
+    assert allocated_bytes(lambda: split_tasks(ds, 4, seed=3)) < 1.25 * ds.features.nbytes
+
+
+def test_split_rejects_a_task_without_test_rows():
+    ds = gen_gaussian_clusters(4, 10, 3, 0.2, seed=0)
+    test = ds.subset(ds.labels == 0)  # every other class lacks test rows
+    bare = next(t for t in split_tasks(ds, 2, seed=0, test=ds).tasks if 0 not in t.classes)
+    message = f"task {bare.index} (classes {list(bare.classes)}) has no test rows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_tasks(ds, 2, seed=0, test=test)
 
 
 def test_sequence_rejects_overlap():
@@ -392,11 +460,77 @@ def test_sdc_events_only_for_old_classes():
     assert set(rec.sdc_events[2]) == set(seq.tasks[0].classes)
     book = rec.book
     for c, event in rec.sdc_events[2].items():  # one transition: delta == compensation
-        assert list(event) == ["delta"]
-        assert event["delta"] == book.entries[c].compensation.tolist()
+        assert list(event) == ["delta_norm", "mass", "nearest", "fallback",
+                               "true_norm", "error_norm", "cosine"]
+        assert event["delta_norm"] == np.linalg.norm(book.entries[c].compensation)
     for c in seq.tasks[1].classes:
         assert np.array_equal(book.entries[c].compensation,
                               np.zeros(len(book.entries[c].compensation)))
+
+
+C5_CONFIG = dict(epochs=40, lr=1e-4, batch_size=64, embedding_dim=2,
+                 hidden=(128,), mining="random")  # criterion 5's protocol
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sdc_estimate_is_closer_to_the_true_change_than_no_compensation(seed):
+    """Criterion 5's 2-d two-task protocol on Gaussian clusters: where
+    compensation lowers the prototype distance, the estimated drift is
+    nearer the true change of most old classes than no move at all."""
+    seq = split_tasks(gen_gaussian_clusters(10, 100, 16, spread=0.35, seed=seed), 2,
+                      seed=seed)
+    old = seq.tasks[0].classes
+    plain = run_sequence(MethodConfig("E-FT", seed=seed, **C5_CONFIG), seq)
+    comp = run_sequence(MethodConfig("E-FT", sdc=True, sigma=0.2, seed=seed,
+                                     **C5_CONFIG), seq)
+    assert (np.mean([comp.proto_distance[2][c] for c in old])
+            < np.mean([plain.proto_distance[2][c] for c in old]))
+    events = comp.sdc_events[2]
+    assert sorted(events) == sorted(old)
+    closer = [c for c, e in events.items() if e["error_norm"] < e["true_norm"]]
+    assert len(closer) > len(old) / 2
+    for e in events.values():
+        assert -1.0 - 1e-12 <= e["cosine"] <= 1.0 + 1e-12 and not e["fallback"]
+
+
+def test_sdc_diagnostics_are_zero_when_the_model_is_frozen():
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    rec = run_sequence(quick("E-Fix", sdc=True), seq)
+    assert sorted(rec.sdc_events) == [2, 3]
+    for t, events in rec.sdc_events.items():
+        assert sorted(events) == sorted(c for task in seq.tasks[: t - 1] for c in task.classes)
+        for e in events.values():
+            assert e["delta_norm"] == 0.0 and e["mass"] > WEIGHT_FLOOR
+            # a row's bits can depend on the other rows in its GEMM call
+            assert e["true_norm"] < 1e-12 and e["error_norm"] == e["true_norm"]
+            assert e["cosine"] is None
+
+
+def test_sdc_fallback_flag_is_mass_below_the_floor(caplog):
+    events = []
+    with caplog.at_level(logging.WARNING, logger="driftlab.prototypes"):
+        for sigma in (1.0, 0.05, 1e-3):
+            rec = run_sequence(quick("E-FT", sdc=True, sigma=sigma),
+                               tiny_sequence(n_classes=6, n_tasks=3))
+            events += [e for row in rec.sdc_events.values() for e in row.values()]
+    assert {e["fallback"] for e in events} == {True, False}
+    for e in events:
+        assert e["fallback"] == (e["mass"] < WEIGHT_FLOOR)
+        assert e["fallback"] <= (e["delta_norm"] == 0.0)
+    warned = [r for r in caplog.records if "degenerate kernel" in r.getMessage()]
+    assert len(warned) == sum(e["fallback"] for e in events)
+
+
+def test_sdc_true_change_is_null_without_test_rows():
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    gone = seq.tasks[0].classes[0]
+    seq.tasks[0].test = seq.tasks[0].test.subset(seq.tasks[0].test.labels != gone)
+    rec = run_sequence(quick("E-FT", sdc=True, epochs=2), seq)
+    for events in rec.sdc_events.values():
+        for c, e in events.items():
+            fields = (e["true_norm"], e["error_norm"], e["cosine"])
+            assert (fields == (None, None, None)) == (c == gone)
+            assert e["delta_norm"] > 0.0
 
 
 def test_sdc_changes_only_prototypes_not_training():
@@ -502,3 +636,40 @@ def test_train_task_stops_on_non_finite_loss():
             pytest.raises(TrainingError, match="non-finite loss nan in epoch 1"):
         train_task(m, tiny_sequence().tasks[0].train, quick("E-MAS"),
                    np.random.default_rng(0), snap=snap, importance=imp)
+
+
+def test_digest_hashes_parameter_buffers_without_copies():
+    model = EmbeddingNet(64, 64, hidden=(256, 256), seed=0)
+    want = hashlib.sha256(b"".join(p.data.tobytes() for p in model.params)).hexdigest()
+    assert _digest(model) == want
+    assert allocated_bytes(lambda: _digest(model)) < 4096  # the net holds 790 KB
+
+
+@pytest.mark.parametrize("method", ["E-FT", "FT"])
+def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
+    """With 100 classes, doubling the seen test rows from 1,500 to 3,000
+    may add the extra input and feature rows, plus 10%: the [rows,
+    classes] temporaries of NCM and of the heads stay one block."""
+    rng = np.random.default_rng(0)
+    d_in, d_out, classes = 64, 64, np.arange(100)
+    groups = np.split(classes, 10)
+    if method == "FT":
+        model, embed = GrowingSoftmaxNet(d_in, d_out, hidden=(64,), seed=0), None
+        for g in groups:
+            model.add_head(g)
+    else:
+        model = EmbeddingNet(d_in, d_out, hidden=(64,), seed=0)
+        embed = model.embed_np
+    book = PrototypeBook()
+    book.add_task({c: rng.normal(size=d_out) for c in classes}, task_index=1)
+
+    def peak(per_class):
+        y = np.repeat(classes, per_class)
+        data = LabeledDataset(rng.normal(size=(len(y), d_in)), y)
+        tasks = [Task(i, tuple(g), None, data.subset(np.isin(y, g)))
+                 for i, g in enumerate(groups, start=1)]
+        rec = RunRecord(method, 0, len(tasks), [t.classes for t in tasks])
+        return allocated_bytes(lambda: _embedding_eval(model, book, tasks, rec, 10, embed))
+
+    extra = 1500 * (d_in + d_out) * 8
+    assert peak(30) - peak(15) <= 1.1 * extra

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import allocated_bytes
 from driftlab.data import gen_gaussian_clusters
-from driftlab.models import EmbeddingNet, infer, snapshot
+from driftlab.models import INFER_ROWS, EmbeddingNet, infer, snapshot
 from driftlab.prototypes import (
     WEIGHT_FLOOR,
     DriftField,
@@ -182,6 +183,46 @@ def test_ncm_equals_broadcast_reference(case):
             assert np.array_equal(ncm_classify(z, book), broadcast_ncm(z, book))
 
 
+@pytest.mark.parametrize("n", [INFER_ROWS - 1, INFER_ROWS + 1, 2 * INFER_ROWS + 7])
+def test_ncm_blocks_equal_broadcast_reference_across_edges(n):
+    r = np.random.default_rng(n)
+    protos = r.normal(size=(12, 4))
+    protos[5] = protos[2]  # exact ties between two classes
+    z = protos[r.integers(0, 12, size=n)] + r.normal(size=(n, 4))
+    a, b = r.integers(0, 12, size=(2, n))
+    mid = (protos[a] + protos[b]) / 2 + r.normal(size=(n, 4)) * 1e-12
+    z = np.where(r.random(n)[:, None] < 0.5, mid, z)  # near ties in every block
+    z[[0, INFER_ROWS - 2, n - 1]] = protos[5]  # exact ties at the block edges
+    book = book_of(protos)
+    assert np.array_equal(ncm_classify(z, book), broadcast_ncm(z, book))
+
+    # errors count rows over all blocks and name them by their global number
+    bad = z.copy()
+    bad[[n - 1, n - 2], 1] = np.nan, np.inf
+    with pytest.raises(NonFiniteError, match=f"2 embedding rows .*row {n - 2}\\)"):
+        ncm_classify(bad, book)
+    huge = z.copy()
+    huge[[3, n - 1], 0] = 1e200  # finite, but every squared distance is inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="2 embedding rows have every squared "
+                                                 "distance overflow to inf .*row 3\\)"):
+            ncm_classify(huge, book)
+
+
+def test_ncm_peak_memory_does_not_grow_with_rows():
+    """Only the per-row outputs grow: a finite flag, a prototype index
+    and a class id; the [rows, classes] temporaries stay one block."""
+    r = np.random.default_rng(0)
+    book = book_of(r.normal(size=(100, 8)))
+
+    def peak(n):
+        z = r.normal(size=(n, 8))
+        return allocated_bytes(lambda: ncm_classify(z, book))
+
+    extra_rows = 6 * INFER_ROWS
+    assert peak(8 * INFER_ROWS) - peak(2 * INFER_ROWS) <= 1.1 * extra_rows * (1 + 8 + 8)
+
+
 def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
@@ -346,11 +387,15 @@ def test_compensate_matches_per_class_loop(rng, caplog):
     book.add_task({10: vecs[10], 11: vecs[11]}, task_index=2)
     want = {c: loop_interpolate(field, vecs[c], cfg) for c in range(10)}
     with caplog.at_level(logging.WARNING):
-        deltas = compensate(book, field, cfg, current_task=2)
+        moves = compensate(book, field, cfg, current_task=2)
     assert sum("degenerate kernel" in r.getMessage() for r in caplog.records) == 2
-    assert list(deltas) == list(range(10))
+    assert list(moves) == list(range(10))
     for c in range(10):
-        assert deltas[c].tobytes() == want[c].tobytes()
+        assert moves[c].delta.tobytes() == want[c].tobytes()
+        d2 = np.sum((field.positions - vecs[c]) ** 2, axis=1)
+        assert moves[c].mass == np.exp(-d2 / (2.0 * cfg.sigma**2)).sum()
+        assert moves[c].nearest == np.sqrt(d2.min())
+        assert moves[c].fallback == (c in (2, 7))
         assert book.entries[c].vector.tobytes() == (vecs[c] + want[c]).tobytes()
         assert book.entries[c].compensation.tobytes() == (np.zeros(75) + want[c]).tobytes()
     for c in (10, 11):
@@ -381,12 +426,12 @@ def test_compensate_skips_current_task_prototypes(rng):
     book.add_task({1: rng.normal(size=2)}, task_index=2)
     keep = book.entries[1].vector.copy()
     field = DriftField(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-    deltas = compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
+    moves = compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
     assert np.array_equal(book.entries[1].vector, keep)  # bit-unchanged
     assert not np.array_equal(book.entries[0].compensation, np.zeros(2))
     # the returned deltas are exactly what was applied, old classes only
-    assert list(deltas) == [0]
-    assert np.array_equal(deltas[0], book.entries[0].compensation)
+    assert list(moves) == [0]
+    assert np.array_equal(moves[0].delta, book.entries[0].compensation)
 
 
 def test_compensate_two_transitions_unroll(rng):
