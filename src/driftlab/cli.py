@@ -83,9 +83,10 @@ def cmd_run(args) -> int:
                 tmp = run_dir / f".{name}.tmp"  # renamed whole: never read half-written
                 tmp.write_text(text)
                 os.replace(tmp, run_dir / name)
-            records.setdefault(label, {})[seed] = record
-            print(f"[done] {label} seed {seed} "
-                  f"({record.wall_time:.1f}s) -> {run_dir}")
+            print(f"[done] {label} seed {seed} ({record.wall_time:.1f}s) -> {run_dir}")
+            records.setdefault(label, {})[seed] = RunRecord(  # all the A_k table reads
+                record.method, record.seed, record.n_tasks, [], record.accuracy)
+            del record  # with its book, confusions and SDC events
 
     if records:
         n_tasks = max(r.n_tasks for by_seed in records.values()

@@ -177,7 +177,7 @@ class MethodConfig:
             ("batch_size", self.batch_size >= 2, "at least 2"),
             ("lr", 0 < self.lr < np.inf, "finite and positive"),
             ("sigma", 0 < self.sigma < np.inf, "finite and positive"),
-            ("margin", self.margin >= 0, "nonnegative"),
+            ("margin", 0 <= self.margin < np.inf, "finite and nonnegative"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
             ("gamma", self.gamma is None or 0 <= self.gamma < np.inf,
@@ -394,8 +394,8 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
     """One pass over all seen test rows at checkpoint k (the forward and
     NCM each go ``INFER_ROWS`` rows at a time): fills row k and the
     confusion by NCM over ``book`` on ``embed``'s features, with
-    prototype-to-true-mean distances, or by the heads when ``embed`` is
-    None. Returns the features and the means of the classes present."""
+    prototype-to-true-mean distances and the 2-d capture, or by the heads
+    when ``embed`` is None. Returns the means of the classes present."""
     x = np.concatenate([t.test.features for t in tasks_seen])
     y = np.concatenate([t.test.labels for t in tasks_seen])
     z, means = None, {}
@@ -415,7 +415,8 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
     cells = np.searchsorted(seen, y) * n + np.searchsorted(seen, pred)
     counts = np.bincount(cells, minlength=n * n).reshape(n, n)
     record.confusions[k] = {"classes": seen.tolist(), "counts": counts.tolist()}
-    return z, means
+    _capture_2d(model, book, tasks_seen[0], record, k, z, means)
+    return means
 
 
 def _sdc_event(move: Compensation, before, after) -> dict:
@@ -442,7 +443,7 @@ def _sdc_event(move: Compensation, before, after) -> dict:
 
 def _capture_2d(model, book, task1: Task, record, k, z, means):
     """Keep task-1 test embeddings (``z``'s leading rows) and prototype state."""
-    if model.kind != "embedding" or model.embedding_dim != 2:
+    if z is None or z.shape[1] != 2 or model.kind != "embedding":
         return
     record.embed2d[k] = {
         "points": z[: len(task1.test.labels)].tolist(),
@@ -501,7 +502,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     book = PrototypeBook()
     kcfg = KernelConfig(sigma=config.sigma)
     snap = None
-    maps: list[ImportanceMap] = []
+    total, n_maps = None, 0  # running sum of the E-EWC/E-MAS maps, in task order
     means: dict = {}  # class -> test-embedding mean at the last checkpoint
     for task in sequence.tasks:
         t = task.index
@@ -511,27 +512,31 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             model.add_head(task.classes)
             _train_softmax_task(model, task, config, rng)
         elif trains:
-            importance = ImportanceMap.average(maps) if maps else None
+            importance = None if total is None else ImportanceMap(
+                total.kind, tuple(w / n_maps for w in total.weights))
             train_task(model, task.train, config, rng, snap=snap, importance=importance)
 
-        if embed is not None:
+        moves = None
+        if embed is not None:  # sdc implies an embedding net: z is embed_np's
             z = embed(task.train.features)
             book.add_task(
                 compute_prototypes(z, task.train.labels, classes=task.classes),
                 task_index=t,
             )
-
-        moves = None
-        if config.sdc and t > 1:  # sdc implies an embedding net: z is embed_np's
-            moves = compensate(book, collect_drift(snap, model, task.train, z),
-                               kcfg, current_task=t)
+            if config.sdc and t > 1:
+                moves = compensate(book, collect_drift(snap, model, task.train, z),
+                                   kcfg, current_task=t)
+            del z  # [train rows, D], not held through the next task's training
 
         if t < len(sequence):  # the next task's importance and reference
             if config.method == "E-EWC":
-                maps.append(estimate_fisher(model, task.train, config.batch_size,
-                                            config.fisher_variant))
+                new = estimate_fisher(model, task.train, config.batch_size,
+                                      config.fisher_variant)
             elif config.method == "E-MAS":
-                maps.append(estimate_mas_importance(model, task.train))
+                new = estimate_mas_importance(model, task.train)
+            if config.method in ("E-EWC", "E-MAS"):  # weights are >= +0: w1 is 0 + w1
+                total, n_maps = new if total is None else total.add(new), n_maps + 1
+                del new  # the task's map lives on only in the sum
             if config.sdc or config.gamma > 0:
                 snap = snapshot(model)
 
@@ -539,8 +544,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             continue
         record.param_digest[t] = _digest(model)
         before = means
-        z, means = _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
-        _capture_2d(model, book, sequence.tasks[0], record, t, z, means)
+        means = _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
         if moves is not None:
             record.sdc_events[t] = {c: _sdc_event(m, before.get(c), means.get(c))
                                     for c, m in moves.items()}

@@ -164,23 +164,17 @@ class ImportanceMap:
     weights: tuple
 
     def __post_init__(self):
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        for w in ws:
-            if np.any(w < 0):
-                raise ValueError("importance weights must be nonnegative")
-        self.weights = ws
+        self.weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
+        if any(np.any(w < 0) for w in self.weights):
+            raise ValueError("importance weights must be nonnegative")
 
-    @classmethod
-    def average(cls, maps: list["ImportanceMap"]) -> "ImportanceMap":
-        """Running-mean accumulation across tasks."""
-        kinds = {m.kind for m in maps}
-        if len(kinds) != 1:
-            raise ValueError(f"cannot average maps of kinds {sorted(kinds)}")
-        n = len(maps)
-        weights = tuple(
-            sum(m.weights[i] for m in maps) / n for i in range(len(maps[0].weights))
-        )
-        return cls(kind=maps[0].kind, weights=weights)
+    def add(self, other: "ImportanceMap") -> "ImportanceMap":
+        """This map, with ``other``'s weights added into its arrays in place."""
+        if other.kind != self.kind:
+            raise ValueError(f"cannot add a {other.kind} map to a {self.kind} map")
+        for w, o in zip(self.weights, other.weights):
+            w += o
+        return self
 
 
 def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
@@ -278,7 +272,7 @@ def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
         p.grad = g
     if used == 0:
         raise EstimationError("no mini-batch produced a valid triplet")
-    return ImportanceMap("fisher", tuple(a / used for a in acc))
+    return ImportanceMap("fisher", tuple(np.divide(a, used, out=a) for a in acc))
 
 
 def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:
@@ -305,4 +299,4 @@ def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:
             acc[2 * k + 1] += abs_delta.sum(axis=0)
             if k:
                 delta = (delta @ params[2 * k].T) * (acts[k] > 0)
-    return ImportanceMap("mas", tuple(a / len(feats) for a in acc))
+    return ImportanceMap("mas", tuple(np.divide(a, len(feats), out=a) for a in acc))

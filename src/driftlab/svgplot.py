@@ -9,7 +9,6 @@ bit-stable for a given input.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = [
     "#4269d0", "#efb118", "#ff725c", "#6cc5b0", "#3ca951",
@@ -36,8 +35,10 @@ def _doc(width, height, body: list) -> str:
 
 
 def _text(x, y, s, size=12, anchor="start", fill="#222", extra=""):
+    # xml.sax.saxutils.escape, whose import loads urllib.request, http.client and ssl
+    s = s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return (f'<text x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{fill}"{extra}>{escape(s)}</text>')
+            f'text-anchor="{anchor}" fill="{fill}"{extra}>{s}</text>')
 
 
 def _star_points(cx, cy, r_out=8.0, r_in=3.4) -> str:

@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import textwrap
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -417,3 +421,61 @@ def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
         assert main(["plot", str(root), "--kind", "curves"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{path}: ") and message in err
+
+
+@pytest.mark.parametrize("margin", ["inf", "1e400"])
+def test_run_infinite_margin_exit_2(tmp_path, capsys, margin):
+    cfg = write_config(tmp_path, seeds="0", methods={"E-FT": {"margin": margin}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "[method E-FT]: margin must be finite and nonnegative, got inf" in err
+    assert not (tmp_path / "results").exists()  # nothing trained
+
+
+def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkeypatch):
+    """The A_k table reads only accuracy rows: no PrototypeBook lives on
+    into the next run or the table, which prints what the written
+    a_matrix.csv files give."""
+    books = []
+    inner_run, inner_table = cli.run_sequence, cli._ak_table
+
+    def run(*args):
+        assert [b() for b in books] == [None] * len(books)
+        record = inner_run(*args)
+        books.append(weakref.ref(record.book))
+        return record
+
+    def table(*args):
+        assert [b() for b in books] == [None] * len(books)
+        return inner_table(*args)
+
+    monkeypatch.setattr(cli, "run_sequence", run)
+    monkeypatch.setattr(cli, "_ak_table", table)
+    cfg = write_config(tmp_path, methods={"E-FT": {}, "E-FT+SDC":
+                                          {"method": "E-FT", "sdc": "true"}})
+    assert main(["run", str(cfg)]) == 0
+    assert len(books) == 4
+    root = tmp_path / "results"
+    from_csv = {label: {seed: RunRecord.from_a_matrix_csv(
+        (root / label / seed / "a_matrix.csv").read_text(), label, seed)
+        for seed in ("0", "1")} for label in ("E-FT", "E-FT+SDC")}
+    out = capsys.readouterr().out
+    assert out.endswith("\n\n" + inner_table(from_csv, 2, 2) + "\n")
+
+
+def test_cli_import_loads_no_xml_or_http_stack():
+    """``driftlab.cli`` adds none of ``xml``, ``urllib.request``,
+    ``http.client``, ``ssl`` and ``email`` to ``sys.modules``; the
+    comparison is before and after the import, since a site hook may
+    preload some modules."""
+    probe = ("import sys; before = set(sys.modules); import driftlab.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "driftlab.svgplot" in added
+    heavy = ("xml", "urllib.request", "http.client", "ssl", "email")
+    assert [m for m in added if any(m == h or m.startswith(h + ".") for h in heavy)] == []

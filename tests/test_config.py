@@ -175,7 +175,7 @@ def test_fisher_variant_checked_at_load(tmp_path):
     ("epochs", "0"), ("batch_size", "1"), ("lr", "-0.01"), ("lr", "0"),
     ("sigma", "-1"), ("margin", "-0.1"),
     ("embedding_dim", "0"), ("hidden", "256 0"), ("gamma", "-1"), ("gamma", "nan"),
-    ("gamma", "inf"), ("lr", "inf"), ("sigma", "inf"),
+    ("gamma", "inf"), ("lr", "inf"), ("sigma", "inf"), ("margin", "inf"),
 ])
 def test_out_of_range_numbers_rejected_at_load(tmp_path, key, value):
     body = BASE.replace("epochs = 5\n", "") + f"{key} = {value}\n"

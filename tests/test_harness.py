@@ -1,7 +1,9 @@
 import hashlib
 import logging
 import re
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import allocated_bytes
 from driftlab import harness
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
+from driftlab.losses import ImportanceMap
 from driftlab.harness import (
     MethodConfig,
     RunRecord,
@@ -673,3 +676,82 @@ def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
 
     extra = 1500 * (d_in + d_out) * 8
     assert peak(30) - peak(15) <= 1.1 * extra
+
+
+# ---- memory held across tasks
+
+
+@pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
+@pytest.mark.parametrize("method, estimator, kind", [
+    ("E-EWC", "estimate_fisher", "fisher"), ("E-MAS", "estimate_mas_importance", "mas")])
+def test_running_importance_sum_equals_the_mean_of_all_maps(monkeypatch, method, estimator,
+                                                            kind, n_maps):
+    """Each task trains against the running sum of the earlier maps over
+    their count, byte for byte the old ``ImportanceMap.average``: the
+    builtin sum of the maps in task order, then one division."""
+    rng = np.random.default_rng(n_maps)
+    shapes = [p.data.shape for p in EmbeddingNet(6, 2, hidden=(32,)).params]
+    maps = [ImportanceMap(kind, tuple(rng.exponential(size=s) * 10.0 ** rng.uniform(-8, 8, s)
+                                      for s in shapes)) for _ in range(n_maps)]
+    handed = iter([ImportanceMap(kind, tuple(w.copy() for w in m.weights)) for m in maps])
+    monkeypatch.setattr(harness, estimator, lambda *args, **kwargs: next(handed))
+    got = []
+    monkeypatch.setattr(harness, "train_task",
+                        lambda *args, importance=None, **kwargs: got.append(importance))
+    run_sequence(quick(method), tiny_sequence(n_classes=n_maps + 1, n_tasks=n_maps + 1))
+    assert got[0] is None and len(got) == n_maps + 1
+    for k, mean in enumerate(got[1:], start=1):
+        assert mean.kind == kind
+        for i, w in enumerate(mean.weights):
+            want = sum(m.weights[i] for m in maps[:k]) / k
+            assert w.tobytes() == want.tobytes()
+
+
+def _live_at_last_training(monkeypatch, n_tasks):
+    """Traced bytes live when the last task's ``train_task`` starts, on an
+    E-EWC run of two classes per task through a 256-wide net."""
+    seq = tiny_sequence(n_classes=2 * n_tasks, n_tasks=n_tasks, per_class=12)
+    live = []
+    inner = harness.train_task
+
+    def traced(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_task", traced)
+    tracemalloc.start()
+    try:
+        run_sequence(quick("E-EWC", epochs=1, hidden=(256, 256)), seq)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == n_tasks
+    return live[-1]
+
+
+def test_importance_memory_does_not_grow_with_tasks(monkeypatch):
+    one_set = sum(p.data.nbytes for p in EmbeddingNet(6, 2, hidden=(256, 256)).params)
+    grown = _live_at_last_training(monkeypatch, 6) - _live_at_last_training(monkeypatch, 3)
+    assert grown < one_set  # a map per task would add three sets
+
+
+@pytest.mark.parametrize("method", ["E-FT", "E-EWC"])
+def test_checkpoint_embeddings_die_before_the_next_training(monkeypatch, method):
+    """Every embedding array a task makes (its training rows' for the
+    prototypes, its test rows' at the checkpoint) is gone when the next
+    task's training starts."""
+    refs = []
+    inner_protos, inner_train = harness.compute_prototypes, harness.train_task
+
+    def protos(z, *args, **kwargs):
+        refs.append(weakref.ref(z))
+        return inner_protos(z, *args, **kwargs)
+
+    def train(*args, **kwargs):
+        assert [r() for r in refs] == [None] * len(refs)
+        return inner_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_prototypes", protos)
+    monkeypatch.setattr(harness, "train_task", train)
+    run_sequence(quick(method, sdc=method == "E-FT", epochs=2),
+                 tiny_sequence(n_classes=6, n_tasks=3))
+    assert len(refs) == 6  # training and test embeddings of three tasks

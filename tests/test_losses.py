@@ -400,10 +400,11 @@ def test_importance_map_validation():
         ImportanceMap("fisher", (np.array([1.0, -0.1]),))
     a = ImportanceMap("mas", (np.array([1.0, 2.0]),))
     b = ImportanceMap("mas", (np.array([3.0, 4.0]),))
-    avg = ImportanceMap.average([a, b])
-    assert np.allclose(avg.weights[0], [2.0, 3.0])
-    with pytest.raises(ValueError):
-        ImportanceMap.average([a, ImportanceMap("fisher", (np.zeros(2),))])
+    buffer = a.weights[0]
+    assert a.add(b) is a and a.weights[0] is buffer  # summed in place
+    assert a.weights[0].tolist() == [4.0, 6.0] and b.weights[0].tolist() == [3.0, 4.0]
+    with pytest.raises(ValueError, match="cannot add a fisher map to a mas map"):
+        a.add(ImportanceMap("fisher", (np.zeros(2),)))
 
 
 # independent numpy-only pipeline used as the estimation oracle

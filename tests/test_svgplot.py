@@ -1,12 +1,16 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
 from driftlab.harness import MethodConfig, run_sequence, split_tasks
 from driftlab.prototypes import PrototypeBook
 from driftlab.svgplot import (
+    _text,
     confusion_figure,
     curves_figure,
     embedding_figure,
@@ -151,3 +155,12 @@ def test_confusion_figure_cells_and_shading():
 def test_confusion_empty():
     with pytest.raises(ValueError):
         confusion_figure([], [])
+
+
+@given(st.lists(st.one_of(st.sampled_from(["&", "<", ">", "&amp;", '"', "'", "]]>"]),
+                          st.text(max_size=4)), max_size=8).map("".join))
+def test_text_escapes_as_saxutils(s):
+    """Figure text is escaped as ``xml.sax.saxutils.escape`` does, without
+    importing it: ``&`` first, then ``>`` and ``<``; quotes pass."""
+    assert _text(1, 2, s).endswith(f">{escape(s)}</text>")
+    assert _text(1, 2, s).count("<") == 2  # only the tags' own
