@@ -19,7 +19,7 @@ import numpy as np
 
 from driftlab.data import LabeledDataset
 from driftlab.harness import MethodConfig, split_tasks, train_task
-from driftlab.models import EmbeddingNet, snapshot
+from driftlab.models import EmbeddingNet
 from driftlab.prototypes import (
     KernelConfig,
     PrototypeBook,
@@ -54,7 +54,8 @@ train_task(model, t1.train, config, rng)
 book = PrototypeBook()
 book.add_task(compute_prototypes(model.embed_np(t1.train.features),
                                  t1.train.labels), task_index=1)
-before_task2 = snapshot(model)
+# Task 2's rows under the task-1 model: SDC's only evidence of the drift.
+before_task2 = model.embed_np(t2.train.features)
 
 train_task(model, t2.train, config, rng)
 z2 = model.embed_np(t2.train.features)
@@ -79,9 +80,9 @@ err_stale = staleness(book)
 acc_stale = accuracies(book)
 
 # The drift field: where each task-2 training point sat under the
-# task-1 snapshot, and how far it moved. Task-1 prototypes get the
+# task-1 model, and how far it moved. Task-1 prototypes get the
 # kernel-weighted average of nearby displacements.
-field = collect_drift(before_task2, model, t2.train, z2)
+field = collect_drift(before_task2, z2)
 compensate(book, field, KernelConfig(sigma=0.2), current_task=2)
 
 err_comp = staleness(book)

@@ -87,6 +87,16 @@ def _read_be_ints(buf: bytes, path: str, offset: int, count: int) -> tuple:
     return struct.unpack(f">{count}i", buf[offset:end])
 
 
+def _read_header_sizes(buf: bytes, path: str, names: tuple) -> tuple:
+    """The header's size fields after the magic; a negative one is a
+    DatasetFormatError naming the file and the field."""
+    sizes = _read_be_ints(buf, path, 4, len(names))
+    for name, value in zip(names, sizes):
+        if value < 0:
+            raise DatasetFormatError(f"{path}: negative {name} {value} in header")
+    return sizes
+
+
 def read_idx(images_path, labels_path) -> LabeledDataset:
     """Read an IDX image/label file pair (big-endian, magic 0x803/0x801).
 
@@ -103,7 +113,7 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"{images_path}: bad magic 0x{magic & 0xFFFFFFFF:08x}, "
             f"expected 0x{IDX_IMAGES_MAGIC:08x}"
         )
-    n, rows, cols = _read_be_ints(img_buf, str(images_path), 4, 3)
+    n, rows, cols = _read_header_sizes(img_buf, str(images_path), ("count", "rows", "cols"))
     need = 16 + n * rows * cols
     if len(img_buf) < need:
         raise DatasetFormatError(
@@ -116,7 +126,7 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"{labels_path}: bad magic 0x{magic & 0xFFFFFFFF:08x}, "
             f"expected 0x{IDX_LABELS_MAGIC:08x}"
         )
-    (n_lab,) = _read_be_ints(lab_buf, str(labels_path), 4, 1)
+    (n_lab,) = _read_header_sizes(lab_buf, str(labels_path), ("count",))
     if n_lab != n:
         raise DatasetFormatError(f"{n} images but {n_lab} labels")
     if len(lab_buf) < 8 + n_lab:

@@ -176,7 +176,8 @@ class MethodConfig:
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size >= 2, "at least 2"),
             ("lr", 0 < self.lr < np.inf, "finite and positive"),
-            ("sigma", 0 < self.sigma < np.inf, "finite and positive"),
+            ("sigma", 0 < self.sigma and 0 < 2.0 * self.sigma * self.sigma < np.inf,
+             "finite and positive, with 2 sigma^2 in (0, inf)"),
             ("margin", 0 <= self.margin < np.inf, "finite and nonnegative"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
@@ -474,11 +475,11 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     RunRecord (with the final PrototypeBook attached as ``record.book``).
 
     Every method runs the same loop: an optional pretraining stage, then
-    per task training, prototypes, drift compensation, importance,
-    snapshot and evaluation, after which each compensated class gets its
-    ``_sdc_event`` diagnostics. Joint trains once on the union of all tasks
-    and evaluates only after the last; FT classifies with its heads, FT*
-    by NCM over its trunk features.
+    per task training, prototypes, drift compensation, importance, a
+    snapshot (gamma > 0) and evaluation, after which each compensated
+    class gets its ``_sdc_event`` diagnostics. Joint trains once on the
+    union of all tasks and evaluates only after the last; FT classifies
+    with its heads, FT* by NCM over its trunk features.
     """
     start = time.perf_counter()
     record = RunRecord(
@@ -508,6 +509,8 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         t = task.index
         trains = {"E-Fix": t == 1, "E-Pre-substitute": False, "Joint": False}.get(
             config.method, True)
+        # SDC's evidence: the task's rows under the model before it trains
+        old_z = embed(task.train.features) if config.sdc and t > 1 else None
         if softmax:
             model.add_head(task.classes)
             _train_softmax_task(model, task, config, rng)
@@ -523,10 +526,9 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
                 compute_prototypes(z, task.train.labels, classes=task.classes),
                 task_index=t,
             )
-            if config.sdc and t > 1:
-                moves = compensate(book, collect_drift(snap, model, task.train, z),
-                                   kcfg, current_task=t)
-            del z  # [train rows, D], not held through the next task's training
+            if old_z is not None:
+                moves = compensate(book, collect_drift(old_z, z), kcfg, current_task=t)
+            del z, old_z  # [train rows, D], not held through the next task
 
         if t < len(sequence):  # the next task's importance and reference
             if config.method == "E-EWC":
@@ -537,7 +539,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             if config.method in ("E-EWC", "E-MAS"):  # weights are >= +0: w1 is 0 + w1
                 total, n_maps = new if total is None else total.add(new), n_maps + 1
                 del new  # the task's map lives on only in the sum
-            if config.sdc or config.gamma > 0:
+            if config.gamma > 0:  # only a regularizer reads the snapshot
                 snap = snapshot(model)
 
         if config.method == "Joint" and t < len(sequence):

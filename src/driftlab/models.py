@@ -10,8 +10,7 @@ the softmax net feeds it to per-task heads. Sharing the trunk keeps
 capacity identical across the two training regimes.
 
 A snapshot is a tuple of read-only copies of an embedding net's parameter
-arrays: SDC re-embeds the current task's data with it through ``infer``,
-and the regularizers anchor their penalties to it.
+arrays: the reference the regularizers anchor their penalties to.
 """
 
 from __future__ import annotations

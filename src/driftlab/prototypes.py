@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INFER_ROWS, infer
+from .models import INFER_ROWS
 from .tensor import ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -38,8 +38,11 @@ class KernelConfig:
     sigma: float = 0.3
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        # the kernel divides by 2 sigma^2; one that underflows to 0 gives NaN
+        # drift on a drift point and no weight anywhere else
+        if not (0 < self.sigma and 0 < 2.0 * self.sigma * self.sigma < np.inf):
+            raise ValueError(f"sigma must be finite and positive, with 2 sigma^2 "
+                             f"in (0, inf), got {self.sigma!r}")
 
 
 @dataclass
@@ -212,17 +215,12 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     return ids[best]
 
 
-def collect_drift(snapshot: tuple, current_model, task_data, after) -> DriftField:
-    """Endpoint drift of the current task's training data: where the
-    snapshot (the previous model's parameters) put each sample, and how
-    far the current model moved it. ``after`` is
-    ``current_model.embed_np(task_data.features)``, which the caller has
-    already computed for the task's prototypes."""
-    old = [a.shape for a in snapshot]
-    new = [p.data.shape for p in current_model.params]
-    if old != new:
-        raise StateError(f"model mismatch: parameter shapes {old} vs {new}")
-    before = infer(snapshot, task_data.features, normalize=True)
+def collect_drift(before, after) -> DriftField:
+    """Endpoint drift of the current task's training data: ``before`` is
+    where the previous model put each sample (the model's ``embed_np``
+    before the task trained), ``after`` where the current model puts it."""
+    if np.shape(before) != np.shape(after):
+        raise ShapeError(f"embeddings before {np.shape(before)} vs after {np.shape(after)}")
     return DriftField(before, after - before)
 
 

@@ -101,6 +101,19 @@ def test_run_non_finite_gamma_exit_2(tmp_path, capsys, gamma):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+def test_run_sigma_whose_kernel_width_is_not_finite_exit_2(tmp_path, capsys, sigma):
+    """2 sigma^2 underflows to 0 at 1e-200 (NaN drift on a drift point,
+    no compensation elsewhere) and overflows at 1e200."""
+    cfg = write_config(tmp_path, seeds="0",
+                       methods={"E-FT+SDC": {"method": "E-FT", "sdc": "true", "sigma": sigma}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("[method E-FT+SDC]: sigma must be finite and positive, with 2 sigma^2 "
+            f"in (0, inf), got {float(sigma)!r}") in err
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("dataset, expected", [
     ({"n_tasks": 0}, "n_tasks must be at least 1, got 0"),
     ({"n_tasks": -1}, "n_tasks must be at least 1, got -1"),
@@ -132,6 +145,9 @@ def test_run_bad_split_values_exit_2(tmp_path, capsys, dataset, expected):
     ("non-ascii byte", "not an ASCII text file"),
     ("no feature column", "data.csv: no feature columns"),
     ("empty idx images", "images.idx: no feature columns"),
+    ("negative idx rows", "images.idx: negative rows -1 in header"),
+    ("negative idx count", "images.idx: negative count -1 in header"),
+    ("negative idx label count", "labels.idx: negative count -2 in header"),
 ])
 def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
     csv = tmp_path / "data.csv"
@@ -147,6 +163,13 @@ def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         images.write_bytes(struct.pack(">4i", 0x803, 4, 0, 2))
         labels.write_bytes(struct.pack(">2i", 0x801, 4) + bytes([0, 0, 1, 1]))
+        dataset = {"source": "idx", "images": images, "labels": labels}
+    elif case.startswith("negative idx"):  # rows = cols = -1 loaded as 1-pixel images
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        n, side, n_lab = {"negative idx rows": (2, -1, 2), "negative idx count": (-1, 2, 8),
+                          "negative idx label count": (2, 2, -2)}[case]
+        images.write_bytes(struct.pack(">4i", 0x803, n, side, side) + bytes(64))
+        labels.write_bytes(struct.pack(">2i", 0x801, n_lab) + bytes([0, 1] * 4))
         dataset = {"source": "idx", "images": images, "labels": labels}
     elif case == "non-ascii byte":
         csv.write_bytes(b"label,f0,f1\n0,\xff1.0,2.0\n")

@@ -176,6 +176,7 @@ def test_fisher_variant_checked_at_load(tmp_path):
     ("sigma", "-1"), ("margin", "-0.1"),
     ("embedding_dim", "0"), ("hidden", "256 0"), ("gamma", "-1"), ("gamma", "nan"),
     ("gamma", "inf"), ("lr", "inf"), ("sigma", "inf"), ("margin", "inf"),
+    ("sigma", "1e-200"), ("sigma", "1e200"),  # 2 sigma^2 underflows to 0, overflows
 ])
 def test_out_of_range_numbers_rejected_at_load(tmp_path, key, value):
     body = BASE.replace("epochs = 5\n", "") + f"{key} = {value}\n"

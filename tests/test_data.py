@@ -114,6 +114,20 @@ def test_idx_count_mismatch(tmp_path):
         read_idx(img, lab2)
 
 
+@pytest.mark.parametrize("header, n_lab, expected", [
+    ((2, -1, -1), 2, "imgs.idx: negative rows -1 in header"),  # loaded as shape (2, 1) before
+    ((-1, 1, 1), -1, "imgs.idx: negative count -1 in header"),  # was "64 feature rows vs 8 labels"
+    ((2, 3, -3), 2, "imgs.idx: negative cols -3 in header"),
+    ((2, 2, 2), -2, "labs.idx: negative count -2 in header"),
+])
+def test_idx_rejects_negative_header_fields(tmp_path, header, n_lab, expected):
+    img, lab = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    img.write_bytes(struct.pack(">4i", 0x803, *header) + bytes(64))
+    lab.write_bytes(struct.pack(">2i", 0x801, n_lab) + bytes(8))
+    with pytest.raises(DatasetFormatError, match=expected):
+        read_idx(img, lab)
+
+
 def test_csv_two_rows(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f0,f1\n0,1.5,2.5\n1,3.0,4.0\n")

@@ -13,6 +13,12 @@ depends on averaging the importance maps of all earlier tasks rather
 than keeping the latest. A change that moves one of them changes the
 accuracy matrix a user gets back.
 
+SDC is pinned where a regularizer's snapshot lives beside it (E-LwF+SDC,
+at gamma 0.1: at gamma 1 E-LwF writes the same bytes with and without
+SDC) and where the net is frozen after task 1 (E-Fix+SDC, whose drift is
+exactly zero). Their values were taken while SDC still re-embedded a
+task's rows through a snapshot after the task trained.
+
 A second, 24-class config pins nearest-class-mean predictions where
 they are hardest to keep exact: E-FT+SDC in a 2-D embedding, where
 queries often sit near a tie between prototypes, and FT*, whose
@@ -35,6 +41,10 @@ GOLDEN = {
     ("E-EWC", 1): "80164651a37c1adc92baa21acfedfd72f65fb854166981d5806979a081574d6e",
     ("E-MAS", 0): "26f057d49db597935f750bb7cf32f49dab3dd83fecd8ce3188c3772a4adeb19c",
     ("E-MAS", 1): "3563736d649e0e9325834b9be241d46aba5af5b4eed9fd02aec4241b559eb190",
+    ("E-LwF+SDC", 0): "51ce0c313e404237b35f4a8279d61d3c9f13840078e1a8742032f1d1ccc72cb1",
+    ("E-LwF+SDC", 1): "9886c2885fb33f8792183178e06f4e16a1e4e86bb8cab00379e1645cb424268a",
+    ("E-Fix+SDC", 0): "f82bef24e3ad0c2385e5b26cbd5b0ea32ea605374262ed934cc286cb10f0c511",
+    ("E-Fix+SDC", 1): "30b4b6cac7ffd716fc6645e6110d049a3e15af3b1438e4f3690db6153c2544b1",
 }
 
 GOLDEN_MANY = {
@@ -49,6 +59,8 @@ METHODS = {
     "E-LwF": {"mining": "random"},
     "E-EWC": {"mining": "random", "gamma": "1e3"},
     "E-MAS": {"mining": "random", "gamma": "1"},
+    "E-LwF+SDC": {"method": "E-LwF", "sdc": "true", "mining": "random", "gamma": "0.1"},
+    "E-Fix+SDC": {"method": "E-Fix", "sdc": "true", "mining": "semihard"},
 }
 
 

@@ -548,6 +548,18 @@ def test_sdc_changes_only_prototypes_not_training():
     assert moved
 
 
+@pytest.mark.parametrize("method, snapshots", [("E-FT", 0), ("E-Fix", 0), ("E-LwF", 2)])
+def test_sdc_takes_a_snapshot_only_for_a_regularizer(monkeypatch, method, snapshots):
+    """SDC embeds a task's rows before the task trains, so a parameter
+    copy is made only where a regularizer (gamma > 0) reads it."""
+    calls = []
+    inner = harness.snapshot
+    monkeypatch.setattr(harness, "snapshot", lambda model: calls.append(1) or inner(model))
+    rec = run_sequence(quick(method, sdc=True, epochs=2), tiny_sequence(n_classes=6, n_tasks=3))
+    assert len(calls) == snapshots
+    assert sorted(rec.sdc_events) == [2, 3]
+
+
 def test_training_error_single_class_task():
     ds = gen_gaussian_clusters(2, 20, 4, 0.2, seed=0)
     seq = split_tasks(ds, 2, seed=0)  # one class per task

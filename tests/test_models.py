@@ -201,7 +201,7 @@ def test_lwf_and_collect_drift_build_no_net(rng, nets_built):
     del nets_built[:]
     loss = losses.lwf_align_loss(m, snap, ds.features[:5])
     assert loss.item() == 0.0
-    field = prototypes.collect_drift(snap, m, ds, m.embed_np(ds.features))
+    field = prototypes.collect_drift(m.embed_np(ds.features), m.embed_np(ds.features))
     assert np.max(np.abs(field.displacements)) == 0.0
     assert nets_built == []
 

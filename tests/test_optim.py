@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftlab.optim import Adam
+from driftlab.optim import BLOCK, Adam
 from driftlab.tensor import StateError, Tensor
 from conftest import allocated_bytes
 
@@ -106,3 +106,38 @@ def test_adam_step_allocates_no_arrays(rng):
     opt = Adam(params, lr=1e-3)
     opt.step()  # the first step touches the scratch pages
     assert allocated_bytes(opt.step) < 4096  # one param-sized temporary is 524 KB
+
+
+BENCH_NET = [(64, 256), (256,), (256, 256), (256,), (256, 64), (64,)]
+
+
+def test_adam_construction_allocates_moments_and_two_blocks(rng):
+    """The scratch is two buffers of BLOCK floats, not two of the largest
+    parameter's size (65,536 floats for the 256 x 256 layer)."""
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in BENCH_NET]
+    moments = 2 * sum(p.data.size for p in params)
+    assert BLOCK == 16_384 and max(p.data.size for p in params) > BLOCK
+    assert allocated_bytes(lambda: Adam(params)) <= 8 * (moments + 2 * BLOCK) + 16_384
+
+
+@pytest.mark.parametrize("shape, order", [
+    ((300, 100), "C"), ((300, 100), "F"), ((40_000,), "C"), ((2, 20_000), "C"),
+    ((3, 7000, 2), "C")])
+def test_adam_blocks_give_textbook_bits_above_one_block(rng, shape, order):
+    """Parameters larger than one block, in row blocks, with rows larger
+    than a block and a column-major layout, step to the textbook bits."""
+    data = np.asarray(rng.normal(size=shape), order=order)
+    p = Tensor(data, requires_grad=True)
+    opt = Adam([p, Tensor(rng.normal(size=()), requires_grad=True)], lr=0.01)
+    ref, m, v = data.copy(), np.zeros(shape), np.zeros(shape)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 6):
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+        p.grad = np.asarray(g, order=order)
+        opt.params[1].grad = np.asarray(rng.normal())
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert p.data is data and np.array_equal(p.data, ref)
+        assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)

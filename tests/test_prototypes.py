@@ -226,33 +226,35 @@ def test_ncm_peak_memory_does_not_grow_with_rows():
 def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
-    field = collect_drift(snapshot(m), m, ds, m.embed_np(ds.features))
+    field = collect_drift(m.embed_np(ds.features), m.embed_np(ds.features))
     assert len(field) == 10
     assert np.max(np.abs(field.displacements)) == 0.0
 
 
 def test_collect_drift_counts_and_mismatch(rng):
     ds = gen_gaussian_clusters(2, 6, 4, 0.2, seed=2)
-    a = snapshot(EmbeddingNet(4, 2, seed=1))
-    b = EmbeddingNet(4, 3, seed=1)
-    with pytest.raises(StateError):
-        collect_drift(a, b, ds, b.embed_np(ds.features))
-    narrow = EmbeddingNet(4, 2, hidden=(8,), seed=1)
-    with pytest.raises(StateError, match="parameter shapes"):  # hidden widths differ
-        collect_drift(a, narrow, ds, narrow.embed_np(ds.features))
-    a2 = EmbeddingNet(4, 2, seed=5)
-    field = collect_drift(a, a2, ds, a2.embed_np(ds.features))
+    before = EmbeddingNet(4, 2, seed=1).embed_np(ds.features)
+    wide = EmbeddingNet(4, 3, seed=1).embed_np(ds.features)
+    with pytest.raises(ShapeError, match=r"before \(12, 2\) vs after \(12, 3\)"):
+        collect_drift(before, wide)  # embedding dims differ
+    for rows in (before[:-1], before[:1]):  # one row would broadcast
+        with pytest.raises(ShapeError):
+            collect_drift(before, rows)
+    field = collect_drift(before, EmbeddingNet(4, 2, seed=5).embed_np(ds.features))
     assert len(field) == len(ds.labels)
     assert np.max(np.abs(field.displacements)) > 0
 
 
 def test_collect_drift_takes_precomputed_embeddings_bit_for_bit():
+    """The field holds the given embeddings and their difference, bit for
+    bit; the old side from ``embed_np`` before training equals ``infer``
+    over a snapshot of the same parameters."""
     ds = gen_gaussian_clusters(3, 7, 4, 0.2, seed=3)
-    snap, m = snapshot(EmbeddingNet(4, 2, seed=1)), EmbeddingNet(4, 2, seed=6)
-    before = infer(snap, ds.features, normalize=True)  # the reference embeds both sides
+    old, m = EmbeddingNet(4, 2, seed=1), EmbeddingNet(4, 2, seed=6)
+    before = old.embed_np(ds.features)
+    assert before.tobytes() == infer(snapshot(old), ds.features, normalize=True).tobytes()
     after = m.embed_np(ds.features)
-    m.embed_np = None  # given its embeddings, the current model is not run again
-    field = collect_drift(snap, m, ds, after)
+    field = collect_drift(before, after)
     assert field.positions.tobytes() == before.tobytes()
     assert field.displacements.tobytes() == (after - before).tobytes()
     assert np.max(np.abs(field.displacements)) > 0
@@ -403,9 +405,12 @@ def test_compensate_matches_per_class_loop(rng, caplog):
 
 
 def test_kernel_config_validation():
-    for sigma in (0.0, -1.0, np.nan, np.inf):
+    # from 1e-200 to 1e-163 2 sigma^2 underflows to 0, which gives a query on
+    # a drift point NaN drift; from 1e155 it overflows
+    for sigma in (0.0, -1.0, np.nan, np.inf, 1e-200, 1e-163, 1e155, 1e200):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
             KernelConfig(sigma=sigma)
+    assert KernelConfig(sigma=1e-160).sigma == 1e-160  # 2 sigma^2 is 2e-320, not 0
     with pytest.raises(ShapeError):
         DriftField(np.zeros((3, 2)), np.zeros((2, 2)))
 
