@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, gen_gaussian_clusters, read_csv_dataset, read_idx
-from .harness import MethodConfig, TaskSequence, split_tasks
+from .harness import METHOD_SPECS, MethodConfig, TaskSequence, split_tasks
 
 SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
 
@@ -176,8 +176,9 @@ def load_config(path: str) -> ExperimentConfig:
                 kwargs[key] = _parse_value(name, key, parser[name][key],
                                            _METHOD_TYPES[key])
         kwargs.setdefault("method", label)
-        if kwargs["method"] == "E-Pre-substitute" and dataset.get("pretrain_classes", 0) < 1:
-            raise ConfigError(f"[{name}] E-Pre-substitute needs [dataset] "
+        spec = METHOD_SPECS.get(kwargs["method"])  # an unknown name fails below
+        if spec and spec.pretrain == "held-out" and dataset.get("pretrain_classes", 0) < 1:
+            raise ConfigError(f"[{name}] {kwargs['method']} needs [dataset] "
                               "pretrain_classes of at least 1")
         try:  # surface bad method names/values as config errors, not at run time
             MethodConfig(**kwargs)

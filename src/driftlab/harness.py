@@ -39,11 +39,33 @@ from .prototypes import (
 )
 from .tensor import Tensor, softmax_cross_entropy
 
-EMBEDDING_METHODS = ("E-FT", "E-LwF", "E-EWC", "E-MAS", "E-Fix", "E-Pre-substitute", "Joint")
-SOFTMAX_METHODS = ("FT", "FT*")
-METHODS = EMBEDDING_METHODS + SOFTMAX_METHODS
 
-GAMMA_DEFAULTS = {"E-LwF": 1.0, "E-EWC": 1e7, "E-MAS": 1e6}
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything that sets one method apart from another. Rows hold
+    strings and classes, never functions: code looks a function up by
+    name when it runs, so a wrapper put on a module attribute sees it."""
+    net: type  # EmbeddingNet or GrowingSoftmaxNet
+    ncm_on: str | None = "embed_np"  # model method NCM classifies; None: the heads
+    trains_through: int | None = None  # last task that trains the net; None: all
+    pretrain: str | None = None  # None, "union" (all tasks) or "held-out"
+    regularizer: str | None = None  # None, "lwf", "fisher" or "mas"
+    gamma: float = 0.0  # default regularizer weight
+
+
+METHOD_SPECS = {
+    "E-FT": MethodSpec(EmbeddingNet),
+    "E-LwF": MethodSpec(EmbeddingNet, regularizer="lwf", gamma=1.0),
+    "E-EWC": MethodSpec(EmbeddingNet, regularizer="fisher", gamma=1e7),
+    "E-MAS": MethodSpec(EmbeddingNet, regularizer="mas", gamma=1e6),
+    "E-Fix": MethodSpec(EmbeddingNet, trains_through=1),
+    "E-Pre-substitute": MethodSpec(EmbeddingNet, trains_through=0, pretrain="held-out"),
+    "Joint": MethodSpec(EmbeddingNet, trains_through=0, pretrain="union"),
+    "FT": MethodSpec(GrowingSoftmaxNet, ncm_on=None),
+    "FT*": MethodSpec(GrowingSoftmaxNet, ncm_on="features_np"),
+}
+METHODS = tuple(METHOD_SPECS)
+GAMMA_DEFAULTS = {m: s.gamma for m, s in METHOD_SPECS.items() if s.regularizer}
 FISHER_VARIANTS = ("triplet", "squared_norm")
 A_MATRIX_HEADER = "k,j,accuracy"
 
@@ -90,8 +112,12 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     the rest must divide evenly over the remaining tasks. With no separate
     ``test`` set, ``test_fraction`` of each class is held out (seeded).
     A task with no test rows (an explicit ``test`` set that lacks all of
-    its classes) is a ValueError.
+    its classes) is a ValueError, and so is ``n_tasks`` below 1, or below 2
+    with a ``first_task_fraction``.
     """
+    least = 2 if first_task_fraction else 1
+    if n_tasks < least:
+        raise ValueError(f"n_tasks must be at least {least}, got {n_tasks}")
     classes = np.unique(dataset.labels)
     if n_tasks > len(classes):
         raise ValueError(f"{n_tasks} tasks but only {len(classes)} classes")
@@ -164,7 +190,9 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
-        if self.sdc and (self.method in SOFTMAX_METHODS or self.method == "Joint"):
+        spec = METHOD_SPECS[self.method]
+        # SDC needs an embedding net that has not seen later tasks
+        if self.sdc and (spec.net is not EmbeddingNet or spec.pretrain == "union"):
             raise ValueError(f"sdc is only valid for incremental embedding methods, "
                              f"not {self.method}")
         if self.mining not in ("random", "semihard"):
@@ -186,10 +214,8 @@ class MethodConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        if self.gamma is None:
-            self.gamma = GAMMA_DEFAULTS.get(self.method, 0.0)
-        if self.method not in GAMMA_DEFAULTS:
-            self.gamma = 0.0  # ignored for methods without a regularizer
+        if self.gamma is None or spec.regularizer is None:
+            self.gamma = spec.gamma  # 0.0, ignored, without a regularizer
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -363,7 +389,7 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
             any_triplets = True
             loss = triplet_loss(z, trip)
             if config.gamma > 0 and snap is not None:
-                if config.method == "E-LwF":
+                if METHOD_SPECS[config.method].regularizer == "lwf":
                     reg = lwf_align_loss(model, snap, xb)
                 else:
                     reg = quadratic_penalty(model, snap, importance)
@@ -456,20 +482,6 @@ def _capture_2d(model, book, task1: Task, record, k, z, means):
     }
 
 
-def _pretrain_data(config: MethodConfig, sequence: TaskSequence) -> LabeledDataset | None:
-    """Data for the stage before task 1: the union of all tasks for Joint,
-    the held-out classes for E-Pre-substitute, none otherwise."""
-    if config.method == "Joint":
-        return LabeledDataset(
-            np.concatenate([t.train.features for t in sequence.tasks]),
-            np.concatenate([t.train.labels for t in sequence.tasks]),
-        )
-    if config.method == "E-Pre-substitute" and sequence.pretrain is None:
-        raise TrainingError("E-Pre-substitute needs held-out pretraining data "
-                            "(dataset option pretrain_classes)")
-    return sequence.pretrain if config.method == "E-Pre-substitute" else None
-
-
 def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     """Drive one method over the whole task sequence; returns the filled
     RunRecord (with the final PrototypeBook attached as ``record.book``).
@@ -477,9 +489,10 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     Every method runs the same loop: an optional pretraining stage, then
     per task training, prototypes, drift compensation, importance, a
     snapshot (gamma > 0) and evaluation, after which each compensated
-    class gets its ``_sdc_event`` diagnostics. Joint trains once on the
-    union of all tasks and evaluates only after the last; FT classifies
-    with its heads, FT* by NCM over its trunk features.
+    class gets its ``_sdc_event`` diagnostics. The method's ``METHOD_SPECS``
+    row sets the net, what NCM classifies (or the heads), which tasks
+    train it, its pretraining and its regularizer. A net pretrained on the
+    union of all tasks (Joint) is evaluated only after the last task.
     """
     start = time.perf_counter()
     record = RunRecord(
@@ -487,18 +500,21 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         task_classes=[t.classes for t in sequence.tasks], config=config.to_dict(),
     )
     rng = np.random.default_rng([config.seed, 101])
-    softmax = config.method in SOFTMAX_METHODS
-    if softmax:
-        model = GrowingSoftmaxNet(sequence.input_dim, config.embedding_dim,
-                                  config.hidden, seed=config.seed)
-        embed = model.features_np if config.method == "FT*" else None
-    else:
-        model = EmbeddingNet(sequence.input_dim, config.embedding_dim,
-                             config.hidden, seed=config.seed)
-        embed = model.embed_np
-    pretrain = _pretrain_data(config, sequence)
-    if pretrain is not None:
-        train_task(model, pretrain, config, rng)
+    spec = METHOD_SPECS[config.method]
+    softmax = spec.net is GrowingSoftmaxNet
+    model = spec.net(sequence.input_dim, config.embedding_dim, config.hidden,
+                     seed=config.seed)
+    embed = getattr(model, spec.ncm_on) if spec.ncm_on else None
+    if spec.pretrain == "union":
+        train_task(model, LabeledDataset(
+            np.concatenate([t.train.features for t in sequence.tasks]),
+            np.concatenate([t.train.labels for t in sequence.tasks]),
+        ), config, rng)
+    elif spec.pretrain == "held-out":
+        if sequence.pretrain is None:
+            raise TrainingError(f"{config.method} needs held-out pretraining data "
+                                "(dataset option pretrain_classes)")
+        train_task(model, sequence.pretrain, config, rng)
 
     book = PrototypeBook()
     kcfg = KernelConfig(sigma=config.sigma)
@@ -507,12 +523,13 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     means: dict = {}  # class -> test-embedding mean at the last checkpoint
     for task in sequence.tasks:
         t = task.index
-        trains = {"E-Fix": t == 1, "E-Pre-substitute": False, "Joint": False}.get(
-            config.method, True)
+        trains = spec.trains_through is None or t <= spec.trains_through
+        sdc = config.sdc and t > 1
         # SDC's evidence: the task's rows under the model before it trains
-        old_z = embed(task.train.features) if config.sdc and t > 1 else None
+        old_z = embed(task.train.features) if sdc and trains else None
         if softmax:
             model.add_head(task.classes)
+        if trains and softmax:
             _train_softmax_task(model, task, config, rng)
         elif trains:
             importance = None if total is None else ImportanceMap(
@@ -526,23 +543,24 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
                 compute_prototypes(z, task.train.labels, classes=task.classes),
                 task_index=t,
             )
-            if old_z is not None:
-                moves = compensate(book, collect_drift(old_z, z), kcfg, current_task=t)
+            if sdc:  # a net that did not train has not moved: z is both sides
+                moves = compensate(book, collect_drift(old_z if trains else z, z),
+                                   kcfg, current_task=t)
             del z, old_z  # [train rows, D], not held through the next task
 
         if t < len(sequence):  # the next task's importance and reference
-            if config.method == "E-EWC":
+            if spec.regularizer == "fisher":
                 new = estimate_fisher(model, task.train, config.batch_size,
                                       config.fisher_variant)
-            elif config.method == "E-MAS":
+            elif spec.regularizer == "mas":
                 new = estimate_mas_importance(model, task.train)
-            if config.method in ("E-EWC", "E-MAS"):  # weights are >= +0: w1 is 0 + w1
+            if spec.regularizer in ("fisher", "mas"):  # weights are >= +0: w1 is 0 + w1
                 total, n_maps = new if total is None else total.add(new), n_maps + 1
                 del new  # the task's map lives on only in the sum
             if config.gamma > 0:  # only a regularizer reads the snapshot
                 snap = snapshot(model)
 
-        if config.method == "Joint" and t < len(sequence):
+        if spec.pretrain == "union" and t < len(sequence):  # trained on later tasks
             continue
         record.param_digest[t] = _digest(model)
         before = means

@@ -4,10 +4,12 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftlab
 from conftest import allocated_bytes
 from driftlab import harness
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
@@ -79,6 +81,9 @@ def test_split_too_many_tasks():
         split_tasks(ds, 4, seed=0)
     with pytest.raises(ValueError):
         split_tasks(ds, 2, seed=0)  # 3 classes over 2 tasks
+    for n_tasks, fraction in ((0, None), (-1, None), (1, 0.5)):
+        with pytest.raises(ValueError, match=f"n_tasks must be at least .*got {n_tasks}"):
+            split_tasks(ds, n_tasks, first_task_fraction=fraction, seed=0)
 
 
 def test_split_with_explicit_test_set():
@@ -194,6 +199,32 @@ def test_config_gamma_defaults():
     assert MethodConfig("E-FT").gamma == 0.0
     assert MethodConfig("FT", gamma=5.0).gamma == 0.0  # ignored
     assert MethodConfig("E-LwF", gamma=0.25).gamma == 0.25
+
+
+def test_method_table_exports():
+    assert driftlab.METHODS == ("E-FT", "E-LwF", "E-EWC", "E-MAS", "E-Fix",
+                                "E-Pre-substitute", "Joint", "FT", "FT*")
+    assert list(driftlab.GAMMA_DEFAULTS.items()) == [
+        ("E-LwF", 1.0), ("E-EWC", 1e7), ("E-MAS", 1e6)]
+
+
+@pytest.mark.parametrize("method", list(harness.METHOD_SPECS))
+def test_method_table_rules(method):
+    if method in ("FT", "FT*", "Joint"):
+        with pytest.raises(ValueError, match="sdc is only valid"):
+            MethodConfig(method, sdc=True)
+    else:
+        assert MethodConfig(method, sdc=True).sdc
+    default = {"E-LwF": 1.0, "E-EWC": 1e7, "E-MAS": 1e6}.get(method, 0.0)
+    assert MethodConfig(method).gamma == default
+    assert MethodConfig(method, gamma=0.25).gamma == (0.25 if default else 0.0)
+
+
+def test_readme_methods_table_names_every_method():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    assert tuple(r.split("|")[1].strip() for r in rows[2:]) == driftlab.METHODS
 
 
 # ---- metrics against hand computation
@@ -496,17 +527,29 @@ def test_sdc_estimate_is_closer_to_the_true_change_than_no_compensation(seed):
         assert -1.0 - 1e-12 <= e["cosine"] <= 1.0 + 1e-12 and not e["fallback"]
 
 
-def test_sdc_diagnostics_are_zero_when_the_model_is_frozen():
+def test_sdc_diagnostics_are_zero_when_the_model_is_frozen(monkeypatch):
+    rows = []
+    inner = EmbeddingNet.embed_np
+    monkeypatch.setattr(EmbeddingNet, "embed_np",
+                        lambda model, x: rows.append(len(x)) or inner(model, x))
     seq = tiny_sequence(n_classes=6, n_tasks=3)
-    rec = run_sequence(quick("E-Fix", sdc=True), seq)
-    assert sorted(rec.sdc_events) == [2, 3]
-    for t, events in rec.sdc_events.items():
-        assert sorted(events) == sorted(c for task in seq.tasks[: t - 1] for c in task.classes)
-        for e in events.values():
-            assert e["delta_norm"] == 0.0 and e["mass"] > WEIGHT_FLOOR
-            # a row's bits can depend on the other rows in its GEMM call
-            assert e["true_norm"] < 1e-12 and e["error_norm"] == e["true_norm"]
-            assert e["cosine"] is None
+    seq.pretrain = gen_gaussian_clusters(3, 30, 6, 0.25, seed=99)
+    # a frozen task's rows are embedded once: for its prototypes, not for drift
+    once = (sum(len(t.train.labels) for t in seq.tasks)
+            + sum(len(t.test.labels) * (len(seq) - i) for i, t in enumerate(seq.tasks)))
+    for method in ("E-Fix", "E-Pre-substitute"):
+        rows.clear()
+        rec = run_sequence(quick(method, sdc=True), seq)
+        assert sum(rows) == once
+        assert sorted(rec.sdc_events) == [2, 3]
+        for t, events in rec.sdc_events.items():
+            assert sorted(events) == sorted(c for task in seq.tasks[: t - 1]
+                                            for c in task.classes)
+            for e in events.values():
+                assert e["delta_norm"] == 0.0 and e["mass"] > WEIGHT_FLOOR
+                # a row's bits can depend on the other rows in its GEMM call
+                assert e["true_norm"] < 1e-12 and e["error_norm"] == e["true_norm"]
+                assert e["cosine"] is None
 
 
 def test_sdc_fallback_flag_is_mass_below_the_floor(caplog):
