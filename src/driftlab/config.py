@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .harness import METHOD_SPECS, MethodConfig, TaskSequence, split_tasks
 
 SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
 
-EXPERIMENT_KEYS = {"output_dir", "seeds"}
 SOURCES = ("synthetic", "digits", "idx", "csv")
 _SEEDED_SOURCES = ("synthetic",)  # the others load the same data for every seed
 _REQUIRED_BY_SOURCE = {"idx": ("images", "labels"), "csv": ("path",)}
@@ -56,6 +55,8 @@ class ExperimentConfig:
 
 
 def _parse_value(section, key, raw, kind):
+    if kind in (tuple, list):  # integers: hidden widths, or seeds that must differ
+        return kind(_parse_int_list(section, key, raw, distinct=kind is list))
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -82,11 +83,21 @@ def _parse_int_list(section, key, raw, distinct=False):
     return values
 
 
-_METHOD_TYPES = {
-    "sdc": bool, "gamma": float, "sigma": float, "margin": float, "lr": float,
-    "epochs": int, "batch_size": int, "embedding_dim": int,
-    "method": str, "mining": str, "fisher_variant": str,
-}
+def _section(parser, name, types) -> dict:
+    """Section ``name``'s keys, each parsed as its kind in ``types``; a key
+    not in ``types`` is an error that names it."""
+    values = {}
+    for key in parser[name]:
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+        values[key] = _parse_value(name, key, parser[name][key], types[key])
+    return values
+
+
+# the parser of each MethodConfig annotation; an unmapped one fails at import
+_PARSERS = {"bool": bool, "int": int, "float": float, "float | None": float,
+            "str": str, "tuple": tuple}
+_METHOD_TYPES = {f.name: _PARSERS[f.type] for f in fields(MethodConfig) if f.name != "seed"}
 
 _DATASET_TYPES = {
     "source": str, "n_classes": int, "per_class": int, "dim": int,
@@ -97,7 +108,7 @@ _DATASET_TYPES = {
 }
 
 DATASET_KEYS = set(_DATASET_TYPES)
-METHOD_KEYS = set(_METHOD_TYPES) | {"hidden"}  # hidden parses to an int tuple
+METHOD_KEYS = set(_METHOD_TYPES)  # MethodConfig's fields but the run's seed
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -115,24 +126,16 @@ def load_config(path: str) -> ExperimentConfig:
         if required not in parser:
             raise ConfigError(f"missing [{required}] section")
 
-    exp = parser["experiment"]
-    for key in exp:
-        if key not in EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [experiment]")
+    exp = _section(parser, "experiment", {"output_dir": str, "seeds": list})
     if "seeds" not in exp:
         raise ConfigError("[experiment] needs a seeds list")
-    seeds = _parse_int_list("experiment", "seeds", exp["seeds"], distinct=True)
+    seeds = exp["seeds"]
     if SEED_ENV in os.environ:
         seeds = _parse_int_list("environment", SEED_ENV, os.environ[SEED_ENV],
                                 distinct=True)
     output_dir = exp.get("output_dir", "results")
 
-    ds = parser["dataset"]
-    dataset = {}
-    for key in ds:
-        if key not in DATASET_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [dataset]")
-        dataset[key] = _parse_value("dataset", key, ds[key], _DATASET_TYPES[key])
+    dataset = _section(parser, "dataset", _DATASET_TYPES)
     source = dataset.setdefault("source", "synthetic")
     if source not in SOURCES:
         raise ConfigError(f"[dataset] source must be one of {SOURCES}, "
@@ -165,16 +168,7 @@ def load_config(path: str) -> ExperimentConfig:
         label = name[len("method "):].strip()
         if not label:
             raise ConfigError("method section needs a label: [method NAME]")
-        kwargs = {}
-        for key in parser[name]:
-            if key not in METHOD_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [{name}]")
-            if key == "hidden":
-                kwargs["hidden"] = tuple(
-                    _parse_int_list(name, "hidden", parser[name][key]))
-            else:
-                kwargs[key] = _parse_value(name, key, parser[name][key],
-                                           _METHOD_TYPES[key])
+        kwargs = _section(parser, name, _METHOD_TYPES)
         kwargs.setdefault("method", label)
         spec = METHOD_SPECS.get(kwargs["method"])  # an unknown name fails below
         if spec and spec.pretrain == "held-out" and dataset.get("pretrain_classes", 0) < 1:

@@ -87,9 +87,13 @@ def _read_be_ints(buf: bytes, path: str, offset: int, count: int) -> tuple:
     return struct.unpack(f">{count}i", buf[offset:end])
 
 
-def _read_header_sizes(buf: bytes, path: str, names: tuple) -> tuple:
-    """The header's size fields after the magic; a negative one is a
-    DatasetFormatError naming the file and the field."""
+def _read_header(buf: bytes, path: str, magic: int, names: tuple) -> tuple:
+    """The header's size fields after its magic; a wrong magic or a
+    negative size is a DatasetFormatError naming the file (and the field)."""
+    (found,) = _read_be_ints(buf, path, 0, 1)
+    if found != magic:
+        raise DatasetFormatError(f"{path}: bad magic 0x{found & 0xFFFFFFFF:08x}, "
+                                 f"expected 0x{magic:08x}")
     sizes = _read_be_ints(buf, path, 4, len(names))
     for name, value in zip(names, sizes):
         if value < 0:
@@ -107,26 +111,15 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     with open(labels_path, "rb") as fh:
         lab_buf = fh.read()
 
-    (magic,) = _read_be_ints(img_buf, str(images_path), 0, 1)
-    if magic != IDX_IMAGES_MAGIC:
-        raise DatasetFormatError(
-            f"{images_path}: bad magic 0x{magic & 0xFFFFFFFF:08x}, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    n, rows, cols = _read_header_sizes(img_buf, str(images_path), ("count", "rows", "cols"))
+    n, rows, cols = _read_header(img_buf, str(images_path), IDX_IMAGES_MAGIC,
+                                 ("count", "rows", "cols"))
     need = 16 + n * rows * cols
     if len(img_buf) < need:
         raise DatasetFormatError(
             f"{images_path}: truncated at byte {len(img_buf)}, expected {need}"
         )
 
-    (magic,) = _read_be_ints(lab_buf, str(labels_path), 0, 1)
-    if magic != IDX_LABELS_MAGIC:
-        raise DatasetFormatError(
-            f"{labels_path}: bad magic 0x{magic & 0xFFFFFFFF:08x}, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    (n_lab,) = _read_header_sizes(lab_buf, str(labels_path), ("count",))
+    (n_lab,) = _read_header(lab_buf, str(labels_path), IDX_LABELS_MAGIC, ("count",))
     if n_lab != n:
         raise DatasetFormatError(f"{n} images but {n_lab} labels")
     if len(lab_buf) < 8 + n_lab:

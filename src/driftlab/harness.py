@@ -18,6 +18,8 @@ import numpy as np
 
 from .data import LabeledDataset
 from .losses import (
+    FISHER_VARIANTS,
+    MINING_STRATEGIES,
     ImportanceMap,
     estimate_fisher,
     estimate_mas_importance,
@@ -66,7 +68,6 @@ METHOD_SPECS = {
 }
 METHODS = tuple(METHOD_SPECS)
 GAMMA_DEFAULTS = {m: s.gamma for m, s in METHOD_SPECS.items() if s.regularizer}
-FISHER_VARIANTS = ("triplet", "squared_norm")
 A_MATRIX_HEADER = "k,j,accuracy"
 
 
@@ -195,17 +196,16 @@ class MethodConfig:
         if self.sdc and (spec.net is not EmbeddingNet or spec.pretrain == "union"):
             raise ValueError(f"sdc is only valid for incremental embedding methods, "
                              f"not {self.method}")
-        if self.mining not in ("random", "semihard"):
+        if self.mining not in MINING_STRATEGIES:
             raise ValueError(f"unknown mining strategy {self.mining!r}")
         if self.fisher_variant not in FISHER_VARIANTS:
             raise ValueError(f"unknown fisher_variant {self.fisher_variant!r}; "
                              f"pick from {FISHER_VARIANTS}")
+        KernelConfig(self.sigma)  # the kernel's own sigma rule and message
         for key, ok, rule in (
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size >= 2, "at least 2"),
             ("lr", 0 < self.lr < np.inf, "finite and positive"),
-            ("sigma", 0 < self.sigma and 0 < 2.0 * self.sigma * self.sigma < np.inf,
-             "finite and positive, with 2 sigma^2 in (0, inf)"),
             ("margin", 0 <= self.margin < np.inf, "finite and nonnegative"),
             ("embedding_dim", self.embedding_dim >= 1, "at least 1"),
             ("hidden", all(h >= 1 for h in self.hidden), "widths of at least 1"),
@@ -290,8 +290,9 @@ class RunRecord:
             task_classes=[tuple(c) for c in raw["task_classes"]],
             wall_time=raw.get("wall_time", 0.0), config=raw.get("config", {}),
         )
-        rec.accuracy = {int(k): {int(j): a for j, a in row.items()}
-                        for k, row in raw["accuracy"].items()}
+        for k, row in raw["accuracy"].items():  # set_acc checks each cell, as compare does
+            for j, a in row.items():
+                rec.set_acc(int(k), int(j), float(a))
         rec.proto_distance = {int(k): {int(c): d for c, d in row.items()}
                               for k, row in raw.get("proto_distance", {}).items()}
         rec.confusions = {int(k): v for k, v in raw.get("confusions", {}).items()}
@@ -551,7 +552,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         if t < len(sequence):  # the next task's importance and reference
             if spec.regularizer == "fisher":
                 new = estimate_fisher(model, task.train, config.batch_size,
-                                      config.fisher_variant)
+                                      config.fisher_variant, config.margin)
             elif spec.regularizer == "mas":
                 new = estimate_mas_importance(model, task.train)
             if spec.regularizer in ("fisher", "mas"):  # weights are >= +0: w1 is 0 + w1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import EmbeddingNet, infer, layers_np
+from .models import INFER_ROWS, EmbeddingNet, infer, layers_np
 from .tensor import ShapeError, Tensor
 
 log = logging.getLogger(__name__)
@@ -47,6 +47,8 @@ class TripletBatch:
         return len(self.anchors)
 
 
+MINING_STRATEGIES = ("random", "semihard")
+FISHER_VARIANTS = ("triplet", "squared_norm")
 TRIPLET_BLOCK = 256  # triples per distance block: two [256, D] buffers
 
 
@@ -118,7 +120,7 @@ def mine_triplets(labels, embeddings, strategy: str = "random",
     """
     labels = np.asarray(labels)
     z = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings)
-    if strategy not in ("random", "semihard"):
+    if strategy not in MINING_STRATEGIES:
         raise ValueError(f"unknown mining strategy {strategy!r}")
     same = labels[:, None] == labels[None, :]
     n_neg = len(labels) - same.sum(axis=1)
@@ -233,15 +235,18 @@ def _canonical_order(dataset) -> np.ndarray:
 
 
 def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
-                    variant: str = "triplet") -> ImportanceMap:
+                    variant: str = "triplet", margin: float = 0.2) -> ImportanceMap:
     """Diagonal empirical Fisher: mean over mini-batches of the squared
     parameter gradients of the training loss.
 
     ``variant`` picks the loss whose gradients are squared: "triplet"
-    (default, deterministic semihard mining) or "squared_norm" (gradient of
-    the summed squared pre-normalization output, mirroring the sensitivity
-    estimator's structure).
+    (default, deterministic semihard mining, hinged at ``margin`` as in
+    training) or "squared_norm" (gradient of the summed squared
+    pre-normalization output, mirroring the sensitivity estimator's
+    structure); any other is a ValueError.
     """
+    if variant not in FISHER_VARIANTS:
+        raise ValueError(f"unknown fisher variant {variant!r}")
     order = _canonical_order(dataset)
     feats, labels = dataset.features[order], dataset.labels[order]
     saved = [None if p.grad is None else p.grad.copy() for p in model.params]
@@ -252,15 +257,13 @@ def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
         xb, yb = feats[at : at + batch_size], labels[at : at + batch_size]
         if variant == "triplet":
             z = model.embed(xb)
-            trip = mine_triplets(yb, z, strategy="semihard")
+            trip = mine_triplets(yb, z, strategy="semihard", margin=margin)
             if len(trip) == 0:
                 continue
             loss = triplet_loss(z, trip)
-        elif variant == "squared_norm":
+        else:
             raw = model.forward_raw(xb)
             loss = (raw * raw).sum()
-        else:
-            raise ValueError(f"unknown fisher variant {variant!r}")
         for p in model.params:
             p.zero_grad()
         loss.backward()
@@ -281,16 +284,16 @@ def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:
     Computed on the pre-normalization output: the normalized embedding has
     constant norm 1 and would give identically zero sensitivity. A dense
     layer's per-sample weight gradient is a d^T (its input row, its output
-    gradient) and |a d^T| = |a| |d|^T, so one tape-free pass, 512 rows at a
-    time, sums |A|^T |D| per weight and |D| over rows per bias.
+    gradient) and |a d^T| = |a| |d|^T, so one tape-free pass, ``INFER_ROWS``
+    rows at a time, sums |A|^T |D| per weight and |D| over rows per bias.
     """
     if len(dataset.labels) == 0:
         raise EstimationError("empty dataset")
     feats = dataset.features[_canonical_order(dataset)]
     params = [p.data for p in model.params]
     acc = [np.zeros_like(w) for w in params]
-    for at in range(0, len(feats), 512):
-        x = feats[at : at + 512]
+    for at in range(0, len(feats), INFER_ROWS):
+        x = feats[at : at + INFER_ROWS]
         *acts, raw = x, *layers_np(params, x)
         delta = 2.0 * raw  # d sum(raw^2) / d raw; acts[k] is layer k's input
         for k in range(len(acts) - 1, -1, -1):

@@ -446,6 +446,22 @@ def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
         assert err.startswith(f"{path}: ") and message in err
 
 
+@pytest.mark.parametrize("accuracy, message", [
+    ({"1": {"1": 7.5}}, "accuracy 7.5 outside [0, 1]"),
+    ({"1": {"1": 0.5}, "2": {"1": 0.5, "2": 0.5, "3": 0.5}}, "a[2][3] above the diagonal"),
+    ({"1": {"1": "x"}}, "could not convert string to float: 'x'"),
+])
+def test_plot_rejects_a_bad_accuracy_cell(tmp_path, capsys, accuracy, message):
+    path = tmp_path / "results" / "E-FT" / "0" / "record.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"method": "E-FT", "seed": 0, "n_tasks": 2,
+                                "task_classes": [[0, 1], [2, 3]], "accuracy": accuracy}))
+    assert main(["plot", str(tmp_path / "results"), "--kind", "curves"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: ") and message in err
+    assert not (tmp_path / "results" / "plots").exists()
+
+
 @pytest.mark.parametrize("margin", ["inf", "1e400"])
 def test_run_infinite_margin_exit_2(tmp_path, capsys, margin):
     cfg = write_config(tmp_path, seeds="0", methods={"E-FT": {"margin": margin}})

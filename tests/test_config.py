@@ -1,4 +1,6 @@
 import textwrap
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from conftest import write_csv_dataset
 from driftlab.cli import main
 from driftlab.config import (
+    METHOD_KEYS,
     SEED_ENV,
     ConfigError,
     build_sequences,
     load_config,
 )
 from driftlab.data import gen_gaussian_clusters
+from driftlab.harness import MethodConfig
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -271,3 +275,28 @@ def test_build_digits_sequence():
     assert seq.input_dim == 64
     feats = seq.tasks[0].train.features
     assert feats.min() >= 0.0 and feats.max() <= 1.0
+
+
+# ---- method keys are MethodConfig's fields
+
+
+def _ini_text(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(MethodConfig) if f.name != "seed"])
+def test_every_method_field_is_a_documented_key(tmp_path, name):
+    assert name in METHOD_KEYS
+    default = getattr(MethodConfig("E-FT"), name)  # gamma: E-FT's 0.0, not None
+    body = BASE.replace("epochs = 5\n", "") + f"{name} = {_ini_text(default)}\n"
+    kwargs = load_config(write_ini(tmp_path, body)).methods[0][1]
+    assert kwargs == {"method": "E-FT", name: default}
+    assert MethodConfig(**kwargs) == MethodConfig("E-FT")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraphs = (" ".join(p.split()) for p in readme.split("\n\n"))
+    knobs = next(p for p in paragraphs if "Knobs, with defaults" in p)
+    assert f"`{name}`" in knobs

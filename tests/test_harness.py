@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import logging
 import re
 import tracemalloc
@@ -474,6 +475,21 @@ def test_importance_skipped_after_last_task(monkeypatch, method, estimator):
     rec = run_sequence(quick(method, epochs=2), seq)
     assert len(calls) == len(seq) - 1
     assert sorted(rec.accuracy) == [1, 2, 3]
+
+
+def test_ewc_fisher_scores_the_run_margin(monkeypatch):
+    margins = []
+    inner = harness.estimate_fisher
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(inner).bind(*args, **kwargs)
+        bound.apply_defaults()
+        margins.append(bound.arguments["margin"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_fisher", spy)
+    run_sequence(quick("E-EWC", epochs=2, margin=0.5), tiny_sequence(n_classes=6, n_tasks=3))
+    assert margins == [0.5, 0.5]
 
 
 def test_efix_frozen_after_first_task():

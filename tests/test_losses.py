@@ -518,6 +518,28 @@ def test_fisher_squared_norm_variant(rng):
         estimate_fisher(m, ds, variant="bogus")
 
 
+def test_fisher_scores_the_given_margin():
+    ds = gen_gaussian_clusters(2, 4, 4, spread=0.3, seed=5)
+    m = EmbeddingNet(4, 2, hidden=(8,), seed=5)
+    fisher = estimate_fisher(m, ds, batch_size=64, margin=0.5)
+    order = interleaved_order(ds)
+    z = m.embed(ds.features[order])
+    trip = mine_triplets(ds.labels[order], z, "semihard", margin=0.5)
+    for p in m.params:
+        p.zero_grad()
+    triplet_loss(z, trip).backward()
+    for w, p in zip(fisher.weights, m.params):
+        assert w.tobytes() == (p.grad * p.grad).tobytes()
+    at_default = estimate_fisher(m, ds, batch_size=64)
+    assert any(not np.array_equal(a, b) for a, b in zip(fisher.weights, at_default.weights))
+
+
+def test_fisher_variant_checked_before_any_batch():
+    empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="unknown fisher variant 'bogus'"):
+        estimate_fisher(EmbeddingNet(3, 2, hidden=(4,), seed=0), empty, variant="bogus")
+
+
 def test_mas_matches_bruteforce_fd():
     ds = gen_gaussian_clusters(2, 3, 4, spread=0.4, seed=6)
     m = EmbeddingNet(4, 2, hidden=(6,), seed=6)
