@@ -55,9 +55,9 @@ def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
 def cmd_run(args) -> int:
     try:  # a dataset file's OSError surfaces as a ConfigError
         cfg = load_config(args.config)
-        out_root = Path(cfg.output_dir)
-        out_root.mkdir(parents=True, exist_ok=True)
         sequences = build_sequences(cfg.dataset, cfg.seeds)
+        out_root = Path(cfg.output_dir)  # made only once the data is known good
+        out_root.mkdir(parents=True, exist_ok=True)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

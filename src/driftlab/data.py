@@ -5,7 +5,11 @@ reorders samples.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -13,6 +17,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+SIDECAR_SUFFIX = ".driftlab.npz"  # beside a CSV: its parsed table, keyed by content
 
 
 class DatasetFormatError(ValueError):
@@ -43,9 +48,11 @@ class LabeledDataset:
             raise DatasetFormatError(
                 f"no feature columns: features of shape {self.features.shape}"
             )
-        finite = np.isfinite(self.features)
-        if not finite.all():
-            row = int(np.argwhere(~finite)[0, 0])
+        # min and max propagate NaN and reach any inf without a mask the
+        # size of the table; the mask is built only to name the row
+        x = self.features
+        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            row = int(np.argwhere(~np.isfinite(x))[0, 0])
             raise DatasetFormatError(f"feature row {row} holds NaN or inf")
         if not self.original_labels:
             self.original_labels = tuple(range(self.n_classes))
@@ -184,37 +191,93 @@ def _first_fault(path) -> str:
     return f"{path}: no data rows (line 2)"
 
 
+def _sidecar_table(sidecar: str, digest: str):
+    """The table a sidecar holds for CSV bytes of ``digest``, or None: no
+    sidecar, another digest, or a file that does not load."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as stored:
+            if str(stored["sha256"]) != digest:
+                return None
+            return stored["table"]
+    # np.load fails in many ways on a damaged file (EOFError, BadZipFile,
+    # KeyError, TypeError for a plain .npy, even tokenize.TokenError from
+    # a mangled header); a sidecar is only a cache, so any of them means
+    # a parse
+    except Exception:
+        return None
+
+
+def _write_sidecar(sidecar: str, digest: str, table: np.ndarray) -> None:
+    """Store ``table`` under ``digest``, renamed into place whole. A
+    directory that cannot be written to leaves the CSV without one."""
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, sha256=digest, table=table)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _labeled(table, width: int) -> LabeledDataset | None:
+    """The dataset of a ``label,f0,...`` table, labels remapped to 0..K-1
+    in first-appearance order; None when there is no table, it is not a
+    float64 matrix ``width`` columns wide, or a label is not an integer.
+    A NaN or inf feature, or no feature column, raises
+    DatasetFormatError."""
+    if table is None or table.dtype != np.float64 or table.ndim != 2 \
+            or table.shape[1] != width:
+        return None
+    raw = table[:, 0]
+    if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        return None
+    uniq, first_at, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first_at)  # unique labels in first-appearance order
+    original = tuple(int(v) for v in uniq[order])
+    return LabeledDataset(table[:, 1:], np.argsort(order)[inverse],
+                          original_labels=original)
+
+
 def read_csv_dataset(path) -> LabeledDataset:
     """Read `label,f0,f1,...` rows; labels must be integer-valued and are
     remapped to 0..K-1 in first-appearance order. Whitespace-only lines
     are skipped.
 
-    The file is streamed once through one ``np.loadtxt`` call. If that
-    fails, or its table breaks a rule, ``_first_fault`` rereads the file
-    line by line to name the first bad line.
+    The file's bytes are hashed (SHA-256) in one streaming pass, then
+    parsed in one ``np.loadtxt`` call. If that fails, or its table breaks
+    a rule, ``_first_fault`` rereads the file line by line to name the
+    first bad line. A file that passes leaves its table in the sidecar
+    ``<path>.driftlab.npz`` under its digest, and a later read of the same
+    bytes loads that table in place of the parse; the checks and the remap
+    run on it as on a parsed one. Any other sidecar is ignored and
+    rewritten.
     """
-    table = None
+    sidecar = f"{path}{SIDECAR_SUFFIX}"
+    table, width = None, 0
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n").split(",")
+        with open(path, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+            fh.seek(0)
+            text = io.TextIOWrapper(fh, encoding="ascii")
+            header = text.readline().rstrip("\n").split(",")
+            width = len(header)
             if header[0] == "label":
-                rows = _data_lines(fh)
+                with contextlib.suppress(DatasetFormatError):  # NaN in a forged table
+                    cached = _labeled(_sidecar_table(sidecar, digest), width)
+                    if cached is not None:
+                        return cached
+                rows = _data_lines(text)
                 first = next(rows, None)  # loadtxt warns on empty input
                 if first is not None:
                     table = _parse(itertools.chain((first,), rows))
     except ValueError:  # a bad cell or row, or a non-ASCII byte
         pass
-    if table is None or table.shape[1] != len(header):
-        raise DatasetFormatError(_first_fault(path))
-    raw = table[:, 0]
-    if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-        raise DatasetFormatError(_first_fault(path))
-
-    uniq, first_at, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    order = np.argsort(first_at)  # unique labels in first-appearance order
-    original = tuple(int(v) for v in uniq[order])
     try:
-        return LabeledDataset(table[:, 1:], np.argsort(order)[inverse],
-                              original_labels=original)
+        dataset = _labeled(table, width)
     except DatasetFormatError as e:  # a NaN or inf cell, or no feature column
         raise DatasetFormatError(f"{path}: {e}") from None
+    if dataset is None:
+        raise DatasetFormatError(_first_fault(path))
+    _write_sidecar(sidecar, digest, table)
+    return dataset

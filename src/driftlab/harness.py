@@ -290,8 +290,15 @@ class RunRecord:
             task_classes=[tuple(c) for c in raw["task_classes"]],
             wall_time=raw.get("wall_time", 0.0), config=raw.get("config", {}),
         )
+        if not isinstance(raw["accuracy"], dict):
+            raise ValueError("field 'accuracy' is not an object")
         for k, row in raw["accuracy"].items():  # set_acc checks each cell, as compare does
+            if not isinstance(row, dict):
+                raise ValueError(f"accuracy row {k!r} is not an object")
             for j, a in row.items():
+                if not isinstance(a, (int, float, str)):  # null, a list or an object
+                    raise ValueError(f"accuracy cell a[{k}][{j}] is {json.dumps(a)}, "
+                                     "not a number")
                 rec.set_acc(int(k), int(j), float(a))
         rec.proto_distance = {int(k): {int(c): d for c, d in row.items()}
                               for k, row in raw.get("proto_distance", {}).items()}

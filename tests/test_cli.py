@@ -184,7 +184,8 @@ def test_run_bad_dataset_file_exit_2(tmp_path, capsys, case, expected):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and expected in err
     assert "Traceback" not in err
-    assert list((tmp_path / "results").iterdir()) == []  # nothing trained
+    assert not (tmp_path / "results").exists()  # nothing trained, nothing written
+    assert list(tmp_path.glob("*.driftlab.npz")) == []  # a bad file is never cached
 
 
 def test_run_task_without_test_rows_exit_2_before_training(tmp_path, capsys, monkeypatch):
@@ -450,6 +451,11 @@ def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
     ({"1": {"1": 7.5}}, "accuracy 7.5 outside [0, 1]"),
     ({"1": {"1": 0.5}, "2": {"1": 0.5, "2": 0.5, "3": 0.5}}, "a[2][3] above the diagonal"),
     ({"1": {"1": "x"}}, "could not convert string to float: 'x'"),
+    ({"1": {"1": None}}, "accuracy cell a[1][1] is null, not a number"),
+    ({"1": {"1": [0.5]}}, "accuracy cell a[1][1] is [0.5], not a number"),
+    ({"1": {"1": {"v": 0.5}}}, 'accuracy cell a[1][1] is {"v": 0.5}, not a number'),
+    ({"1": [0.5]}, "accuracy row '1' is not an object"),
+    ([[0.5]], "field 'accuracy' is not an object"),
 ])
 def test_plot_rejects_a_bad_accuracy_cell(tmp_path, capsys, accuracy, message):
     path = tmp_path / "results" / "E-FT" / "0" / "record.json"

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -6,7 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import allocated_bytes, write_csv_dataset
+from driftlab import data
 from driftlab.data import (
+    SIDECAR_SUFFIX,
     DatasetFormatError,
     LabeledDataset,
     gen_gaussian_clusters,
@@ -396,3 +400,135 @@ def test_csv_read_allocates_little_beyond_its_features(tmp_path):
     peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
     assert out[0].features.shape == (6000, 64)
     assert peak <= 3 * out[0].features.nbytes  # the per-cell loop peaked near 8x
+
+
+# ---- the parsed table cached beside the CSV, keyed by the file's bytes
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def count_parses(monkeypatch) -> list:
+    calls = []
+    parse = data._parse
+
+    def counted(lines):
+        calls.append(1)
+        return parse(lines)
+
+    monkeypatch.setattr(data, "_parse", counted)
+    return calls
+
+
+def write_remapped_csv(path):
+    """Labels out of order (7, 3) and a -0.0 cell, which only a bit-level
+    comparison tells from 0.0."""
+    path.write_text("label,f0,f1\n7,0.1,-0.0\n3,1e-300,2.5\n7,1.0,3.0\n")
+
+
+def assert_same_dataset(got, want):
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.original_labels == want.original_labels
+
+
+def test_csv_second_read_loads_the_sidecar_bit_for_bit(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    write_remapped_csv(p)
+    first = read_csv_dataset(p)
+    calls = count_parses(monkeypatch)
+    second = read_csv_dataset(p)
+    assert calls == []
+    assert_same_dataset(second, first)
+    assert second.original_labels == (7, 3)
+    assert np.signbit(second.features[0, 1])
+
+
+def test_csv_rewrite_with_same_size_and_mtime_is_reparsed(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("label,f0\n0,1.5\n1,2.5\n")
+    read_csv_dataset(p)
+    old = p.stat()
+    p.write_text("label,f0\n1,1.5\n0,3.5\n")  # same size
+    os.utime(p, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert (p.stat().st_size, p.stat().st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+    ds = read_csv_dataset(p)
+    assert ds.original_labels == (1, 0)
+    assert ds.features[:, 0].tolist() == [1.5, 3.5]
+    with np.load(sidecar_of(p)) as stored:
+        assert str(stored["sha256"]) == sha256_of(p)
+
+
+@pytest.mark.parametrize("fault", ["garbage", "empty file", "a plain .npy",
+                                   "another file's digest", "one column short",
+                                   "fractional label", "nan feature"])
+def test_csv_bad_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, fault):
+    p = tmp_path / "d.csv"
+    write_remapped_csv(p)
+    want = read_csv_dataset(p)
+    side = sidecar_of(p)
+    with np.load(side) as stored:
+        table = stored["table"]
+    digest = sha256_of(p)
+    if fault == "garbage":
+        side.write_bytes(b"PK\x03\x04 not a zip")
+    elif fault == "empty file":
+        side.write_bytes(b"")
+    elif fault == "a plain .npy":
+        with open(side, "wb") as fh:
+            np.save(fh, table)
+    elif fault == "another file's digest":
+        np.savez(side, sha256=hashlib.sha256(b"label,f0,f1\n").hexdigest(), table=table + 1)
+    elif fault == "one column short":
+        np.savez(side, sha256=digest, table=table[:, :-1])
+    else:  # the right digest, but a table that breaks a rule the parsed one passed
+        if fault == "fractional label":
+            table[0, 0] = 0.5
+        else:
+            table[0, 1] = np.nan
+        np.savez(side, sha256=digest, table=table)
+    calls = count_parses(monkeypatch)
+    assert_same_dataset(read_csv_dataset(p), want)
+    assert len(calls) == 1
+    with np.load(side) as stored:
+        assert str(stored["sha256"]) == digest
+        assert np.array_equal(stored["table"][:, 1:], want.features)
+
+
+def test_csv_read_survives_a_sidecar_it_cannot_write(tmp_path, monkeypatch):
+    # the failure is injected: a read-only directory does not stop root
+    p = tmp_path / "d.csv"
+    write_remapped_csv(p)
+    tried = []
+
+    def refuse(src, dst):
+        tried.append(os.path.basename(dst))
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    ds = read_csv_dataset(p)
+    assert ds.original_labels == (7, 3) and ds.features.shape == (3, 2)
+    assert tried == ["d.csv" + SIDECAR_SUFFIX]
+    assert [f.name for f in tmp_path.iterdir()] == ["d.csv"]  # no temp file left
+
+
+def test_warm_csv_read_holds_the_table_once(tmp_path):
+    """A sidecar hit allocates the table and little more: none of the
+    parse's temporaries. The zip member is read through two 256 KB
+    buffers, a fixed cost, so the table is the paper's 512-wide features
+    at 2,000 rows (8.2 MB)."""
+    n, d = 2000, 512
+    row = ",".join(f"{v:.17g}" for v in np.random.default_rng(0).normal(size=d))
+    p = tmp_path / "wide.csv"
+    p.write_text("label," + ",".join(f"f{i}" for i in range(d)) + "\n"
+                 + "".join(f"{i % 100},{row}\n" for i in range(n)))
+    read_csv_dataset(p)  # parses and writes the sidecar
+    out = []
+    peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
+    assert out[0].features.shape == (n, d)
+    assert peak <= 1.1 * n * (d + 1) * 8
