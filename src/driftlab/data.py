@@ -143,6 +143,12 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
         raise DatasetFormatError(f"{images_path}: {e}") from None
 
 
+# What a sidecar's table was read by. The number goes up whenever the
+# decoding, _data_lines or _parse change what a CSV's bytes read as, so a
+# table stored under older rules, or by another numpy, is parsed again.
+CSV_READER = f"csv rules 1, numpy {np.__version__}"
+
+
 def _parse(lines) -> np.ndarray:
     """Comma-separated decimal rows as one float64 table. Each cell goes
     through CPython's correctly rounded strtod, the parser of ``float()``;
@@ -193,10 +199,10 @@ def _first_fault(path) -> str:
 
 def _sidecar_table(sidecar: str, digest: str):
     """The table a sidecar holds for CSV bytes of ``digest``, or None: no
-    sidecar, another digest, or a file that does not load."""
+    sidecar, another digest or reader, or a file that does not load."""
     try:
         with np.load(sidecar, allow_pickle=False) as stored:
-            if str(stored["sha256"]) != digest:
+            if str(stored["sha256"]) != digest or str(stored["reader"]) != CSV_READER:
                 return None
             return stored["table"]
     # np.load fails in many ways on a damaged file (EOFError, BadZipFile,
@@ -208,12 +214,13 @@ def _sidecar_table(sidecar: str, digest: str):
 
 
 def _write_sidecar(sidecar: str, digest: str, table: np.ndarray) -> None:
-    """Store ``table`` under ``digest``, renamed into place whole. A
-    directory that cannot be written to leaves the CSV without one."""
+    """Store ``table`` under ``digest`` and ``CSV_READER``, renamed into
+    place whole. A directory that cannot be written to leaves the CSV
+    without one."""
     tmp = f"{sidecar}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, sha256=digest, table=table)
+            np.savez(fh, sha256=digest, reader=CSV_READER, table=table)
         os.replace(tmp, sidecar)
     except OSError:
         with contextlib.suppress(OSError):
@@ -248,16 +255,19 @@ def read_csv_dataset(path) -> LabeledDataset:
     parsed in one ``np.loadtxt`` call. If that fails, or its table breaks
     a rule, ``_first_fault`` rereads the file line by line to name the
     first bad line. A file that passes leaves its table in the sidecar
-    ``<path>.driftlab.npz`` under its digest, and a later read of the same
-    bytes loads that table in place of the parse; the checks and the remap
-    run on it as on a parsed one. Any other sidecar is ignored and
-    rewritten.
+    ``<path>.driftlab.npz`` under its digest and ``CSV_READER``, and a
+    later read of the same bytes by the same reader loads that table in
+    place of the parse; the checks and the remap run on it as on a parsed
+    one. Any other sidecar is ignored and rewritten.
     """
     sidecar = f"{path}{SIDECAR_SUFFIX}"
     table, width = None, 0
     try:
         with open(path, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+            sha = hashlib.sha256()
+            for chunk in iter(lambda: fh.read(1 << 18), b""):
+                sha.update(chunk)
+            digest = sha.hexdigest()
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="ascii")
             header = text.readline().rstrip("\n").split(",")

@@ -425,6 +425,11 @@ def count_parses(monkeypatch) -> list:
     return calls
 
 
+def forge(sidecar, digest, table, reader=None):
+    """A sidecar as the reader writes one, with any key or table."""
+    np.savez(sidecar, sha256=digest, reader=reader or data.CSV_READER, table=table)
+
+
 def write_remapped_csv(path):
     """Labels out of order (7, 3) and a -0.0 cell, which only a bit-level
     comparison tells from 0.0."""
@@ -466,7 +471,8 @@ def test_csv_rewrite_with_same_size_and_mtime_is_reparsed(tmp_path):
 
 @pytest.mark.parametrize("fault", ["garbage", "empty file", "a plain .npy",
                                    "another file's digest", "one column short",
-                                   "fractional label", "nan feature"])
+                                   "fractional label", "nan feature",
+                                   "a stale reader", "no reader"])
 def test_csv_bad_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, fault):
     p = tmp_path / "d.csv"
     write_remapped_csv(p)
@@ -483,20 +489,25 @@ def test_csv_bad_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, fault):
         with open(side, "wb") as fh:
             np.save(fh, table)
     elif fault == "another file's digest":
-        np.savez(side, sha256=hashlib.sha256(b"label,f0,f1\n").hexdigest(), table=table + 1)
+        forge(side, hashlib.sha256(b"label,f0,f1\n").hexdigest(), table + 1)
     elif fault == "one column short":
-        np.savez(side, sha256=digest, table=table[:, :-1])
-    else:  # the right digest, but a table that breaks a rule the parsed one passed
+        forge(side, digest, table[:, :-1])
+    elif fault == "a stale reader":  # stored under older CSV rules or numpy
+        forge(side, digest, table + 1, reader="csv rules 0, numpy 1.24.0")
+    elif fault == "no reader":
+        np.savez(side, sha256=digest, table=table + 1)
+    else:  # the right key, but a table that breaks a rule the parsed one passed
         if fault == "fractional label":
             table[0, 0] = 0.5
         else:
             table[0, 1] = np.nan
-        np.savez(side, sha256=digest, table=table)
+        forge(side, digest, table)
     calls = count_parses(monkeypatch)
     assert_same_dataset(read_csv_dataset(p), want)
     assert len(calls) == 1
     with np.load(side) as stored:
         assert str(stored["sha256"]) == digest
+        assert str(stored["reader"]) == data.CSV_READER
         assert np.array_equal(stored["table"][:, 1:], want.features)
 
 
@@ -518,17 +529,14 @@ def test_csv_read_survives_a_sidecar_it_cannot_write(tmp_path, monkeypatch):
 
 
 def test_warm_csv_read_holds_the_table_once(tmp_path):
-    """A sidecar hit allocates the table and little more: none of the
-    parse's temporaries. The zip member is read through two 256 KB
-    buffers, a fixed cost, so the table is the paper's 512-wide features
-    at 2,000 rows (8.2 MB)."""
-    n, d = 2000, 512
-    row = ",".join(f"{v:.17g}" for v in np.random.default_rng(0).normal(size=d))
-    p = tmp_path / "wide.csv"
-    p.write_text("label," + ",".join(f"f{i}" for i in range(d)) + "\n"
-                 + "".join(f"{i % 100},{row}\n" for i in range(n)))
+    """A sidecar hit allocates the table plus a fixed amount: np.load
+    reads the zip member through 256 KiB buffers, two at once, and the
+    zip reader's own state is well under 256 KiB more."""
+    p = tmp_path / "big.csv"
+    write_csv_dataset(p, gen_gaussian_clusters(100, 60, 64, 0.35, seed=0))
     read_csv_dataset(p)  # parses and writes the sidecar
     out = []
     peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
-    assert out[0].features.shape == (n, d)
-    assert peak <= 1.1 * n * (d + 1) * 8
+    n, d = out[0].features.shape
+    assert (n, d) == (6000, 64)
+    assert peak <= n * (d + 1) * 8 + 2 * 256 * 1024 + 256 * 1024
