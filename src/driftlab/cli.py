@@ -52,6 +52,21 @@ def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
     return "\n".join(lines)
 
 
+def _write_whole(path: Path, pieces) -> None:
+    """Write the text ``pieces`` as UTF-8 into a temp sibling, then rename
+    it over ``path``: a reader never sees a half-written file, and a
+    failure, in the writer or in the code making the pieces, leaves no
+    temp file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):  # gone once renamed, or never made
+            tmp.unlink()
+
+
 def cmd_run(args) -> int:
     try:  # a dataset file's OSError surfaces as a ConfigError
         cfg = load_config(args.config)
@@ -76,16 +91,20 @@ def cmd_run(args) -> int:
                 print(f"[fail] {label} seed {seed}: {e}", file=sys.stderr)
                 continue
             run_dir = out_root / label / str(seed)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            for name, text in (("a_matrix.csv", record.a_matrix_csv()),
-                               ("record.json", record.to_json()),
-                               ("prototypes.json", record.book.to_json())):
-                tmp = run_dir / f".{name}.tmp"  # renamed whole: never read half-written
-                tmp.write_text(text)
-                os.replace(tmp, run_dir / name)
-            print(f"[done] {label} seed {seed} ({record.wall_time:.1f}s) -> {run_dir}")
-            records.setdefault(label, {})[seed] = RunRecord(  # all the A_k table reads
-                record.method, record.seed, record.n_tasks, [], record.accuracy)
+            try:
+                run_dir.mkdir(parents=True, exist_ok=True)
+                for name, pieces in (("a_matrix.csv", [record.a_matrix_csv()]),
+                                     ("record.json", record.json_pieces()),
+                                     ("prototypes.json", record.book.json_pieces())):
+                    _write_whole(run_dir / name, pieces)
+            except (OSError, TypeError, ValueError) as e:  # the encoder raises the last two
+                failed += 1
+                print(f"[fail] {label} seed {seed}: cannot write results: {e}",
+                      file=sys.stderr)
+            else:
+                print(f"[done] {label} seed {seed} ({record.wall_time:.1f}s) -> {run_dir}")
+                records.setdefault(label, {})[seed] = RunRecord(  # all the A_k table reads
+                    record.method, record.seed, record.n_tasks, [], record.accuracy)
             del record  # with its book, confusions and SDC events
 
     if records:
@@ -98,9 +117,16 @@ def cmd_run(args) -> int:
 
 def _read_record(path: Path) -> RunRecord:
     try:
-        return RunRecord.from_json(path.read_text())
+        return RunRecord.from_json(path.read_text(encoding="utf-8"))
     except ValueError as e:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{path}: {e}") from None
+
+
+def _write_svg(path: Path, svg: str) -> None:
+    """UTF-8, as the SVG declares. A label or directory name that the
+    locale could not decode (a C locale's ASCII) holds surrogates, which
+    go back out as the name's own bytes."""
+    path.write_text(svg, encoding="utf-8", errors="surrogateescape")
 
 
 def _find_records(root: Path):
@@ -142,7 +168,7 @@ def cmd_plot(args) -> int:
             if pts:
                 series.append((label, pts))
         out = plots / "curves.svg"
-        out.write_text(curves_figure(series, title=root.name))
+        _write_svg(out, curves_figure(series, title=root.name))
         written.append(out)
 
     elif args.kind == "embedding":
@@ -156,7 +182,7 @@ def cmd_plot(args) -> int:
                 checkpoints = [k for k in checkpoints if k > 1]
             for k in checkpoints:
                 out = plots / f"{label}_seed{seed}_embedding_task{k}.svg"
-                out.write_text(embedding_figure(
+                _write_svg(out, embedding_figure(
                     record.embed2d[k],
                     title=f"{label} seed {seed}, after task {k}"))
                 written.append(out)
@@ -166,7 +192,7 @@ def cmd_plot(args) -> int:
             for k in sorted(record.confusions):
                 entry = record.confusions[k]
                 out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
-                out.write_text(confusion_figure(
+                _write_svg(out, confusion_figure(
                     entry["classes"], entry["counts"],
                     title=f"{label} seed {seed}, after task {k}"))
                 written.append(out)
@@ -188,7 +214,8 @@ def cmd_compare(args) -> int:
         for path in hits:
             try:
                 record = RunRecord.from_a_matrix_csv(
-                    path.read_text(), path.parent.parent.name, path.parent.name)
+                    path.read_text(encoding="utf-8"), path.parent.parent.name,
+                    path.parent.name)
             except ValueError as e:
                 print(f"{path}: {e}", file=sys.stderr)
                 return 1

@@ -118,8 +118,8 @@ def load_config(path: str) -> ExperimentConfig:
                                        inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # keep key case as written
     try:
-        parser.read(path)
-    except configparser.Error as e:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
 
     for required in ("experiment", "dataset"):
@@ -168,6 +168,14 @@ def load_config(path: str) -> ExperimentConfig:
         label = name[len("method "):].strip()
         if not label:
             raise ConfigError("method section needs a label: [method NAME]")
+        if label in (".", "..") or "/" in label or "\\" in label:  # results/<label>/
+            raise ConfigError(f"method label {label!r} must be a plain name: "
+                              "not . or .., and without / or \\")
+        try:
+            os.fsencode(label)
+        except UnicodeEncodeError as e:  # a C locale's file names are ASCII
+            raise ConfigError(f"method label {label!r} cannot be a file name "
+                              f"here: {e}") from None
         kwargs = _section(parser, name, _METHOD_TYPES)
         kwargs.setdefault("method", label)
         spec = METHOD_SPECS.get(kwargs["method"])  # an unknown name fails below

@@ -37,6 +37,7 @@ from .prototypes import (
     collect_drift,
     compensate,
     compute_prototypes,
+    json_pieces,
     ncm_classify,
 )
 from .tensor import Tensor, softmax_cross_entropy
@@ -274,10 +275,12 @@ class RunRecord:
         record.n_tasks = max(record.accuracy)
         return record
 
+    def json_pieces(self):
+        """The text of ``record.json`` in pieces (see ``json_pieces``)."""
+        return json_pieces({f.name: getattr(self, f.name) for f in fields(self)})
+
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        # compact: with an indent CPython falls back to its pure-Python encoder
-        return json.dumps(payload, default=_jsonable)
+        return "".join(self.json_pieces())
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -308,16 +311,6 @@ class RunRecord:
         rec.embed2d = {int(k): v for k, v in raw.get("embed2d", {}).items()}
         rec.param_digest = {int(k): v for k, v in raw.get("param_digest", {}).items()}
         return rec
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def avg_incremental_accuracy(record: RunRecord, k: int) -> float:

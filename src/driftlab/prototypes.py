@@ -77,6 +77,68 @@ class PrototypeEntry:
         self.compensation = np.asarray(self.compensation, dtype=np.float64)
 
 
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+_ENCODE = json.JSONEncoder(default=_jsonable).encode  # no indent: that is pure Python
+_OPENED = frozenset((dict, list, tuple))
+_PIECE = 1024  # values in a run of flat items, encoded in one call
+
+
+def _nested(obj) -> bool:
+    """A dict with a dict, list or tuple among its values, or a list or
+    tuple whose first item is one: the lists this program writes are
+    uniform, and one that is not is still written exactly, only whole."""
+    if type(obj) is dict:
+        return not _OPENED.isdisjoint(map(type, obj.values()))
+    return type(obj) in _OPENED and len(obj) > 0 and type(obj[0]) in _OPENED
+
+
+def json_pieces(obj):
+    """The text of ``json.dumps(obj, default=_jsonable)``, piece by piece.
+
+    A nested container is opened. Its other items, scalars and flat
+    containers (a confusion row, an SDC event), are encoded in runs of
+    about ``_PIECE`` values, one call each, so a piece holds at most that
+    many values plus one flat container: the encoder's scratch memory is
+    one piece's, whatever the size of the whole text.
+    """
+    if not _nested(obj):
+        yield _ENCODE(obj)
+        return
+    is_dict = type(obj) is dict
+    yield "{" if is_dict else "["
+    sep, run, size = "", [], 0
+    for item in obj.items() if is_dict else obj:
+        value = item[1] if is_dict else item
+        if not _nested(value):
+            run.append(item)
+            size += len(value) if type(value) in _OPENED else 1
+            if size >= _PIECE:
+                yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
+                sep, run, size = ", ", [], 0
+            continue
+        if run:
+            yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
+            sep, run, size = ", ", [], 0
+        if is_dict:  # the key as json writes it: '{"k": null}' less '{' and 'null}'
+            yield sep + _ENCODE({item[0]: None})[1:-5]
+        elif sep:
+            yield sep
+        yield from json_pieces(value)
+        sep = ", "
+    if run:
+        yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
+    yield "}" if is_dict else "]"
+
+
 class PrototypeBook:
     """class id -> PrototypeEntry, mutated only at task boundaries."""
 
@@ -102,18 +164,18 @@ class PrototypeBook:
     def matrix(self) -> np.ndarray:
         return np.stack([self.entries[c].vector for c in self.class_ids()])
 
+    def json_pieces(self):
+        """The text of ``prototypes.json``, a class row a piece: a row's
+        lists exist only while it is encoded."""
+        yield '{"classes": ['
+        for i, (c, e) in enumerate(sorted(self.entries.items())):
+            yield (", " if i else "") + _ENCODE({
+                "class_id": c, "learned_at": e.learned_at,
+                "vector": e.vector.tolist(), "compensation": e.compensation.tolist()})
+        yield "]}"
+
     def to_json(self) -> str:
-        rows = [
-            {
-                "class_id": c,
-                "learned_at": e.learned_at,
-                "vector": list(e.vector),
-                "compensation": list(e.compensation),
-            }
-            for c, e in sorted(self.entries.items())
-        ]
-        # compact: with an indent CPython falls back to its pure-Python encoder
-        return json.dumps({"classes": rows})
+        return "".join(self.json_pieces())
 
     @classmethod
     def from_json(cls, text: str) -> "PrototypeBook":

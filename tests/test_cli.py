@@ -6,16 +6,17 @@ import sys
 import textwrap
 import weakref
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import write_csv_dataset
+from conftest import allocated_bytes, write_csv_dataset
 from driftlab import cli, config
 from driftlab.cli import main
 from driftlab.data import gen_gaussian_clusters, read_csv_dataset
-from driftlab.harness import RunRecord, avg_incremental_accuracy
+from driftlab.harness import MethodConfig, RunRecord, avg_incremental_accuracy
 from driftlab.prototypes import PrototypeBook
 
 
@@ -262,6 +263,112 @@ def test_run_isolates_failures(tmp_path, capsys):
     assert "[fail] E-FT seed 0" in err
     assert (tmp_path / "results" / "FT" / "0" / "a_matrix.csv").exists()
     assert not (tmp_path / "results" / "E-FT").exists()
+
+
+@pytest.mark.parametrize("case", ["run dir is a file", "encoder fails mid-stream"])
+def test_run_isolates_write_failures(tmp_path, capsys, monkeypatch, case):
+    cfg = write_config(tmp_path, seeds="0", methods={"E-FT": {}, "FT": {}})
+    root = tmp_path / "results"
+    if case == "run dir is a file":
+        root.mkdir()
+        (root / "E-FT").write_text("")
+        message = "cannot write results: [Errno 20] Not a directory"
+    else:
+        inner = cli.run_sequence
+
+        def run(config, sequence):
+            record = inner(config, sequence)
+            if config.method == "E-FT":  # config is the last field: earlier pieces are out
+                record.config["bad"] = object()
+            return record
+
+        monkeypatch.setattr(cli, "run_sequence", run)
+        message = "cannot write results: cannot serialize <class 'object'>"
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"[fail] E-FT seed 0: {message}" in captured.err
+    assert "[done] FT seed 0" in captured.out
+    assert sorted(f.name for f in (root / "FT" / "0").iterdir()) == [
+        "a_matrix.csv", "prototypes.json", "record.json"]
+    assert not (root / "E-FT" / "0" / "record.json").exists()
+    assert list(root.rglob("*.tmp")) == []
+
+
+def _many_classes_record(n_classes=100, n_tasks=10, dim=64):
+    """A record and book of the shape of a 100-class, 10-task E-FT+SDC
+    run, built by hand: every checkpoint's accuracy row, distances,
+    confusion and SDC events."""
+    rng = np.random.default_rng(0)
+    per = n_classes // n_tasks
+    tasks = [tuple(range(t * per, (t + 1) * per)) for t in range(n_tasks)]
+    record = RunRecord("E-FT", 0, n_tasks, tasks,
+                       config=MethodConfig("E-FT", sdc=True).to_dict())
+    for k in range(1, n_tasks + 1):
+        seen = [c for t in tasks[:k] for c in t]
+        for j in range(1, k + 1):
+            record.set_acc(k, j, float(rng.random()))
+        record.proto_distance[k] = dict(zip(seen, rng.random(len(seen)).tolist()))
+        record.confusions[k] = {"classes": seen, "counts": rng.integers(
+            0, 30, (len(seen), len(seen))).tolist()}
+        record.sdc_events[k] = {c: {"delta_norm": v[0], "mass": v[1], "nearest": v[2],
+                                    "fallback": False, "true_norm": v[3],
+                                    "error_norm": v[4], "cosine": v[5]}
+                                for c, v in zip(seen[:-per], rng.random((len(seen), 6)).tolist())}
+        record.param_digest[k] = f"{k:064x}"
+    record.book = PrototypeBook()
+    for t, classes in enumerate(tasks, start=1):
+        record.book.add_task({c: rng.normal(size=dim) for c in classes}, t)
+    return record
+
+
+def test_result_json_is_written_piece_by_piece(tmp_path):
+    """cmd_run's writes of a 100-class, 10-checkpoint record and its book
+    give the bytes one json.dumps call gives, and peak at about 0.14 MB
+    traced on CPython 3.11: one json.dumps of the record alone peaks at
+    3.5 MB, and encoding each confusion matrix whole at 0.73 MB."""
+    record = _many_classes_record()
+
+    def write():
+        for name, pieces in (("record.json", record.json_pieces()),
+                             ("prototypes.json", record.book.json_pieces())):
+            cli._write_whole(tmp_path / name, pieces)
+
+    assert allocated_bytes(write) <= 500_000
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    assert (tmp_path / "record.json").read_text(encoding="utf-8") == json.dumps(payload)
+    assert (tmp_path / "prototypes.json").read_text(encoding="utf-8") == record.book.to_json()
+
+
+def _driftlab_in_c_locale(*args) -> subprocess.CompletedProcess:
+    """``python -m driftlab *args`` where the locale's encoding is ASCII."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "driftlab", *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_text_files_are_utf8_in_a_c_locale(tmp_path):
+    cfg = write_config(tmp_path, seeds="0", methods={"E-FT": {"epochs": 2}})
+    with open(cfg, "ab") as fh:
+        fh.write("; σ is the kernel width\n".encode("utf-8"))
+    done = _driftlab_in_c_locale("run", str(cfg))
+    assert done.returncode == 0, done.stderr
+    # a label that an ASCII locale cannot make a directory of is a config error
+    text = cfg.read_bytes().replace(b"[method E-FT]", "[method Ω-FT]\nmethod = E-FT".encode())
+    bad = tmp_path / "omega.ini"
+    bad.write_bytes(text)
+    done = _driftlab_in_c_locale("run", str(bad))
+    assert done.returncode == 2 and b"Traceback" not in done.stderr
+    assert b"config error: method label" in done.stderr
+    # results under a UTF-8 label (made in a UTF-8 locale) still plot
+    root = tmp_path / "results"
+    os.rename(os.fsencode(root / "E-FT"), os.fsencode(root) + "/Ω-FT".encode())
+    done = _driftlab_in_c_locale("plot", str(root), "--kind", "curves")
+    assert done.returncode == 0, done.stderr
+    svg = ET.fromstring((root / "plots" / "curves.svg").read_bytes())
+    assert "Ω-FT" in [t.text for t in svg.iter() if t.tag.endswith("text")]
 
 
 @pytest.fixture(scope="module")

@@ -90,6 +90,30 @@ def test_label_different_from_method(tmp_path):
     assert cfg.methods[1] == ("E-FT+SDC", {"method": "E-FT", "sdc": True})
 
 
+@pytest.mark.parametrize("label", [".", "..", "../escaped", "a/b", "/abs", "a\\b"])
+def test_path_like_label_rejected_at_load(tmp_path, monkeypatch, capsys, label):
+    # the label names the results/<label>/ directory: a path there writes
+    # outside output_dir, or deeper than compare and plot look
+    monkeypatch.chdir(tmp_path)
+    ini = write_ini(tmp_path, BASE.replace("[method E-FT]", f"[method {label}]")
+                    + "method = E-FT\n")
+    with pytest.raises(ConfigError, match="must be a plain name"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert "config error: method label" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_config_is_read_as_utf8(tmp_path):
+    body = textwrap.dedent(BASE) + "; σ is the kernel width\n"
+    path = tmp_path / "exp.ini"
+    path.write_bytes(body.encode("utf-8"))
+    assert load_config(str(path)).methods == [("E-FT", {"epochs": 5, "method": "E-FT"})]
+    path.write_bytes(body.encode("latin-1", "replace") + b"; caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot parse .*utf-8"):
+        load_config(str(path))
+
+
 def test_hidden_parses_to_tuple(tmp_path):
     body = BASE + "hidden = 32 16\n"
     cfg = load_config(write_ini(tmp_path, body))
@@ -296,7 +320,7 @@ def test_every_method_field_is_a_documented_key(tmp_path, name):
     kwargs = load_config(write_ini(tmp_path, body)).methods[0][1]
     assert kwargs == {"method": "E-FT", name: default}
     assert MethodConfig(**kwargs) == MethodConfig("E-FT")
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     paragraphs = (" ".join(p.split()) for p in readme.split("\n\n"))
     knobs = next(p for p in paragraphs if "Knobs, with defaults" in p)
     assert f"`{name}`" in knobs

@@ -19,7 +19,9 @@ from driftlab.prototypes import (
     collect_drift,
     compensate,
     compute_prototypes,
+    _jsonable,
     interpolate_drift,
+    json_pieces,
     ncm_classify,
 )
 from driftlab.tensor import ShapeError, StateError
@@ -476,6 +478,67 @@ def test_book_json_round_trip(rng):
         assert np.allclose(back.entries[c].vector, book.entries[c].vector)
         assert back.entries[c].learned_at == book.entries[c].learned_at
         assert np.allclose(back.entries[c].compensation, book.entries[c].compensation)
+
+
+def _dumps(obj) -> str:
+    """The reference: the text one json.dumps call gives."""
+    return json.dumps(obj, default=_jsonable)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": [math.nan, math.inf, -math.inf, -0.0, 1e-310, 0.1]},
+    {"x": np.arange(3), "m": np.eye(2), "s": np.float64(0.1), "i": np.int64(7),
+     "rows": [np.array([1.5, np.nan]), [np.float32(0.5), np.int8(-3)]], "z": np.array(2.0)},
+    {1: {2: 0.5, 3: 1.0}, 4: [1, 2], -5: {}, 6: [], 7: [[], {}, ()], 8: {"": None}},
+    {True: [1], 2.5: {"a": [1.0]}, None: [[1]], "k": "Ω \u2028 \"q\" \\"},
+    [(0, 1, 2), (3, 4, 5)],  # task_classes
+    {1: {"points": [[0.1, -0.2], [0.3, 0.4]], "labels": [0, 1],
+         "prototypes": {0: [0.1, 0.2], 1: [0.3, 0.4]}, "compensation": {0: [0.0, 0.0]}}},
+    {"counts": [[i % 7] * 300 for i in range(12)], "flat": list(range(3000)),
+     "long": [list(range(2000)), [1]], "events": {c: {"mass": 0.5, "cosine": None}
+                                                  for c in range(400)}},
+    [1, [2, 3], {"a": [4]}, "b"],  # a list whose first item is a scalar
+    [], {}, (), 1.5, "s", None, True,
+])
+def test_json_pieces_give_the_bytes_of_one_json_dumps(payload):
+    assert "".join(json_pieces(payload)) == _dumps(payload)
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+            | st.floats(allow_nan=True, allow_infinity=True))
+_json_like = st.recursive(_scalars, lambda inner: (
+    st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(_json_like)
+def test_json_pieces_match_json_dumps_on_any_nesting(payload):
+    assert "".join(json_pieces(payload)) == _dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [{"a": [[object()]]}, {"a": [1], (1, 2): [2]},
+                                     {"a": {np.int64(1): [1]}}])
+def test_json_pieces_reject_what_json_dumps_rejects(payload):
+    with pytest.raises(TypeError):
+        _dumps(payload)
+    with pytest.raises(TypeError):
+        "".join(json_pieces(payload))
+
+
+def test_book_json_is_the_bytes_of_one_json_dumps(rng):
+    def dumps(book):  # list(ndarray) boxes each float as an np.float64
+        return json.dumps({"classes": [
+            {"class_id": c, "learned_at": e.learned_at, "vector": list(e.vector),
+             "compensation": list(e.compensation)} for c, e in sorted(book.entries.items())]})
+
+    book = PrototypeBook()
+    assert book.to_json() == dumps(book) == '{"classes": []}'
+    book.add_task({3: rng.normal(size=4), 1: [np.nan, np.inf, -np.inf, -0.0]}, 1)
+    book.add_task({2: [1e-310, 1e300, 0.1, 1.0]}, 2)
+    book.entries[3].compensation = rng.normal(size=4)
+    assert book.to_json() == dumps(book)
+    assert len(list(book.json_pieces())) == 2 + len(book)  # a class row a piece
 
 
 def test_book_rejects_duplicate_class(rng):
