@@ -118,22 +118,20 @@ def json_pieces(obj):
     sep, run, size = "", [], 0
     for item in obj.items() if is_dict else obj:
         value = item[1] if is_dict else item
-        if not _nested(value):
+        nested = _nested(value)
+        if not nested:
             run.append(item)
             size += len(value) if type(value) in _OPENED else 1
-            if size >= _PIECE:
-                yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
-                sep, run, size = ", ", [], 0
-            continue
-        if run:
+        if run and (nested or size >= _PIECE):
             yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
             sep, run, size = ", ", [], 0
-        if is_dict:  # the key as json writes it: '{"k": null}' less '{' and 'null}'
-            yield sep + _ENCODE({item[0]: None})[1:-5]
-        elif sep:
-            yield sep
-        yield from json_pieces(value)
-        sep = ", "
+        if nested:
+            if is_dict:  # the key as json writes it: '{"k": null}' less '{' and 'null}'
+                yield sep + _ENCODE({item[0]: None})[1:-5]
+            elif sep:
+                yield sep
+            yield from json_pieces(value)
+            sep = ", "
     if run:
         yield sep + _ENCODE(dict(run) if is_dict else run)[1:-1]
     yield "}" if is_dict else "]"
