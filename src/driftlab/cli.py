@@ -242,7 +242,12 @@ def cmd_compare(args) -> int:
             else:
                 cells.append(f"{np.mean(vals):.4f} ± {np.std(vals):.4f}")
         out.append(f"| {label} | " + " | ".join(cells) + " |")
-    print("\n".join(out))
+    # UTF-8 as the result files are, whatever the locale: an ASCII locale
+    # cannot encode "±", and a label it could not decode goes back out as
+    # the directory name's own bytes
+    sys.stdout.flush()
+    sys.stdout.buffer.write("\n".join(out).encode("utf-8", "surrogateescape") + b"\n")
+    sys.stdout.buffer.flush()
     return 0
 
 

@@ -20,7 +20,6 @@ from .data import LabeledDataset
 from .losses import (
     FISHER_VARIANTS,
     MINING_STRATEGIES,
-    ImportanceMap,
     estimate_fisher,
     estimate_mas_importance,
     lwf_align_loss,
@@ -76,33 +75,72 @@ class TrainingError(RuntimeError):
     """A task could not be trained (no usable triplets, missing data)."""
 
 
-@dataclass
+@dataclass(frozen=True)  # its rows are fixed by the sequence's tables
 class Task:
     index: int  # 1-based position in the sequence
     classes: tuple[int, ...]
-    train: LabeledDataset
-    test: LabeledDataset
+    train: LabeledDataset  # a row range of the sequence's train table
+    test: LabeledDataset  # a row range of its test table
+
+
+def _task_of(labels: np.ndarray, groups) -> np.ndarray:
+    """Each row's task position (0-based) by its label: the group that
+    holds it, or ``len(groups)`` for a label in no group."""
+    classes = np.array([c for g in groups for c in g], dtype=np.int64)
+    task = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    by_class = np.argsort(classes)
+    classes, task = classes[by_class], task[by_class]
+    at = np.searchsorted(classes, labels).clip(max=len(classes) - 1)
+    return np.where(classes[at] == labels, task[at], len(groups))
 
 
 @dataclass
 class TaskSequence:
-    tasks: list[Task]
+    """Tasks over two tables whose rows run task by task, in the order of
+    ``groups`` (each task's classes). A task's ``train`` and ``test`` are
+    one row range of each table, read-only views, so the test rows of
+    tasks 1..k are a prefix of ``test``. A class in two groups, a row of
+    no group or out of task order, or a task without test rows is a
+    ValueError."""
+    train: LabeledDataset
+    test: LabeledDataset
+    groups: list
     pretrain: LabeledDataset | None = None  # held-out classes for E-Pre-substitute
+    tasks: list[Task] = field(init=False)
 
     def __post_init__(self):
+        self.groups = [tuple(int(c) for c in g) for g in self.groups]
+        if not self.groups:
+            raise ValueError("a sequence needs at least one task")
         seen: set[int] = set()
-        for t in self.tasks:
-            overlap = seen & set(t.classes)
+        for g in self.groups:
+            overlap = seen & set(g)
             if overlap:
                 raise ValueError(f"classes {sorted(overlap)} appear in two tasks")
-            seen |= set(t.classes)
+            seen |= set(g)
+        bounds = []
+        for name in ("train", "test"):
+            table = getattr(self, name).subset(slice(None))
+            table.features.flags.writeable = table.labels.flags.writeable = False
+            setattr(self, name, table)
+            owner = _task_of(table.labels, self.groups)
+            if np.any(owner[1:] < owner[:-1]) or np.any(owner == len(self.groups)):
+                raise ValueError(f"{name} rows do not run task by task")
+            bounds.append(np.searchsorted(owner, np.arange(len(self.groups) + 1)))
+        tr, te = bounds
+        self.tasks = []
+        for i, ids in enumerate(self.groups):
+            if te[i] == te[i + 1]:
+                raise ValueError(f"task {i + 1} (classes {list(ids)}) has no test rows")
+            self.tasks.append(Task(i + 1, ids, self.train.subset(slice(tr[i], tr[i + 1])),
+                                   self.test.subset(slice(te[i], te[i + 1]))))
 
     def __len__(self):
         return len(self.tasks)
 
     @property
     def input_dim(self) -> int:
-        return self.tasks[0].train.features.shape[1]
+        return self.train.features.shape[1]
 
 
 def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
@@ -113,13 +151,18 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     The first task optionally takes ``first_task_fraction`` of the classes;
     the rest must divide evenly over the remaining tasks. With no separate
     ``test`` set, ``test_fraction`` of each class is held out (seeded).
-    A task with no test rows (an explicit ``test`` set that lacks all of
-    its classes) is a ValueError, and so is ``n_tasks`` below 1, or below 2
-    with a ``first_task_fraction``.
+    Each split is gathered once, into a table whose rows run task by task
+    and keep their source order within a task (see ``TaskSequence``);
+    ``test`` rows of no task's class are left out. A task with no test
+    rows (an explicit ``test`` set that lacks all of its classes) is a
+    ValueError, and so is ``n_tasks`` below 1, or below 2 with a
+    ``first_task_fraction``.
     """
     least = 2 if first_task_fraction else 1
     if n_tasks < least:
         raise ValueError(f"n_tasks must be at least {least}, got {n_tasks}")
+    # without counts, np.unique's first call imports numpy.ma (0.5 MB): here,
+    # before any run, and not at the heap peak of one
     classes = np.unique(dataset.labels)
     if n_tasks > len(classes):
         raise ValueError(f"{n_tasks} tasks but only {len(classes)} classes")
@@ -136,41 +179,36 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
                 f"{rest} remaining classes do not divide over {n_tasks - 1} tasks"
             )
         per = rest // (n_tasks - 1)
-        groups = [tuple(order[:n_first])]
-        groups += [tuple(order[n_first + i * per : n_first + (i + 1) * per])
+        groups = [order[:n_first]]
+        groups += [order[n_first + i * per : n_first + (i + 1) * per]
                    for i in range(n_tasks - 1)]
     else:
         if len(classes) % n_tasks:
             raise ValueError(f"{len(classes)} classes do not divide into {n_tasks} tasks")
         per = len(classes) // n_tasks
-        groups = [tuple(order[i * per : (i + 1) * per]) for i in range(n_tasks)]
+        groups = [order[i * per : (i + 1) * per] for i in range(n_tasks)]
 
     if test is None:
-        train_idx, test_idx = [], []
-        for c in classes:
-            rows = np.flatnonzero(dataset.labels == c)
-            rows = rows[rng.permutation(len(rows))]
-            cut = max(1, int(round(test_fraction * len(rows))))
-            if cut >= len(rows):
-                raise ValueError(f"class {int(c)} has {len(rows)} rows; holding out "
+        held = np.zeros(len(dataset.labels), dtype=bool)
+        by_class = np.argsort(dataset.labels, kind="stable")  # each class's rows in order
+        ends = np.searchsorted(dataset.labels[by_class], classes, side="right")
+        for c, end, n in zip(classes, ends, np.diff(ends, prepend=0)):
+            cut = max(1, int(round(test_fraction * n)))
+            if cut >= n:
+                raise ValueError(f"class {int(c)} has {n} rows; holding out "
                                  f"{cut} for testing leaves none for training")
-            test_idx.extend(rows[:cut])
-            train_idx.extend(rows[cut:])
-        sources = ((dataset, np.sort(train_idx)), (dataset, np.sort(test_idx)))
+            held[by_class[end - n : end][rng.permutation(n)[:cut]]] = True
+        sources = ((dataset, np.flatnonzero(~held)), (dataset, np.flatnonzero(held)))
     else:
         sources = ((dataset, np.arange(len(dataset.labels))),
                    (test, np.arange(len(test.labels))))
 
-    tasks = []
-    for i, group in enumerate(groups, start=1):
-        # each task's rows straight from the source, in row order
-        train, test_rows = (src.subset(idx[np.isin(src.labels[idx], group)])
-                            for src, idx in sources)
-        ids = tuple(int(c) for c in group)
-        if len(test_rows.labels) == 0:
-            raise ValueError(f"task {i} (classes {list(ids)}) has no test rows")
-        tasks.append(Task(index=i, classes=ids, train=train, test=test_rows))
-    return TaskSequence(tasks)
+    tables = []
+    for src, idx in sources:
+        owner = _task_of(src.labels[idx], groups)
+        in_order = np.argsort(owner, kind="stable")[: np.count_nonzero(owner < n_tasks)]
+        tables.append(src.subset(idx[in_order]))
+    return TaskSequence(*tables, groups)
 
 
 @dataclass
@@ -368,13 +406,15 @@ def _step(opt: Adam, loss, epoch: int) -> None:
 
 
 def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
-               snap=None, importance=None) -> None:
+               snap=None, importance=None, n_maps: int = 1) -> None:
     """One task's training loop on an embedding model.
 
     Metric loss per batch, plus gamma times the method's regularizer
     against ``snap`` (the previous task's parameters, from
-    ``models.snapshot``) when gamma > 0. Raises TrainingError if a loss is
-    NaN or inf, or if no batch in any epoch yields a valid triplet.
+    ``models.snapshot``) when gamma > 0; a quadratic penalty weighs by
+    ``importance``, the sum of ``n_maps`` importance maps, over
+    ``n_maps``. Raises TrainingError if a loss is NaN or inf, or if no
+    batch in any epoch yields a valid triplet.
     """
     if len(task_data.labels) == 0:
         raise TrainingError("task has no training data")
@@ -393,7 +433,7 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                 if METHOD_SPECS[config.method].regularizer == "lwf":
                     reg = lwf_align_loss(model, snap, xb)
                 else:
-                    reg = quadratic_penalty(model, snap, importance)
+                    reg = quadratic_penalty(model, snap, importance, n_maps)
                 loss = loss + Tensor(config.gamma) * reg
             _step(opt, loss, epoch)
     if not any_triplets:
@@ -417,15 +457,17 @@ def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConf
             _step(opt, softmax_cross_entropy(logits, labels[idx]), epoch)
 
 
-def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
+def _embedding_eval(model, book: PrototypeBook, sequence: TaskSequence,
                     record: RunRecord, k: int, embed):
-    """One pass over all seen test rows at checkpoint k (the forward and
-    NCM each go ``INFER_ROWS`` rows at a time): fills row k and the
-    confusion by NCM over ``book`` on ``embed``'s features, with
-    prototype-to-true-mean distances and the 2-d capture, or by the heads
-    when ``embed`` is None. Returns the means of the classes present."""
-    x = np.concatenate([t.test.features for t in tasks_seen])
-    y = np.concatenate([t.test.labels for t in tasks_seen])
+    """One pass over the test rows of tasks 1..k, read in place as a
+    prefix of the test table, at checkpoint k (the forward and NCM each go
+    ``INFER_ROWS`` rows at a time): fills row k and the confusion by NCM
+    over ``book`` on ``embed``'s features, with prototype-to-true-mean
+    distances and the 2-d capture, or by the heads when ``embed`` is
+    None. Returns the means of the classes present."""
+    tasks_seen = sequence.tasks[:k]
+    ends = np.cumsum([len(t.test.labels) for t in tasks_seen])
+    x, y = sequence.test.features[: ends[-1]], sequence.test.labels[: ends[-1]]
     z, means = None, {}
     if embed is None:
         pred = model.predict_multihead(x)
@@ -435,7 +477,6 @@ def _embedding_eval(model, book: PrototypeBook, tasks_seen: list[Task],
         means = compute_prototypes(z, y)
         record.proto_distance[k] = {
             c: float(np.linalg.norm(book.entries[c].vector - m)) for c, m in means.items()}
-    ends = np.cumsum([len(t.test.labels) for t in tasks_seen])
     for task, hit in zip(tasks_seen, np.split(pred == y, ends[:-1])):
         record.set_acc(k, task.index, float(np.mean(hit)))
     seen = np.array(sorted(c for t in tasks_seen for c in t.classes))
@@ -507,10 +548,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
                      seed=config.seed)
     embed = getattr(model, spec.ncm_on) if spec.ncm_on else None
     if spec.pretrain == "union":
-        train_task(model, LabeledDataset(
-            np.concatenate([t.train.features for t in sequence.tasks]),
-            np.concatenate([t.train.labels for t in sequence.tasks]),
-        ), config, rng)
+        train_task(model, sequence.train, config, rng)
     elif spec.pretrain == "held-out":
         if sequence.pretrain is None:
             raise TrainingError(f"{config.method} needs held-out pretraining data "
@@ -533,9 +571,8 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         if trains and softmax:
             _train_softmax_task(model, task, config, rng)
         elif trains:
-            importance = None if total is None else ImportanceMap(
-                total.kind, tuple(w / n_maps for w in total.weights))
-            train_task(model, task.train, config, rng, snap=snap, importance=importance)
+            train_task(model, task.train, config, rng, snap=snap, importance=total,
+                       n_maps=n_maps)
 
         moves = None
         if embed is not None:  # sdc implies an embedding net: z is embed_np's
@@ -565,7 +602,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             continue
         record.param_digest[t] = _digest(model)
         before = means
-        means = _embedding_eval(model, book, sequence.tasks[:t], record, t, embed)
+        means = _embedding_eval(model, book, sequence, record, t, embed)
         if moves is not None:
             record.sdc_events[t] = {c: _sdc_event(m, before.get(c), means.get(c))
                                     for c, m in moves.items()}

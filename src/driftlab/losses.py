@@ -179,19 +179,23 @@ class ImportanceMap:
         return self
 
 
-def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
+def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
+                      n_maps: int = 1) -> Tensor:
     """Sum over parameters of 1/2 * w * (theta - theta_snapshot)^2, as one tape node.
 
-    Nothing parameter-sized outlives the call: the forward and the
-    backward each recompute d = theta - theta_snapshot, one parameter at
-    a time, in the operand order of ``0.5 * w * d * d`` and ``g * w * d``.
-    Like every op's backward, it reads the parameters as they are when
-    ``backward`` runs.
+    w is ``importance`` over ``n_maps``: the mean of that many maps, given
+    as their sum. Nothing parameter-sized outlives the call: the forward
+    and the backward each form w and d = theta - theta_snapshot one
+    parameter at a time, and each product rounds as ``0.5 * w * d * d``
+    and ``g * w * d`` do on a stored mean map. Like every op's backward, it reads the
+    parameters as they are when ``backward`` runs.
     """
     if len(importance.weights) != len(model.params):
         raise ShapeError(
             f"{len(importance.weights)} weight arrays for {len(model.params)} parameters"
         )
+    if n_maps < 1:
+        raise ValueError(f"n_maps must be at least 1, got {n_maps}")
     terms = tuple(zip(model.params, snap, importance.weights))
     for p, old, w in terms:
         if w.shape != p.data.shape or old.shape != p.data.shape:
@@ -201,14 +205,16 @@ def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
 
     def half_wdd(p, old, w):
         d = p.data - old
-        t = np.multiply(0.5, w)
+        t = np.divide(w, n_maps)
+        t *= 0.5
         t *= d
         t *= d
         return np.sum(t)
 
     def back(g):  # one parameter's gradient alive at a time
         for p, old, w in terms:
-            t = np.multiply(g, w)
+            t = np.divide(w, n_maps)
+            t *= g
             t *= p.data - old
             yield t
 

@@ -371,6 +371,17 @@ def test_text_files_are_utf8_in_a_c_locale(tmp_path):
     assert "Ω-FT" in [t.text for t in svg.iter() if t.tag.endswith("text")]
 
 
+def test_compare_prints_utf8_in_a_c_locale(tmp_path):
+    run_dir = tmp_path / "results" / "E-FT" / "0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "a_matrix.csv").write_text("k,j,accuracy\n1,1,0.75\n")
+    done = _driftlab_in_c_locale("compare", str(tmp_path / "results"))
+    assert done.returncode == 0, done.stderr
+    row = next(line for line in done.stdout.decode("utf-8").split("\n")
+               if line.startswith("| E-FT |"))
+    assert row == "| E-FT | 0.7500 ± 0.0000 |"
+
+
 @pytest.fixture(scope="module")
 def results_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("runs")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftlab
 from conftest import allocated_bytes
@@ -28,7 +30,7 @@ from driftlab.harness import (
     train_task,
 )
 from driftlab.models import EmbeddingNet, GrowingSoftmaxNet
-from driftlab.harness import Task, _digest, _embedding_eval, _train_softmax_task
+from driftlab.harness import _digest, _embedding_eval, _train_softmax_task
 from driftlab.prototypes import WEIGHT_FLOOR, PrototypeBook, ncm_classify
 
 
@@ -42,6 +44,17 @@ def quick(method, **kw):
 def tiny_sequence(n_classes=4, n_tasks=2, seed=0, per_class=30, dim=6):
     ds = gen_gaussian_clusters(n_classes, per_class, dim, spread=0.25, seed=seed)
     return split_tasks(ds, n_tasks, seed=seed)
+
+
+def sequence_lacking_test_rows_of_one_class():
+    """``tiny_sequence(6, 3)`` with no test rows for one class of task 1."""
+    held = tiny_sequence(n_classes=6, n_tasks=3)
+    gone = held.tasks[0].classes[0]
+    # the same seed draws the same groups: only task 1's test rows change
+    seq = split_tasks(held.train, 3, seed=0, test=held.test.subset(held.test.labels != gone))
+    assert seq.tasks[0].classes == held.tasks[0].classes
+    assert gone not in seq.tasks[0].test.labels
+    return seq, gone
 
 
 # ---- task splitting
@@ -169,11 +182,66 @@ def test_split_rejects_a_task_without_test_rows():
         split_tasks(ds, 2, seed=0, test=test)
 
 
+def _shuffled_clusters(n_classes, per_class, seed):
+    ds = gen_gaussian_clusters(n_classes, per_class, 3, 0.3, seed=seed)
+    return ds.subset(np.random.default_rng(seed).permutation(len(ds.labels)))
+
+
+@settings(max_examples=40)
+@given(n_tasks=st.integers(1, 4), per_task=st.integers(1, 3), n_first=st.integers(0, 3),
+       per_class=st.integers(3, 9), test_fraction=st.floats(0.05, 0.6),
+       explicit_test=st.booleans(), seed=st.integers(0, 2**16))
+def test_split_rows_equal_the_two_step_copies_for_any_shape(n_tasks, per_task, n_first,
+                                                            per_class, test_fraction,
+                                                            explicit_test, seed):
+    """Every task's rows, and their order, as the per-task ``subset`` of
+    the whole split, over class counts, held-out fractions, first-task
+    fractions and explicit test sets (one with a class no task has)."""
+    n_first = n_first if n_tasks > 1 else 0
+    n_classes = n_first + (n_tasks - (n_first > 0)) * per_task
+    ds = _shuffled_clusters(n_classes, per_class, seed)
+    test = _shuffled_clusters(n_classes + 1, 3, seed + 1) if explicit_test else None
+    kwargs = dict(first_task_fraction=n_first / n_classes or None, seed=seed, test=test,
+                  test_fraction=test_fraction)
+    seq = split_tasks(ds, n_tasks, **kwargs)
+    want = two_step_split(ds, n_tasks, **kwargs)
+    assert [t.classes for t in seq.tasks] == [classes for classes, _, _ in want]
+    for task, (_, train, test_rows) in zip(seq.tasks, want):
+        for got, ref in ((task.train, train), (task.test, test_rows)):
+            assert got.features.tobytes() == ref.features.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
+
+@pytest.mark.parametrize("explicit_test", [False, True])
+def test_split_tasks_are_read_only_views_of_one_table_per_split(explicit_test):
+    ds = gen_gaussian_clusters(6, 10, 4, 0.3, seed=0)
+    seq = split_tasks(ds, 3, seed=1, test=ds if explicit_test else None)
+    for name in ("train", "test"):
+        table = getattr(seq, name)
+        rows = [getattr(t, name) for t in seq.tasks]
+        assert np.concatenate([r.features for r in rows]).tobytes() == table.features.tobytes()
+        for r in rows:
+            assert np.shares_memory(r.features, table.features)
+            assert np.shares_memory(r.labels, table.labels)
+        # a write through one task's rows cannot reach another task's view
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0].features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rows[-1].labels[-1] = rows[0].labels[0]
+    assert seq.input_dim == 4
+
+
 def test_sequence_rejects_overlap():
-    ds = gen_gaussian_clusters(2, 5, 2, 0.1, seed=0)
-    t = split_tasks(ds, 2, seed=0).tasks
-    with pytest.raises(ValueError):
-        TaskSequence([t[0], t[0]])
+    ds = gen_gaussian_clusters(4, 5, 2, 0.1, seed=0)
+    seq = split_tasks(ds, 2, seed=0)
+    g = seq.groups[0]
+    with pytest.raises(ValueError, match="appear in two tasks"):
+        TaskSequence(seq.train, seq.test, [g, g])
+    # rows out of task order, or of a class in no task
+    with pytest.raises(ValueError, match="^train rows do not run task by task$"):
+        TaskSequence(seq.train, seq.test, seq.groups[::-1])
+    with pytest.raises(ValueError, match="^train rows do not run task by task$"):
+        TaskSequence(seq.train, seq.test, seq.groups[:1])
 
 
 # ---- method config
@@ -337,16 +405,16 @@ def test_two_task_run_fills_triangle():
 
 def test_confusion_counts_match_per_sample_loop(rng):
     """Class ids out of order and with gaps; each row counts its class."""
-    tasks = []
-    for index, classes in ((1, (7, 2)), (2, (5, 11, 0))):
-        y = rng.choice(classes, size=40)
-        data = LabeledDataset(rng.normal(size=(40, 3)), y)
-        tasks.append(Task(index, classes, data, data))
+    y = rng.choice([7, 2, 5, 11, 0], size=80)
+    data = LabeledDataset(rng.normal(size=(80, 3)), y)
+    seq = split_tasks(data, 2, first_task_fraction=0.4, seed=0, test=data)
+    tasks = seq.tasks
+    assert [len(t.classes) for t in tasks] == [2, 3]
     book = PrototypeBook()
     for t in tasks:
         book.add_task({c: rng.normal(size=3) for c in t.classes}, task_index=t.index)
     rec = RunRecord("E-FT", 0, 2, [t.classes for t in tasks])
-    _embedding_eval(None, book, tasks, rec, 2, embed=lambda x: x)
+    _embedding_eval(None, book, seq, rec, 2, embed=lambda x: x)
 
     ids = [0, 2, 5, 7, 11]
     want = np.zeros((5, 5), dtype=int)
@@ -387,16 +455,15 @@ def test_true_means_match_per_task_reference(monkeypatch):
     """proto_distance and the embed2d true means equal, byte for byte, a
     per-task reference; a seen class with no test rows has no entry and
     raises no warning."""
-    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    seq, gone = sequence_lacking_test_rows_of_one_class()
     t1 = seq.tasks[0]
-    gone = t1.classes[0]
-    t1.test = t1.test.subset(t1.test.labels != gone)
     refs = {}
     inner = harness._embedding_eval
 
-    def reference(model, book, tasks_seen, record, k, embed):
+    def reference(model, book, sequence, record, k, embed):
         # one forward over all rows, as a row's last bit can depend on its
         # position in the BLAS call; the means are then taken task by task
+        tasks_seen = sequence.tasks[:k]
         z_all = model.embed_np(np.concatenate([t.test.features for t in tasks_seen]))
         dists, means, at = {}, {}, 0
         for task in tasks_seen:
@@ -407,7 +474,7 @@ def test_true_means_match_per_task_reference(monkeypatch):
                     means[c] = z[y == c].mean(axis=0)
                     dists[c] = float(np.linalg.norm(book.entries[c].vector - means[c]))
         refs[k] = dists, means, z_all[: len(t1.test.labels)]
-        return inner(model, book, tasks_seen, record, k, embed)
+        return inner(model, book, sequence, record, k, embed)
 
     monkeypatch.setattr(harness, "_embedding_eval", reference)
     with warnings.catch_warnings():
@@ -584,9 +651,7 @@ def test_sdc_fallback_flag_is_mass_below_the_floor(caplog):
 
 
 def test_sdc_true_change_is_null_without_test_rows():
-    seq = tiny_sequence(n_classes=6, n_tasks=3)
-    gone = seq.tasks[0].classes[0]
-    seq.tasks[0].test = seq.tasks[0].test.subset(seq.tasks[0].test.labels != gone)
+    seq, gone = sequence_lacking_test_rows_of_one_class()
     rec = run_sequence(quick("E-FT", sdc=True, epochs=2), seq)
     for events in rec.sdc_events.values():
         for c, e in events.items():
@@ -722,8 +787,9 @@ def test_digest_hashes_parameter_buffers_without_copies():
 @pytest.mark.parametrize("method", ["E-FT", "FT"])
 def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
     """With 100 classes, doubling the seen test rows from 1,500 to 3,000
-    may add the extra input and feature rows, plus 10%: the [rows,
-    classes] temporaries of NCM and of the heads stay one block."""
+    may add the extra feature rows, plus 10%: the inputs are read in place
+    as a prefix of the test table, and the [rows, classes] temporaries of
+    NCM and of the heads stay one block."""
     rng = np.random.default_rng(0)
     d_in, d_out, classes = 64, 64, np.arange(100)
     groups = np.split(classes, 10)
@@ -740,13 +806,12 @@ def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
     def peak(per_class):
         y = np.repeat(classes, per_class)
         data = LabeledDataset(rng.normal(size=(len(y), d_in)), y)
-        tasks = [Task(i, tuple(g), None, data.subset(np.isin(y, g)))
-                 for i, g in enumerate(groups, start=1)]
-        rec = RunRecord(method, 0, len(tasks), [t.classes for t in tasks])
-        return allocated_bytes(lambda: _embedding_eval(model, book, tasks, rec, 10, embed))
+        seq = split_tasks(data, 10, seed=0, test=data)
+        rec = RunRecord(method, 0, len(seq), [t.classes for t in seq.tasks])
+        return allocated_bytes(lambda: _embedding_eval(model, book, seq, rec, 10, embed))
 
-    extra = 1500 * (d_in + d_out) * 8
-    assert peak(30) - peak(15) <= 1.1 * extra
+    features = 1500 * d_out * 8
+    assert peak(30) - peak(15) <= 1.1 * features
 
 
 # ---- memory held across tasks
@@ -757,9 +822,10 @@ def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
     ("E-EWC", "estimate_fisher", "fisher"), ("E-MAS", "estimate_mas_importance", "mas")])
 def test_running_importance_sum_equals_the_mean_of_all_maps(monkeypatch, method, estimator,
                                                             kind, n_maps):
-    """Each task trains against the running sum of the earlier maps over
-    their count, byte for byte the old ``ImportanceMap.average``: the
-    builtin sum of the maps in task order, then one division."""
+    """Each task trains against the running sum of the earlier maps and
+    their count, byte for byte the builtin sum of the maps in task order;
+    ``quadratic_penalty`` divides it by the count (the byte check against
+    a stored mean map is in test_losses.py)."""
     rng = np.random.default_rng(n_maps)
     shapes = [p.data.shape for p in EmbeddingNet(6, 2, hidden=(32,)).params]
     maps = [ImportanceMap(kind, tuple(rng.exponential(size=s) * 10.0 ** rng.uniform(-8, 8, s)
@@ -767,15 +833,18 @@ def test_running_importance_sum_equals_the_mean_of_all_maps(monkeypatch, method,
     handed = iter([ImportanceMap(kind, tuple(w.copy() for w in m.weights)) for m in maps])
     monkeypatch.setattr(harness, estimator, lambda *args, **kwargs: next(handed))
     got = []
-    monkeypatch.setattr(harness, "train_task",
-                        lambda *args, importance=None, **kwargs: got.append(importance))
+
+    def train(*args, importance=None, n_maps=1, **kwargs):  # the sum as it is now
+        got.append(None if importance is None else
+                   (importance.kind, [w.copy() for w in importance.weights], n_maps))
+
+    monkeypatch.setattr(harness, "train_task", train)
     run_sequence(quick(method), tiny_sequence(n_classes=n_maps + 1, n_tasks=n_maps + 1))
     assert got[0] is None and len(got) == n_maps + 1
-    for k, mean in enumerate(got[1:], start=1):
-        assert mean.kind == kind
-        for i, w in enumerate(mean.weights):
-            want = sum(m.weights[i] for m in maps[:k]) / k
-            assert w.tobytes() == want.tobytes()
+    for k, (got_kind, weights, count) in enumerate(got[1:], start=1):
+        assert got_kind == kind and count == k
+        for i, w in enumerate(weights):
+            assert w.tobytes() == sum(m.weights[i] for m in maps[:k]).tobytes()
 
 
 def _live_at_last_training(monkeypatch, n_tasks):

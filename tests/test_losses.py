@@ -661,6 +661,40 @@ def test_quadratic_penalty_bytes_match_textbook_formula(rng):
         assert p.grad.tobytes() == (np.float64(3.7) * w * d).tobytes()
 
 
+@pytest.mark.parametrize("orders", [0, 16])
+@pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
+def test_quadratic_penalty_of_a_sum_matches_a_stored_mean_map(rng, n_maps, orders):
+    """The penalty on the sum of ``n_maps`` maps and their count has the
+    forward and gradient bytes of the penalty on their mean, stored as
+    one map and applied as ``0.5 * w * d * d`` and ``g * w * d``, for
+    weights spread over 16 orders of magnitude and over none."""
+    m = EmbeddingNet(4, 3, hidden=(6,), seed=n_maps)
+    snap = snapshot(m)
+    for p in m.params:
+        p.data = p.data + rng.normal(size=p.data.shape)
+        p.zero_grad()
+    maps = [[rng.exponential(size=p.data.shape)
+             * 10.0 ** rng.uniform(-orders / 2, orders / 2, p.data.shape)
+             for p in m.params] for _ in range(n_maps)]
+    total = ImportanceMap("mas", tuple(sum(ws) for ws in zip(*maps)))
+    loss = Tensor(3.7) * quadratic_penalty(m, snap, total, n_maps)
+    loss.backward()
+    means = [w / n_maps for w in total.weights]
+    ds = [p.data - old for p, old in zip(m.params, snap)]
+    value = sum(np.sum(0.5 * w * d * d) for w, d in zip(means, ds))
+    assert loss.data.tobytes() == (np.float64(3.7) * value).tobytes()
+    for p, w, d in zip(m.params, means, ds):
+        assert p.grad.tobytes() == (np.float64(3.7) * w * d).tobytes()
+    # a last-bit change in one term vanishes in the sum: one term at a time too
+    flat = [np.concatenate([a.ravel() for a in arrays]) for arrays in (total.weights, ds)]
+    for w, d in zip(*flat):
+        term = quadratic_penalty(one_param_model([d]), (np.zeros(1),),
+                                 ImportanceMap("mas", (np.array([w]),)), n_maps)
+        assert term.data.tobytes() == (0.5 * (w / n_maps) * d * d).tobytes()
+    with pytest.raises(ValueError, match="n_maps must be at least 1, got 0"):
+        quadratic_penalty(m, snap, total, 0)
+
+
 def composite_penalty(model, snap, importance):
     """Reference quadratic penalty built from elementwise tape ops."""
     total = Tensor(0.0)
