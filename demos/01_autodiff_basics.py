@@ -9,7 +9,8 @@ from driftlab.optim import Adam
 rng = np.random.default_rng(0)
 
 # A tensor wraps a float64 array. Leaves created with requires_grad=True
-# accumulate gradients; everything downstream tracks its parents.
+# collect gradients in .grad on backward(); everything downstream tracks
+# its parents.
 x = Tensor(rng.normal(size=(8, 3)))
 w = Tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True)
 b = Tensor(np.zeros(4), requires_grad=True)
@@ -32,14 +33,12 @@ down = tmean(mul(relu(add(matmul(x, w), b)), relu(add(matmul(x, w), b)))).item()
 b.data[k] = keep
 print("backprop vs finite difference:", b.grad[k], "vs", (up - down) / (2 * eps))
 
-# Gradients accumulate across backward calls until zeroed, which is what
-# an optimizer step cycle relies on.
+# An Adam step runs the backward pass itself and updates each parameter
+# as soon as its gradient is final, so training fills no .grad buffer.
 opt = Adam([w, b], lr=0.05)
 for step in range(60):
-    opt.zero_grad()
     loss = tmean(mul(relu(add(matmul(x, w), b)), relu(add(matmul(x, w), b))))
-    loss.backward()
-    opt.step()
+    opt.step(loss)
     if step % 20 == 0:
         print(f"step {step:3d} loss {loss.item():.6f}")
 

@@ -11,6 +11,7 @@ import io
 import itertools
 import os
 import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,11 +217,22 @@ def _sidecar_table(sidecar: str, digest: str):
 def _write_sidecar(sidecar: str, digest: str, table: np.ndarray) -> None:
     """Store ``table`` under ``digest`` and ``CSV_READER``, renamed into
     place whole. A directory that cannot be written to leaves the CSV
-    without one."""
+    without one.
+
+    The file holds the members ``np.savez`` writes, but the table's bytes
+    go to the zip member straight from its buffer: ``np.savez`` copies
+    them out ``tobytes()`` up to 16 MiB at a time."""
     tmp = f"{sidecar}.{os.getpid()}.tmp"
+    table = np.ascontiguousarray(table)
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, sha256=digest, reader=CSV_READER, table=table)
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, value in (("sha256", digest), ("reader", CSV_READER)):
+                with zf.open(f"{name}.npy", "w") as out:
+                    np.lib.format.write_array(out, np.asarray(value))
+            with zf.open("table.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(
+                    out, np.lib.format.header_data_from_array_1_0(table))
+                out.write(memoryview(table).cast("B"))
         os.replace(tmp, sidecar)
     except OSError:
         with contextlib.suppress(OSError):

@@ -400,9 +400,7 @@ def _step(opt: Adam, loss, epoch: int) -> None:
     """One optimizer step on ``loss``; a NaN or inf loss stops the run."""
     if not np.isfinite(loss.data):
         raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
+    opt.step(loss)
 
 
 def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,

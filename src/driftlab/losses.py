@@ -255,7 +255,9 @@ def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
         raise ValueError(f"unknown fisher variant {variant!r}")
     order = _canonical_order(dataset)
     feats, labels = dataset.features[order], dataset.labels[order]
-    saved = [None if p.grad is None else p.grad.copy() for p in model.params]
+    saved = [p.grad for p in model.params]
+    for p in model.params:
+        p.grad = None  # made by the first batch, then zeroed for each
 
     acc = [np.zeros_like(p.data) for p in model.params]
     used = 0

@@ -4,13 +4,16 @@ The engine is deliberately small: dense arrays, a handful of ops (matmul,
 ReLU, a fused dense layer, row gather, fused softmax cross-entropy, L2
 normalization, elementwise arithmetic, reductions), and a tape built
 dynamically as ops execute. An op none of whose operands requires grad
-records nothing, so inference over plain arrays builds no tape. Gradients
-accumulate into leaf tensors until explicitly zeroed, so a composite loss
-may be driven either by one backward pass over a summed loss or by
-several passes.
+records nothing, so inference over plain arrays builds no tape. A plain
+backward pass accumulates into the leaf tensors' ``grad``, so a composite
+loss may be driven either by one pass over a summed loss or by several
+passes. A pass given a per-parameter hook (how ``optim.Adam.step`` trains)
+hands each parameter its finished gradient instead and writes no ``grad``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -31,7 +34,8 @@ class Tensor:
     """A float64 array plus an optional gradient buffer.
 
     Leaf tensors created with ``requires_grad=True`` are parameters: their
-    ``grad`` starts at zeros and accumulates across backward passes.
+    ``grad`` starts as None, and only a plain ``backward`` (no hook) makes
+    it, as zeros, and adds into it across calls until ``zero_grad``.
     Tensors produced by ops carry the local backward rule; their gradient
     is transient to each backward call.
     """
@@ -41,7 +45,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -58,13 +62,21 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def backward(self):
-        """Propagate d(self)/d(leaf) into every reachable parameter's grad.
+    def backward(self, on_grad=None, sums=None):
+        """Propagate d(self)/d(leaf) to every reachable parameter.
 
         ``self`` must be a scalar produced by ops of this engine (or a
-        scalar parameter). Each contribution to a parameter is added to
-        its ``grad`` as it arrives (see ``_accumulate``), so repeated
-        calls keep accumulating.
+        scalar parameter). Without ``on_grad``, each contribution to a
+        parameter is added to its ``grad`` as it arrives (see
+        ``_accumulate``), so repeated calls keep accumulating. With it,
+        a parameter's contributions are summed as an inner node's are
+        (see ``_gather``), and ``on_grad(parameter, gradient)`` runs once
+        per parameter that receives one, as soon as the last node reading
+        that parameter has run; no ``grad`` is touched. The hook may then
+        change the parameter's ``data`` in place: no node still to run
+        reads it. ``sums`` maps a parameter read by several nodes to the
+        array its contributions are summed in; passing the same dict to
+        every call makes each such array once.
         """
         if self.data.size != 1:
             raise StateError(
@@ -74,21 +86,39 @@ class Tensor:
             raise StateError("backward called on a tensor with no compute graph")
 
         if self._backward is None:  # a scalar parameter
-            _accumulate(self, np.ones_like(self.data))
+            (on_grad or _accumulate)(self, np.ones_like(self.data))
             return
+        order = _toposort(self)
+        # per parameter, the tape nodes yet to run that read it
+        readers = None if on_grad is None else Counter(
+            id(p) for node in order for p in node._parents
+            if p.requires_grad and p._backward is None)
+        sums = {} if sums is None else sums
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(_toposort(self)):
+        for node in reversed(order):
+            if node._backward is None:
+                continue  # a leaf; its readers delivered its gradient
             g = flowing.pop(id(node), None)
-            if g is None:
+            if g is None and readers is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            grads = (None,) * len(node._parents) if g is None else node._backward(g)
+            for parent, pg in zip(node._parents, grads):
+                if not parent.requires_grad:
                     continue
-                if parent._backward is None:
-                    _accumulate(parent, pg)
+                key = id(parent)
+                if parent._backward is not None:
+                    if pg is not None:
+                        acc = flowing.get(key)
+                        flowing[key] = pg if acc is None else acc + pg
+                elif readers is None:
+                    if pg is not None:
+                        _accumulate(parent, pg)
                 else:
-                    acc = flowing.get(id(parent))
-                    flowing[id(parent)] = pg if acc is None else acc + pg
+                    readers[key] -= 1
+                    if pg is not None:
+                        _gather(flowing, sums, parent, pg, more=readers[key] > 0)
+                    if readers[key] == 0 and key in flowing:
+                        on_grad(parent, flowing.pop(key))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -129,6 +159,27 @@ def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
     leaf.grad += g
 
 
+def _gather(flowing: dict, sums: dict, leaf: Tensor, g: np.ndarray, more: bool) -> None:
+    """Add one contribution to ``leaf``'s gradient so far, ``flowing[id(leaf)]``.
+
+    A first contribution with ``more`` to come is copied into the array
+    ``sums[leaf]``, made once, and later ones are added into it in place,
+    so a parameter read by several nodes allocates nothing per step. That
+    gives the bits of an inner node's ``acc + g``.
+    """
+    acc = flowing.get(id(leaf))
+    if acc is not None:  # the array in sums
+        acc += g
+    elif more:
+        acc = sums.get(leaf)
+        if acc is None:
+            acc = sums[leaf] = np.empty_like(leaf.data)
+        np.copyto(acc, g)
+        flowing[id(leaf)] = acc
+    else:
+        flowing[id(leaf)] = g
+
+
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -157,7 +208,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = None  # transient; filled per backward call
         out._parents = parents
         out._backward = backward
     return out

@@ -528,6 +528,23 @@ def test_csv_read_survives_a_sidecar_it_cannot_write(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["d.csv"]  # no temp file left
 
 
+def test_cold_csv_read_writes_the_sidecar_without_a_copy(tmp_path):
+    """A first read holds the parsed table and little more while it
+    writes the sidecar: np.savez copied the table out in 16 MiB chunks,
+    a whole second table here. A second read loads the same bytes."""
+    p = tmp_path / "big.csv"
+    write_csv_dataset(p, gen_gaussian_clusters(100, 60, 64, 0.35, seed=0))
+    out = []
+    peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
+    n, d = out[0].features.shape
+    assert (n, d) == (6000, 64)
+    assert peak <= 1.5 * n * (d + 1) * 8
+    assert_same_dataset(read_csv_dataset(p), out[0])
+    with np.load(sidecar_of(p)) as stored:
+        assert sorted(stored.files) == ["reader", "sha256", "table"]
+        assert str(stored["sha256"]) == sha256_of(p)
+
+
 def test_warm_csv_read_holds_the_table_once(tmp_path):
     """A sidecar hit allocates the table plus a fixed amount: np.load
     reads the zip member through 256 KiB buffers, two at once, and the

@@ -525,6 +525,50 @@ def test_gamma_zero_equals_plain_finetuning():
     assert eft.a_matrix_csv() == lwf0.a_matrix_csv() == ewc0.a_matrix_csv()
 
 
+def step_in_three_calls(self, loss):
+    """Reference for ``Adam.step``: zeroed ``grad`` buffers, a plain
+    backward into them, then the textbook update of every parameter."""
+    for p in self.params:
+        p.grad = np.zeros_like(p.data)
+    loss.backward()
+    self.t += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+    for p, m, v in zip(self.params, self.m, self.v):
+        m[...] = b1 * m + (1.0 - b1) * p.grad
+        v[...] = b2 * v + (1.0 - b2) * p.grad * p.grad
+        p.data[...] = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("method", ["E-FT", "E-LwF", "E-EWC", "E-MAS", "FT"])
+def test_step_inside_backward_gives_the_bytes_of_three_calls(monkeypatch, method):
+    """Updating each parameter inside the backward pass steps every
+    parameter as zero_grad, backward and step did, over several tasks and
+    epochs: E-LwF reads each parameter from two dense nodes, E-EWC and
+    E-MAS from a dense node and the penalty, and FT's older heads get no
+    gradient."""
+    seq = tiny_sequence(n_classes=6, n_tasks=3)
+    fused = run_sequence(quick(method, epochs=3), seq)
+    monkeypatch.setattr(harness.Adam, "step", step_in_three_calls)
+    three = run_sequence(quick(method, epochs=3), seq)
+    assert fused.param_digest == three.param_digest
+    assert fused.a_matrix_csv() == three.a_matrix_csv()
+
+
+@pytest.mark.parametrize("method", ["E-FT", "FT"])
+def test_training_leaves_no_gradient_buffers(method):
+    seq = tiny_sequence()
+    config = quick(method, epochs=2)
+    if method == "FT":
+        model = GrowingSoftmaxNet(6, 2, hidden=(32,), seed=0)
+        model.add_head(seq.tasks[0].classes)
+        _train_softmax_task(model, seq.tasks[0], config, np.random.default_rng(0))
+    else:
+        model = EmbeddingNet(6, 2, hidden=(32,), seed=0)
+        train_task(model, seq.tasks[0].train, config, np.random.default_rng(0))
+    assert all(p.grad is None for p in model.params)
+
+
 @pytest.mark.parametrize("method, estimator", [
     ("E-EWC", "estimate_fisher"), ("E-MAS", "estimate_mas_importance")])
 def test_importance_skipped_after_last_task(monkeypatch, method, estimator):

@@ -121,9 +121,7 @@ def test_snapshot_restore_round_trip(rng):
     opt = Adam(m.params, lr=1e-2)
     x = rng.normal(size=(8, 4))
     for _ in range(3):
-        opt.zero_grad()
-        m.forward_raw(x).sum().backward()
-        opt.step()
+        opt.step(m.forward_raw(x).sum())
     assert any(not np.array_equal(p.data, b) for p, b in zip(m.params, before))
     # snapshot stayed immutable while the model moved
     for a, b in zip(snap, before):
@@ -219,9 +217,7 @@ def test_eft_step_tapes_one_node_per_layer(rng):
     params = [id(p) for p in m.params]
     for i, node in enumerate(ops[:3]):
         assert [id(p) for p in node._parents[1:]] == params[2 * i : 2 * i + 2]
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
+    opt.step(loss)
 
 
 def test_trained_embedding_separates_synthetic_classes(rng):
@@ -234,11 +230,9 @@ def test_trained_embedding_separates_synthetic_classes(rng):
     opt = Adam(m.params, lr=5e-3)
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])[ds.labels]
     for _ in range(60):
-        opt.zero_grad()
         z = m.embed(ds.features)
         d = T.sub(z, Tensor(targets))
-        (d * d).sum().backward()
-        opt.step()
+        opt.step((d * d).sum())
     z = m.embed_np(ds.features)
     za, zb = z[ds.labels == 0], z[ds.labels == 1]
     intra = np.linalg.norm(za - za.mean(0), axis=1).mean() + np.linalg.norm(

@@ -21,10 +21,11 @@ def test_tensor_wraps_data_unchanged():
     assert t.grad is None and not t.requires_grad
 
 
-def test_param_grad_starts_at_zeros():
+def test_param_grad_starts_as_none():
     p = Tensor(np.ones((3, 2)), requires_grad=True)
-    assert p.grad is not None
-    assert np.array_equal(p.grad, np.zeros((3, 2)))
+    assert p.grad is None
+    T.tsum(p).backward()
+    assert np.array_equal(p.grad, np.ones((3, 2)))
 
 
 def test_square_of_scalar_param():
@@ -84,6 +85,25 @@ def test_leaf_grads_accumulate_across_backward_calls(rng):
         want += g
     assert x.grad.tobytes() == want.tobytes()
     np.testing.assert_allclose(x.grad, 2 * once, rtol=1e-12, atol=0)
+
+
+def test_hooked_backward_sums_a_leaf_like_an_inner_node(rng):
+    """With a hook, a leaf read three times gets ``(c0 + c1) + c2`` once,
+    after its last reader: -0.0 stays -0.0 where the ``grad`` path gives
+    +0.0. The sum lives in the caller's ``sums`` array, reused by the
+    next call, and ``grad`` stays None."""
+    x, loss, arrived = three_taps(rng)
+    sums, got = {}, []
+    hook = lambda p, g: got.append((p, len(arrived), g.copy(), g))
+    loss.backward(hook, sums)
+    loss.backward(hook, sums)
+    assert [(p, n) for p, n, _, _ in got] == [(x, 3), (x, 6)]
+    for _, n, g, held in got:
+        want = (arrived[n - 3] + arrived[n - 2]) + arrived[n - 1]
+        assert g.tobytes() == want.tobytes()
+        assert held is sums[x]
+    assert np.signbit(got[0][2][:4]).all()
+    assert x.grad is None
 
 
 def test_dead_relu_blocks_gradient():
