@@ -32,7 +32,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import LabeledDataset, gen_gaussian_clusters, read_csv_dataset, read_idx
+from .data import (
+    LabeledDataset, distinct_labels, gen_gaussian_clusters, read_csv_dataset, read_idx,
+)
 from .harness import METHOD_SPECS, MethodConfig, TaskSequence, split_tasks
 
 SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
@@ -255,7 +257,7 @@ def _split(dataset: dict, train, test, seed: int) -> TaskSequence:
     pretrain = None
     n_pre = dataset.get("pretrain_classes", 0)
     if n_pre:
-        classes = np.unique(train.labels)
+        classes = distinct_labels(train.labels)
         if n_pre >= len(classes):
             raise ConfigError(f"pretrain_classes = {n_pre} leaves no task classes")
         reserved = classes[-n_pre:]

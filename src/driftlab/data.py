@@ -71,6 +71,22 @@ class LabeledDataset:
         return sub
 
 
+def distinct_labels(labels) -> np.ndarray:
+    """The sorted distinct values of ``labels``, flattened: the values and
+    dtype of ``np.unique(labels)``.
+
+    A plain ``np.unique`` asks ``np.ma.is_masked`` first, which imports
+    numpy.ma (over 1 MB of resident memory, kept until the process exits);
+    sorting and keeping each value that differs from the one before it
+    needs nothing beyond the array.
+    """
+    v = np.sort(np.asarray(labels), axis=None)
+    keep = np.empty(v.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def gen_gaussian_clusters(
     n_classes: int, per_class: int, dim: int, spread: float, seed: int
 ) -> LabeledDataset:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, distinct_labels
 from .losses import (
     FISHER_VARIANTS,
     MINING_STRATEGIES,
@@ -161,9 +161,7 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     least = 2 if first_task_fraction else 1
     if n_tasks < least:
         raise ValueError(f"n_tasks must be at least {least}, got {n_tasks}")
-    # without counts, np.unique's first call imports numpy.ma (0.5 MB): here,
-    # before any run, and not at the heap peak of one
-    classes = np.unique(dataset.labels)
+    classes = distinct_labels(dataset.labels)
     if n_tasks > len(classes):
         raise ValueError(f"{n_tasks} tasks but only {len(classes)} classes")
     rng = np.random.default_rng(seed)
@@ -326,6 +324,9 @@ class RunRecord:
         for name in ("method", "seed", "n_tasks", "task_classes", "accuracy"):
             if not isinstance(raw, dict) or name not in raw:
                 raise ValueError(f"missing field {name!r}")
+        if not (isinstance(raw["task_classes"], list)
+                and all(isinstance(c, list) for c in raw["task_classes"])):
+            raise ValueError("field 'task_classes' is not a list of lists")
         rec = cls(
             method=raw["method"], seed=raw["seed"], n_tasks=raw["n_tasks"],
             task_classes=[tuple(c) for c in raw["task_classes"]],
@@ -341,14 +342,41 @@ class RunRecord:
                     raise ValueError(f"accuracy cell a[{k}][{j}] is {json.dumps(a)}, "
                                      "not a number")
                 rec.set_acc(int(k), int(j), float(a))
-        rec.proto_distance = {int(k): {int(c): d for c, d in row.items()}
-                              for k, row in raw.get("proto_distance", {}).items()}
-        rec.confusions = {int(k): v for k, v in raw.get("confusions", {}).items()}
-        rec.sdc_events = {int(k): {int(c): e for c, e in row.items()}
-                          for k, row in raw.get("sdc_events", {}).items()}
-        rec.embed2d = {int(k): v for k, v in raw.get("embed2d", {}).items()}
+        distances = _checkpoint_entries(raw, "proto_distance")
+        rec.proto_distance = {k: {int(c): d for c, d in row.items()}
+                              for k, row in distances.items()}
+        rec.confusions = _checkpoint_entries(raw, "confusions", ("classes", "counts"))
+        for k, entry in rec.confusions.items():  # plot draws these as they stand
+            classes, counts = entry["classes"], entry["counts"]
+            if not isinstance(classes, list):
+                raise ValueError(f"confusions[{k}]: 'classes' is not a list")
+            n = len(classes)
+            if not (isinstance(counts, list) and len(counts) == n and all(
+                    isinstance(row, list) and len(row) == n
+                    and all(type(c) is int and c >= 0 for c in row) for row in counts)):
+                raise ValueError(f"confusions[{k}]: 'counts' is not {n} rows of {n} "
+                                 "non-negative ints")
+        rec.sdc_events = {k: {int(c): e for c, e in row.items()}
+                          for k, row in _checkpoint_entries(raw, "sdc_events").items()}
+        rec.embed2d = _checkpoint_entries(raw, "embed2d", (
+            "points", "labels", "prototypes", "compensation", "true_means"))
         rec.param_digest = {int(k): v for k, v in raw.get("param_digest", {}).items()}
         return rec
+
+
+def _checkpoint_entries(raw: dict, name: str, keys: tuple = ()) -> dict:
+    """A record's per-checkpoint field ``name``, keyed by int; each entry
+    must be an object holding ``keys``, else a ValueError names it."""
+    table = raw.get(name, {})
+    if not isinstance(table, dict):
+        raise ValueError(f"field {name!r} is not an object")
+    for k, entry in table.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{name}[{k}] is not an object")
+        for key in keys:
+            if key not in entry:
+                raise ValueError(f"{name}[{k}] has no {key!r}")
+    return {int(k): v for k, v in table.items()}
 
 
 def avg_incremental_accuracy(record: RunRecord, k: int) -> float:

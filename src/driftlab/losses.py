@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import distinct_labels
 from .models import INFER_ROWS, EmbeddingNet, infer, layers_np
 from .tensor import ShapeError, Tensor
 
@@ -231,7 +232,7 @@ def _canonical_order(dataset) -> np.ndarray:
     keys = [row.tobytes() for row in dataset.features]
     grouped = np.lexsort((keys, dataset.labels))
     labels = dataset.labels[grouped]
-    queues = [grouped[labels == c] for c in np.unique(labels)]
+    queues = [grouped[labels == c] for c in distinct_labels(labels)]
     out = []
     i = 0
     while any(i < len(q) for q in queues):

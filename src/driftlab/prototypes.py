@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import distinct_labels
 from .models import INFER_ROWS
 from .tensor import ShapeError, StateError
 
@@ -192,7 +193,7 @@ def compute_prototypes(embeddings, labels, classes=None) -> dict[int, np.ndarray
     z = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     if classes is None:
-        classes = np.unique(labels)
+        classes = distinct_labels(labels)
     out = {}
     for c in classes:
         rows = z[labels == c]

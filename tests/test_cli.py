@@ -554,6 +554,8 @@ def test_pre_substitute_without_pretrain_classes_exit_2(tmp_path, capsys, datase
     ('{"method": "E-FT"}', "missing field 'seed'"),
     ("[1, 2]", "missing field 'method'"),
     ("not json", "Expecting value"),
+    ('{"method": "E-FT", "seed": 0, "n_tasks": 1, "task_classes": 5, "accuracy": {}}',
+     "field 'task_classes' is not a list of lists"),
 ])
 def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "results" / "E-FT" / "0" / "record.json"
@@ -583,6 +585,32 @@ def test_plot_rejects_a_bad_accuracy_cell(tmp_path, capsys, accuracy, message):
     assert main(["plot", str(tmp_path / "results"), "--kind", "curves"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and message in err
+    assert not (tmp_path / "results" / "plots").exists()
+
+
+@pytest.mark.parametrize("kind, field, entry, message", [
+    ("confusion", "confusions", {"classes": [0, 1]}, "confusions[1] has no 'counts'"),
+    ("confusion", "confusions", {"classes": [0, 1], "counts": [[2, 0], [0]]},
+     "confusions[1]: 'counts' is not 2 rows of 2 non-negative ints"),
+    ("confusion", "confusions", {"classes": [0, 1], "counts": [[2, -1], [0, 2]]},
+     "confusions[1]: 'counts' is not 2 rows of 2 non-negative ints"),
+    ("embedding", "embed2d", {"points": [[0.0, 1.0]], "labels": [0],  # no "prototypes"
+                              "compensation": {"0": [0.0, 0.0]},
+                              "true_means": {"0": [0.0, 1.0]}},
+     "embed2d[1] has no 'prototypes'"),
+    ("curves", "sdc_events", [0.5], "sdc_events[1] is not an object"),
+    ("curves", "proto_distance", 0.5, "proto_distance[1] is not an object"),
+])
+def test_plot_rejects_a_damaged_checkpoint_entry(tmp_path, capsys, kind, field, entry,
+                                                 message):
+    path = tmp_path / "results" / "E-FT" / "0" / "record.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"method": "E-FT", "seed": 0, "n_tasks": 1,
+                                "task_classes": [[0, 1]], "accuracy": {"1": {"1": 1.0}},
+                                field: {"1": entry}}))
+    assert main(["plot", str(tmp_path / "results"), "--kind", kind]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path}: {message}\n"
     assert not (tmp_path / "results" / "plots").exists()
 
 
@@ -627,18 +655,39 @@ def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkey
     assert out.endswith("\n\n" + inner_table(from_csv, 2, 2) + "\n")
 
 
+def _python(probe: str) -> str:
+    """Stdout of ``probe`` run by a fresh interpreter that imports this
+    checkout's driftlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_loads_no_xml_or_http_stack():
     """``driftlab.cli`` adds none of ``xml``, ``urllib.request``,
     ``http.client``, ``ssl`` and ``email`` to ``sys.modules``; the
     comparison is before and after the import, since a site hook may
     preload some modules."""
-    probe = ("import sys; before = set(sys.modules); import driftlab.cli; "
-             "print(' '.join(sorted(set(sys.modules) - before)))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
+    added = _python("import sys; before = set(sys.modules); import driftlab.cli; "
+                    "print(' '.join(sorted(set(sys.modules) - before)))").split()
     assert "driftlab.svgplot" in added
     heavy = ("xml", "urllib.request", "http.client", "ssl", "email")
     assert [m for m in added if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+
+
+def test_run_never_imports_numpy_ma(tmp_path):
+    """A run through every place that lists a dataset's distinct labels
+    (the task split, ``pretrain_classes``, the E-EWC/E-MAS importance
+    order, each checkpoint's prototypes) leaves numpy.ma unimported: a
+    plain ``np.unique`` would import it, and the process would hold its
+    memory until exit."""
+    cfg = write_config(tmp_path, seeds="0", dataset={"n_classes": 6, "pretrain_classes": 2},
+                       methods={"E-FT+SDC": {"method": "E-FT", "sdc": "true"},
+                                "E-EWC": {}, "E-MAS": {}, "E-Pre-substitute": {},
+                                "FT": {}})
+    out = _python("import sys; from driftlab.cli import main; "
+                  f"code = main(['run', {str(cfg)!r}]); "
+                  "print(code, 'numpy.ma' in sys.modules)").split()
+    assert out[-2:] == ["0", "False"]

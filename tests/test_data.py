@@ -13,6 +13,7 @@ from driftlab.data import (
     SIDECAR_SUFFIX,
     DatasetFormatError,
     LabeledDataset,
+    distinct_labels,
     gen_gaussian_clusters,
     read_csv_dataset,
     read_idx,
@@ -217,6 +218,19 @@ def test_subset_keeps_global_labels():
     sub = ds.subset(ds.labels >= 2)
     assert set(sub.labels) == {2, 3}
     assert sub.features.shape[0] == 6
+
+
+INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), INT64), max_size=40))
+@example([])
+@example([7])
+@example([2, -1, 2, -1, 0])
+def test_distinct_labels_matches_np_unique(values):
+    labels = np.array(values, dtype=np.int64)
+    got, want = distinct_labels(labels), np.unique(labels)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_dataset_rejects_zero_feature_columns(tmp_path):
