@@ -9,8 +9,9 @@ from driftlab.optim import Adam
 rng = np.random.default_rng(0)
 
 # A tensor wraps a float64 array. Leaves created with requires_grad=True
-# collect gradients in .grad on backward(); everything downstream tracks
-# its parents.
+# are parameters; everything downstream tracks its parents. backward()
+# hands each parameter its finished gradient through a hook, and the
+# default hook adds it into the parameter's .grad.
 x = Tensor(rng.normal(size=(8, 3)))
 w = Tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True)
 b = Tensor(np.zeros(4), requires_grad=True)
@@ -33,8 +34,9 @@ down = tmean(mul(relu(add(matmul(x, w), b)), relu(add(matmul(x, w), b)))).item()
 b.data[k] = keep
 print("backprop vs finite difference:", b.grad[k], "vs", (up - down) / (2 * eps))
 
-# An Adam step runs the backward pass itself and updates each parameter
-# as soon as its gradient is final, so training fills no .grad buffer.
+# An Adam step runs the same backward pass with its own hook, which
+# updates each parameter as soon as its gradient is final, so training
+# fills no .grad buffer.
 opt = Adam([w, b], lr=0.05)
 for step in range(60):
     loss = tmean(mul(relu(add(matmul(x, w), b)), relu(add(matmul(x, w), b))))

@@ -56,10 +56,12 @@ def _write_whole(path: Path, pieces) -> None:
     """Write the text ``pieces`` as UTF-8 into a temp sibling, then rename
     it over ``path``: a reader never sees a half-written file, and a
     failure, in the writer or in the code making the pieces, leaves no
-    temp file."""
+    temp file. Result files and plots both go through here. A label or
+    directory name that the locale could not decode (a C locale's ASCII)
+    holds surrogates, which go back out as the name's own bytes."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
@@ -122,13 +124,6 @@ def _read_record(path: Path) -> RunRecord:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _write_svg(path: Path, svg: str) -> None:
-    """UTF-8, as the SVG declares. A label or directory name that the
-    locale could not decode (a C locale's ASCII) holds surrogates, which
-    go back out as the name's own bytes."""
-    path.write_text(svg, encoding="utf-8", errors="surrogateescape")
-
-
 def _find_records(root: Path):
     """(label, seed, record) triples under a results root, or the root
     itself when it holds a single run; each record.json is read once."""
@@ -168,7 +163,7 @@ def cmd_plot(args) -> int:
             if pts:
                 series.append((label, pts))
         out = plots / "curves.svg"
-        _write_svg(out, curves_figure(series, title=root.name))
+        _write_whole(out, [curves_figure(series, title=root.name)])
         written.append(out)
 
     elif args.kind == "embedding":
@@ -182,9 +177,9 @@ def cmd_plot(args) -> int:
                 checkpoints = [k for k in checkpoints if k > 1]
             for k in checkpoints:
                 out = plots / f"{label}_seed{seed}_embedding_task{k}.svg"
-                _write_svg(out, embedding_figure(
+                _write_whole(out, [embedding_figure(
                     record.embed2d[k],
-                    title=f"{label} seed {seed}, after task {k}"))
+                    title=f"{label} seed {seed}, after task {k}")])
                 written.append(out)
 
     else:  # confusion
@@ -192,9 +187,9 @@ def cmd_plot(args) -> int:
             for k in sorted(record.confusions):
                 entry = record.confusions[k]
                 out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
-                _write_svg(out, confusion_figure(
+                _write_whole(out, [confusion_figure(
                     entry["classes"], entry["counts"],
-                    title=f"{label} seed {seed}, after task {k}"))
+                    title=f"{label} seed {seed}, after task {k}")])
                 written.append(out)
 
     for path in written:

@@ -35,7 +35,7 @@ import numpy as np
 from .data import (
     LabeledDataset, distinct_labels, gen_gaussian_clusters, read_csv_dataset, read_idx,
 )
-from .harness import METHOD_SPECS, MethodConfig, TaskSequence, split_tasks
+from .harness import METHOD_SPECS, MethodConfig, TaskSequence, check_plain_name, split_tasks
 
 SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
 
@@ -109,7 +109,6 @@ _DATASET_TYPES = {
     "path": str,
 }
 
-DATASET_KEYS = set(_DATASET_TYPES)
 METHOD_KEYS = set(_METHOD_TYPES)  # MethodConfig's fields but the run's seed
 
 
@@ -168,11 +167,10 @@ def load_config(path: str) -> ExperimentConfig:
         if not name.startswith("method "):
             raise ConfigError(f"unknown section [{name}]")
         label = name[len("method "):].strip()
-        if not label:
-            raise ConfigError("method section needs a label: [method NAME]")
-        if label in (".", "..") or "/" in label or "\\" in label:  # results/<label>/
-            raise ConfigError(f"method label {label!r} must be a plain name: "
-                              "not . or .., and without / or \\")
+        try:
+            check_plain_name(label, "method label")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         try:
             os.fsencode(label)
         except UnicodeEncodeError as e:  # a C locale's file names are ASCII

@@ -260,6 +260,17 @@ class MethodConfig:
         return d
 
 
+def check_plain_name(name, what: str) -> None:
+    """Raise a ValueError naming ``what`` unless ``name`` can be the one
+    directory ``results/<name>/``: a string, not empty, not . or .., and
+    without /, \\ or NUL (a path there would write outside its parent, and
+    no file name holds a NUL)."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(
+            c in name for c in "/\\\0"):
+        raise ValueError(f"{what} {name!r} must be a plain name: not empty, "
+                         "not . or .., and without /, \\ or NUL")
+
+
 @dataclass
 class RunRecord:
     method: str
@@ -324,9 +335,18 @@ class RunRecord:
         for name in ("method", "seed", "n_tasks", "task_classes", "accuracy"):
             if not isinstance(raw, dict) or name not in raw:
                 raise ValueError(f"missing field {name!r}")
+        check_plain_name(raw["method"], "field 'method'")  # plot names files by it
+        if type(raw["seed"]) is not int:  # a bool is no seed either
+            raise ValueError(f"field 'seed' is {json.dumps(raw['seed'])}, not an int")
+        if type(raw["n_tasks"]) is not int or raw["n_tasks"] < 1:
+            raise ValueError(f"field 'n_tasks' is {json.dumps(raw['n_tasks'])}, "
+                             "not an int of at least 1")
         if not (isinstance(raw["task_classes"], list)
                 and all(isinstance(c, list) for c in raw["task_classes"])):
             raise ValueError("field 'task_classes' is not a list of lists")
+        digests = raw.get("param_digest", {})
+        if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
+            raise ValueError("field 'param_digest' is not an object of strings")
         rec = cls(
             method=raw["method"], seed=raw["seed"], n_tasks=raw["n_tasks"],
             task_classes=[tuple(c) for c in raw["task_classes"]],
@@ -360,7 +380,7 @@ class RunRecord:
                           for k, row in _checkpoint_entries(raw, "sdc_events").items()}
         rec.embed2d = _checkpoint_entries(raw, "embed2d", (
             "points", "labels", "prototypes", "compensation", "true_means"))
-        rec.param_digest = {int(k): v for k, v in raw.get("param_digest", {}).items()}
+        rec.param_digest = {int(k): d for k, d in digests.items()}
         return rec
 
 

@@ -250,17 +250,19 @@ def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
     (default, deterministic semihard mining, hinged at ``margin`` as in
     training) or "squared_norm" (gradient of the summed squared
     pre-normalization output, mirroring the sensitivity estimator's
-    structure); any other is a ValueError.
+    structure); any other is a ValueError. A ``backward`` hook adds each
+    finished gradient's square into the sums, so no parameter's ``grad``
+    is read or written.
     """
     if variant not in FISHER_VARIANTS:
         raise ValueError(f"unknown fisher variant {variant!r}")
     order = _canonical_order(dataset)
     feats, labels = dataset.features[order], dataset.labels[order]
-    saved = [p.grad for p in model.params]
-    for p in model.params:
-        p.grad = None  # made by the first batch, then zeroed for each
+    acc = {p: np.zeros_like(p.data) for p in model.params}
 
-    acc = [np.zeros_like(p.data) for p in model.params]
+    def add_square(p: Tensor, g: np.ndarray) -> None:
+        acc[p] += g * g
+
     used = 0
     for at in range(0, len(labels), batch_size):
         xb, yb = feats[at : at + batch_size], labels[at : at + batch_size]
@@ -273,18 +275,12 @@ def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,
         else:
             raw = model.forward_raw(xb)
             loss = (raw * raw).sum()
-        for p in model.params:
-            p.zero_grad()
-        loss.backward()
-        for a, p in zip(acc, model.params):
-            a += p.grad * p.grad
+        loss.backward(add_square)
         used += 1
 
-    for p, g in zip(model.params, saved):
-        p.grad = g
     if used == 0:
         raise EstimationError("no mini-batch produced a valid triplet")
-    return ImportanceMap("fisher", tuple(np.divide(a, used, out=a) for a in acc))
+    return ImportanceMap("fisher", tuple(np.divide(a, used, out=a) for a in acc.values()))
 
 
 def estimate_mas_importance(model: EmbeddingNet, dataset) -> ImportanceMap:

@@ -1,14 +1,14 @@
 """Adam over a list of parameter tensors, stepped inside the backward pass.
 
-``step(loss)`` runs ``loss.backward`` with a hook that updates each
-parameter as soon as its gradient is final, so no parameter keeps a
-gradient buffer: where each parameter feeds one tape node, one
-parameter's gradient is alive at a time. A parameter read by several
-nodes sums its gradient in an array the optimizer keeps from step to
-step, as it keeps the moments. A parameter the loss does not reach
-still moves by its moments, as with a zero gradient. A fresh optimizer
-is built per training stage so no moment estimates leak across stage
-boundaries.
+``step(loss)`` runs ``loss.backward``, the engine's one backward pass,
+with a hook that updates each parameter as soon as its gradient is
+final, so no parameter keeps a gradient buffer: where each parameter
+feeds one tape node, one parameter's gradient is alive at a time. A
+parameter read by several nodes sums its gradient in an array the
+optimizer keeps from step to step, as it keeps the moments. A parameter
+the loss does not reach still moves by its moments, as with a zero
+gradient. A fresh optimizer is built per training stage so no moment
+estimates leak across stage boundaries.
 
 An update allocates no arrays: the moments update in place, and the
 update goes a block of leading-axis rows (BLOCK elements, or one longer

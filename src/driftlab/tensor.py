@@ -4,16 +4,15 @@ The engine is deliberately small: dense arrays, a handful of ops (matmul,
 ReLU, a fused dense layer, row gather, fused softmax cross-entropy, L2
 normalization, elementwise arithmetic, reductions), and a tape built
 dynamically as ops execute. An op none of whose operands requires grad
-records nothing, so inference over plain arrays builds no tape. A plain
-backward pass accumulates into the leaf tensors' ``grad``, so a composite
-loss may be driven either by one pass over a summed loss or by several
-passes. A pass given a per-parameter hook (how ``optim.Adam.step`` trains)
-hands each parameter its finished gradient instead and writes no ``grad``.
+records nothing, so inference over plain arrays builds no tape. One
+backward pass sums each parameter's gradient and hands it, once final, to
+a per-parameter hook: ``optim.Adam.step`` steps the parameter there, the
+Fisher estimate squares it, and a plain ``backward()`` adds it into the
+parameter's ``grad``, so a composite loss may be driven either by one
+pass over a summed loss or by several passes.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -35,7 +34,7 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` are parameters: their
     ``grad`` starts as None, and only a plain ``backward`` (no hook) makes
-    it, as zeros, and adds into it across calls until ``zero_grad``.
+    it, as zeros, and adds each pass's gradient into it until ``zero_grad``.
     Tensors produced by ops carry the local backward rule; their gradient
     is transient to each backward call.
     """
@@ -66,17 +65,15 @@ class Tensor:
         """Propagate d(self)/d(leaf) to every reachable parameter.
 
         ``self`` must be a scalar produced by ops of this engine (or a
-        scalar parameter). Without ``on_grad``, each contribution to a
-        parameter is added to its ``grad`` as it arrives (see
-        ``_accumulate``), so repeated calls keep accumulating. With it,
-        a parameter's contributions are summed as an inner node's are
-        (see ``_gather``), and ``on_grad(parameter, gradient)`` runs once
-        per parameter that receives one, as soon as the last node reading
-        that parameter has run; no ``grad`` is touched. The hook may then
-        change the parameter's ``data`` in place: no node still to run
-        reads it. ``sums`` maps a parameter read by several nodes to the
-        array its contributions are summed in; passing the same dict to
-        every call makes each such array once.
+        scalar parameter). A parameter's contributions are summed as an
+        inner node's are (see ``_gather``), and ``on_grad(parameter,
+        gradient)`` runs once per parameter that receives one, as soon as
+        the last node reading that parameter has run. Without a hook it
+        is ``_accumulate``, which adds the gradient into the parameter's
+        ``grad``. A hook may change the parameter's ``data`` in place: no
+        node still to run reads it. ``sums`` maps a parameter read by
+        several nodes to the array its contributions are summed in;
+        passing the same dict to every call makes each such array once.
         """
         if self.data.size != 1:
             raise StateError(
@@ -85,22 +82,23 @@ class Tensor:
         if self._backward is None and not self.requires_grad:
             raise StateError("backward called on a tensor with no compute graph")
 
+        on_grad = _accumulate if on_grad is None else on_grad
         if self._backward is None:  # a scalar parameter
-            (on_grad or _accumulate)(self, np.ones_like(self.data))
+            on_grad(self, np.ones_like(self.data))
             return
         order = _toposort(self)
         # per parameter, the tape nodes yet to run that read it
-        readers = None if on_grad is None else Counter(
-            id(p) for node in order for p in node._parents
-            if p.requires_grad and p._backward is None)
+        readers: dict[int, int] = {}
+        for node in order:
+            for p in node._parents:
+                if p.requires_grad and p._backward is None:
+                    readers[id(p)] = readers.get(id(p), 0) + 1
         sums = {} if sums is None else sums
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             if node._backward is None:
                 continue  # a leaf; its readers delivered its gradient
             g = flowing.pop(id(node), None)
-            if g is None and readers is None:
-                continue
             grads = (None,) * len(node._parents) if g is None else node._backward(g)
             for parent, pg in zip(node._parents, grads):
                 if not parent.requires_grad:
@@ -110,9 +108,6 @@ class Tensor:
                     if pg is not None:
                         acc = flowing.get(key)
                         flowing[key] = pg if acc is None else acc + pg
-                elif readers is None:
-                    if pg is not None:
-                        _accumulate(parent, pg)
                 else:
                     readers[key] -= 1
                     if pg is not None:
@@ -147,13 +142,10 @@ class Tensor:
 
 
 def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
-    """Add one gradient contribution straight into a leaf's ``grad``.
-
-    Contributions land one at a time, in the order the backward pass
-    meets them. From a zeroed ``grad`` that gives the same bits as adding
-    their sum once: ``0.0 + x`` is ``x`` for every x but -0.0, and the
-    sum-then-add result turns a -0.0 into +0.0 as well.
-    """
+    """The hook of a plain ``backward()``: add a leaf's summed gradient
+    from one pass into its ``grad``, made as zeros on first use, so
+    successive passes accumulate until ``zero_grad``. ``0.0 + x`` is
+    ``x`` for every x but -0.0, which becomes +0.0."""
     if leaf.grad is None:
         leaf.grad = np.zeros_like(leaf.data)
     leaf.grad += g

@@ -614,6 +614,49 @@ def test_plot_rejects_a_damaged_checkpoint_entry(tmp_path, capsys, kind, field, 
     assert not (tmp_path / "results" / "plots").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("method", "../../escaped",
+     "field 'method' '../../escaped' must be a plain name: not empty, not . or ..,"),
+    ("method", "", "field 'method' '' must be a plain name"),
+    ("method", 7, "field 'method' 7 must be a plain name"),
+    ("seed", [1], "field 'seed' is [1], not an int"),
+    ("seed", True, "field 'seed' is true, not an int"),
+    ("n_tasks", "2", 'field \'n_tasks\' is "2", not an int of at least 1'),
+    ("n_tasks", 0, "field 'n_tasks' is 0, not an int of at least 1"),
+    ("param_digest", ["ab"], "field 'param_digest' is not an object of strings"),
+    ("param_digest", {"1": 5}, "field 'param_digest' is not an object of strings"),
+], ids=["method-escapes", "method-empty", "method-int", "seed-list", "seed-bool",
+        "n_tasks-str", "n_tasks-zero", "digest-list", "digest-int"])
+def test_plot_rejects_a_bad_identity_field(tmp_path, capsys, field, value, message):
+    """``plot`` names its files by a record's method and seed and counts
+    its tasks by ``n_tasks``: a bad one exits 1 with ``<path>: ...``, for
+    every kind and either root, and nothing is written."""
+    path = tmp_path / "results" / "E-FT" / "0" / "record.json"
+    path.parent.mkdir(parents=True)
+    record = {"method": "E-FT", "seed": 0, "n_tasks": 2,
+              "task_classes": [[0, 1], [2, 3]],
+              "accuracy": {"1": {"1": 1.0}, "2": {"1": 0.5, "2": 0.5}},
+              "confusions": {"1": {"classes": [0, 1], "counts": [[1, 0], [0, 1]]}},
+              "param_digest": {"1": "ab", "2": "cd"}}
+    path.write_text(json.dumps(dict(record, **{field: value})))
+    for root in (tmp_path / "results", path.parent):
+        for kind in ("curves", "confusion"):
+            assert main(["plot", str(root), "--kind", kind]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}: {message}") and err.count("\n") == 1
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+def test_plot_leaves_no_temp_file(results_dir):
+    """Each SVG goes through the results' writer: written into a temp
+    sibling and renamed into place, so plots/ ends with SVGs only."""
+    for kind in ("curves", "embedding", "confusion"):
+        assert main(["plot", str(results_dir), "--kind", kind]) == 0
+    names = os.listdir(results_dir / "plots")
+    assert "curves.svg" in names
+    assert [n for n in names if not n.endswith(".svg")] == []
+
+
 @pytest.mark.parametrize("margin", ["inf", "1e400"])
 def test_run_infinite_margin_exit_2(tmp_path, capsys, margin):
     cfg = write_config(tmp_path, seeds="0", methods={"E-FT": {"margin": margin}})

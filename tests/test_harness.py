@@ -290,7 +290,7 @@ def test_method_table_rules(method):
 
 
 def test_readme_methods_table_names_every_method():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| ")]
     assert tuple(r.split("|")[1].strip() for r in rows[2:]) == driftlab.METHODS

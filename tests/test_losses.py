@@ -9,6 +9,7 @@ from driftlab import losses
 from driftlab import tensor as T
 from driftlab.data import LabeledDataset, gen_gaussian_clusters
 from driftlab.losses import (
+    FISHER_VARIANTS,
     EstimationError,
     ImportanceMap,
     TripletBatch,
@@ -498,6 +499,46 @@ def test_fisher_nonnegative_and_preserves_grads(rng):
     fisher = estimate_fisher(m, ds, batch_size=10)
     assert all(np.all(w >= 0) for w in fisher.weights)
     assert np.all(m.params[0].grad == 7.0)
+
+
+@pytest.mark.parametrize("variant", FISHER_VARIANTS)
+def test_fisher_leaves_grads_alone_and_equals_a_grad_loop(variant):
+    """The estimate reads gradients through a ``backward`` hook: a ``grad``
+    of None stays None, and a caller's array is neither replaced nor
+    changed. Its maps equal, bit for bit, a loop that zeroes ``grad``,
+    runs a plain ``backward`` and squares ``grad`` per batch."""
+    ds = gen_gaussian_clusters(3, 7, 4, 0.3, seed=4)
+    m = EmbeddingNet(4, 3, hidden=(16, 8), seed=4)
+    held = np.full_like(m.params[1].data, 7.0)
+    m.params[1].grad = held
+    fisher = estimate_fisher(m, ds, batch_size=8, variant=variant)
+    assert m.params[1].grad is held and np.all(held == 7.0)
+    assert all(p.grad is None for k, p in enumerate(m.params) if k != 1)
+
+    order = interleaved_order(ds)
+    feats, labels = ds.features[order], ds.labels[order]
+    acc = [np.zeros_like(p.data) for p in m.params]
+    used = 0
+    for at in range(0, len(labels), 8):
+        xb, yb = feats[at : at + 8], labels[at : at + 8]
+        if variant == "triplet":
+            z = m.embed(xb)
+            trip = mine_triplets(yb, z, "semihard")
+            if len(trip) == 0:
+                continue
+            loss = triplet_loss(z, trip)
+        else:
+            raw = m.forward_raw(xb)
+            loss = (raw * raw).sum()
+        for p in m.params:
+            p.zero_grad()
+        loss.backward()
+        for a, p in zip(acc, m.params):
+            a += p.grad * p.grad
+        used += 1
+    assert used > 1
+    for w, a in zip(fisher.weights, acc):
+        assert w.tobytes() == (a / used).tobytes()
 
 
 def test_fisher_single_class_errors():

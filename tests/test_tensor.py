@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,13 +79,16 @@ def test_leaf_contributions_equal_sum_then_add(rng):
 
 
 def test_leaf_grads_accumulate_across_backward_calls(rng):
+    """Each pass sums its three contributions, then adds the sum into
+    ``grad``; a second pass adds its own sum on top."""
     x, loss, arrived = three_taps(rng)
     loss.backward()
     once = x.grad.copy()
     loss.backward()
+    assert len(arrived) == 6
     want = np.zeros(40)
-    for g in arrived:
-        want += g
+    want += (arrived[0] + arrived[1]) + arrived[2]
+    want += (arrived[3] + arrived[4]) + arrived[5]
     assert x.grad.tobytes() == want.tobytes()
     np.testing.assert_allclose(x.grad, 2 * once, rtol=1e-12, atol=0)
 
@@ -104,6 +110,21 @@ def test_hooked_backward_sums_a_leaf_like_an_inner_node(rng):
         assert held is sums[x]
     assert np.signbit(got[0][2][:4]).all()
     assert x.grad is None
+
+
+def test_only_the_tensor_module_touches_grad():
+    """Every gradient consumer outside the engine reads gradients through
+    a ``backward`` hook: no other module of the package reads or writes a
+    ``.grad`` or calls ``zero_grad``."""
+    src = Path(T.__file__).parent
+    touched = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("grad", "zero_grad"):
+                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert touched == []
 
 
 def test_dead_relu_blocks_gradient():
