@@ -65,7 +65,9 @@ def _write_whole(path: Path, pieces) -> None:
             fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
-        with contextlib.suppress(OSError):  # gone once renamed, or never made
+        # gone once renamed, or never made; a name the file system cannot
+        # encode fails here as it failed at open, with a UnicodeEncodeError
+        with contextlib.suppress(OSError, ValueError):
             tmp.unlink()
 
 
@@ -120,18 +122,18 @@ def cmd_run(args) -> int:
 def _read_record(path: Path) -> RunRecord:
     try:
         return RunRecord.from_json(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, or nesting too deep
         raise ValueError(f"{path}: {e}") from None
 
 
 def _find_records(root: Path):
-    """(label, seed, record) triples under a results root, or the root
-    itself when it holds a single run; each record.json is read once."""
+    """(path, label, seed, record) of each run under a results root, or of
+    the root itself when it holds a single run; each record.json is read once."""
     if (root / "record.json").exists():
         rec = _read_record(root / "record.json")
-        return [(rec.method, str(rec.seed), rec)]
+        return [(root / "record.json", rec.method, str(rec.seed), rec)]
     hits = sorted(root.glob("*/*/record.json"))
-    return [(p.parent.parent.name, p.parent.name, _read_record(p)) for p in hits]
+    return [(p, p.parent.parent.name, p.parent.name, _read_record(p)) for p in hits]
 
 
 def cmd_plot(args) -> int:
@@ -144,56 +146,53 @@ def cmd_plot(args) -> int:
     if not found:
         print(f"no record.json under {root}", file=sys.stderr)
         return 1
-    plots = root / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    written = []
+    out = plots = root / "plots"
+    try:  # a figure that cannot be drawn or written (a UnicodeError is a ValueError)
+        plots.mkdir(parents=True, exist_ok=True)
+        if args.kind == "curves":
+            by_label: dict = {}
+            for _, label, _, record in found:
+                by_label.setdefault(label, []).append(record)
+            series = []
+            for label in sorted(by_label):
+                recs = by_label[label]
+                last = max(r.n_tasks for r in recs)  # rows held, not 1..n_tasks
+                ks = sorted({k for r in recs for k in r.accuracy if k <= last})
+                pts = [(k, float(np.mean(v))) for k in ks if (v := _complete_aks(recs, k))]
+                if pts:
+                    series.append((label, pts))
+            out = plots / "curves.svg"
+            _write_whole(out, [curves_figure(series, title=root.name)])
+            print(out)
 
-    if args.kind == "curves":
-        by_label: dict = {}
-        for label, seed, record in found:
-            by_label.setdefault(label, []).append(record)
-        series = []
-        for label in sorted(by_label):
-            recs = by_label[label]
-            pts = []
-            for k in range(1, max(r.n_tasks for r in recs) + 1):
-                vals = _complete_aks(recs, k)
-                if vals:
-                    pts.append((k, float(np.mean(vals))))
-            if pts:
-                series.append((label, pts))
-        out = plots / "curves.svg"
-        _write_whole(out, [curves_figure(series, title=root.name)])
-        written.append(out)
+        elif args.kind == "embedding":
+            for path, label, seed, record in found:
+                if not record.embed2d:
+                    print(f"{path}: no 2-d captures; embedding plots need "
+                          "embedding_dim = 2", file=sys.stderr)
+                    return 1
+                checkpoints = sorted(record.embed2d)
+                if len(checkpoints) > 1:
+                    checkpoints = [k for k in checkpoints if k > 1]
+                for k in checkpoints:
+                    out = plots / f"{label}_seed{seed}_embedding_task{k}.svg"
+                    _write_whole(out, [embedding_figure(
+                        record.embed2d[k],
+                        title=f"{label} seed {seed}, after task {k}")])
+                    print(out)
 
-    elif args.kind == "embedding":
-        for label, seed, record in found:
-            if not record.embed2d:
-                print(f"{label} seed {seed}: no 2-d captures; embedding plots need "
-                      "embedding_dim = 2", file=sys.stderr)
-                return 1
-            checkpoints = sorted(record.embed2d)
-            if len(checkpoints) > 1:
-                checkpoints = [k for k in checkpoints if k > 1]
-            for k in checkpoints:
-                out = plots / f"{label}_seed{seed}_embedding_task{k}.svg"
-                _write_whole(out, [embedding_figure(
-                    record.embed2d[k],
-                    title=f"{label} seed {seed}, after task {k}")])
-                written.append(out)
-
-    else:  # confusion
-        for label, seed, record in found:
-            for k in sorted(record.confusions):
-                entry = record.confusions[k]
-                out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
-                _write_whole(out, [confusion_figure(
-                    entry["classes"], entry["counts"],
-                    title=f"{label} seed {seed}, after task {k}")])
-                written.append(out)
-
-    for path in written:
-        print(path)
+        else:  # confusion
+            for _, label, seed, record in found:
+                for k in sorted(record.confusions):
+                    entry = record.confusions[k]
+                    out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
+                    _write_whole(out, [confusion_figure(
+                        entry["classes"], entry["counts"],
+                        title=f"{label} seed {seed}, after task {k}")])
+                    print(out)
+    except (OSError, ValueError) as e:
+        print(f"{out}: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

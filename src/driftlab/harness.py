@@ -271,12 +271,65 @@ def check_plain_name(name, what: str) -> None:
                          "not . or .., and without /, \\ or NUL")
 
 
+# a number a float holds: NaN and infinities too, and a bool as 0 or 1
+NUMBER = (lambda v: isinstance(v, float) or isinstance(v, int) and abs(v) < 2**1023, "a number")
+ANY, INT = (lambda v: True, "any value"), (lambda v: type(v) is int, "an int")  # no bool
+POINT = (lambda v: isinstance(v, list) and len(v) >= 2 and all(map(NUMBER[0], v)), "a point")
+
+# record.json's fields as every command can use them, nothing stricter: a leaf (test,
+# what); (s, test, what), shape s then a test of the whole; [s], a list of s; {int: s},
+# a map by checkpoint or class, keys read as ints; {"key": s, ...}, an object with them.
+RECORD = {
+    "method": (lambda v: check_plain_name(v, "field 'method'") is None, "a plain name"),
+    "seed": INT,
+    "n_tasks": (lambda v: type(v) is int and v >= 1, "an int of at least 1"),
+    "task_classes": [[ANY]],
+    "accuracy": {int: {int: ANY}},  # each cell then goes through set_acc
+    "proto_distance": {int: {int: NUMBER}},
+    "confusions": {int: (
+        {"classes": [ANY], "counts": [[(lambda v: type(v) is int and v >= 0, "a count")]]},
+        lambda e: [len(r) for r in e["counts"]] == [len(e["classes"])] * len(e["classes"]),
+        "a square of counts, a row and a column per class")},
+    "sdc_events": {int: {int: {}}},  # older records hold {"delta": [...]} per event
+    "embed2d": {int: ({"points": [POINT], "labels": [INT], "prototypes": {int: POINT},
+                       "compensation": {int: POINT}, "true_means": {int: POINT}},
+                      lambda e: e["compensation"].keys() <= e["prototypes"].keys(),
+                      "a capture whose compensated classes all have prototypes")},
+    "param_digest": {int: (lambda v: isinstance(v, str), "a string")},
+    "wall_time": NUMBER,
+    "config": {},
+}
+REQUIRED = ("method", "seed", "n_tasks", "task_classes", "accuracy")
+
+
+def _check(shape, value, where: str):
+    """``value`` as ``shape`` declares it (maps keyed by ints), or a ValueError at ``where``."""
+    name = f"field {where!r}" if where.isidentifier() else where
+    if isinstance(shape, tuple):
+        value = _check(shape[0], value, where) if len(shape) == 3 else value
+        if not shape[-2](value):
+            shown = "" if isinstance(value, (list, dict)) else f" {json.dumps(value)},"
+            raise ValueError(f"{name} is{shown} not {shape[-1]}")
+        return value
+    if not isinstance(value, type(shape)):
+        raise ValueError(f"{name} is not {'a list' if type(shape) is list else 'an object'}")
+    if type(shape) is list:
+        return [_check(shape[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if int in shape:
+        if not all(k.isdecimal() for k in value):
+            raise ValueError(f"{name} has a key that is not a whole number")
+        return {int(k): _check(shape[int], v, f"{where}[{k}]") for k, v in value.items()}
+    if missing := [key for key in shape if key not in value]:
+        raise ValueError(f"{name} has no {missing[0]!r}")
+    return value | {key: _check(s, value[key], f"{where}.{key}") for key, s in shape.items()}
+
+
 @dataclass
 class RunRecord:
     method: str
     seed: int
     n_tasks: int
-    task_classes: list[tuple[int, ...]]
+    task_classes: list[list[int]]
     accuracy: dict = field(default_factory=dict)  # {k: {j: acc}}
     proto_distance: dict = field(default_factory=dict)  # {k: {class: dist}}
     confusions: dict = field(default_factory=dict)  # {k: {"classes": [...], "counts": [[...]]}}
@@ -286,7 +339,10 @@ class RunRecord:
     wall_time: float = 0.0
     config: dict = field(default_factory=dict)
 
-    def set_acc(self, k: int, j: int, value: float):
+    def set_acc(self, k: int, j: int, value):  # a number, or a numeric string as in a CSV
+        value = float(value) if isinstance(value, str) else value
+        if not NUMBER[0](value):  # null, a list or an object
+            raise ValueError(f"accuracy cell a[{k}][{j}] is {json.dumps(value)}, not a number")
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"accuracy {value} outside [0, 1]")
         if j < 1 or k < 1:
@@ -316,7 +372,7 @@ class RunRecord:
                 k, j, v = line.split(",")
                 if int(j) in record.accuracy.get(int(k), {}):
                     raise ValueError(f"a[{k}][{j}] given twice")
-                record.set_acc(int(k), int(j), float(v))
+                record.set_acc(int(k), int(j), v)
             except ValueError as e:
                 raise ValueError(f"line {n} {line!r}: {e}") from None
         record.n_tasks = max(record.accuracy)
@@ -331,80 +387,23 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
+        """A ``record.json`` text, checked by RECORD and, cell by cell, ``set_acc``."""
         raw = json.loads(text)
-        for name in ("method", "seed", "n_tasks", "task_classes", "accuracy"):
-            if not isinstance(raw, dict) or name not in raw:
-                raise ValueError(f"missing field {name!r}")
-        check_plain_name(raw["method"], "field 'method'")  # plot names files by it
-        if type(raw["seed"]) is not int:  # a bool is no seed either
-            raise ValueError(f"field 'seed' is {json.dumps(raw['seed'])}, not an int")
-        if type(raw["n_tasks"]) is not int or raw["n_tasks"] < 1:
-            raise ValueError(f"field 'n_tasks' is {json.dumps(raw['n_tasks'])}, "
-                             "not an int of at least 1")
-        if not (isinstance(raw["task_classes"], list)
-                and all(isinstance(c, list) for c in raw["task_classes"])):
-            raise ValueError("field 'task_classes' is not a list of lists")
-        digests = raw.get("param_digest", {})
-        if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
-            raise ValueError("field 'param_digest' is not an object of strings")
-        rec = cls(
-            method=raw["method"], seed=raw["seed"], n_tasks=raw["n_tasks"],
-            task_classes=[tuple(c) for c in raw["task_classes"]],
-            wall_time=raw.get("wall_time", 0.0), config=raw.get("config", {}),
-        )
-        if not isinstance(raw["accuracy"], dict):
-            raise ValueError("field 'accuracy' is not an object")
-        for k, row in raw["accuracy"].items():  # set_acc checks each cell, as compare does
-            if not isinstance(row, dict):
-                raise ValueError(f"accuracy row {k!r} is not an object")
+        if missing := [n for n in REQUIRED if not isinstance(raw, dict) or n not in raw]:
+            raise ValueError(f"missing field {missing[0]!r}")
+        values = {n: _check(shape, raw[n], n) for n, shape in RECORD.items() if n in raw}
+        rec = cls(**values | {"accuracy": {}})
+        for k, row in values["accuracy"].items():
             for j, a in row.items():
-                if not isinstance(a, (int, float, str)):  # null, a list or an object
-                    raise ValueError(f"accuracy cell a[{k}][{j}] is {json.dumps(a)}, "
-                                     "not a number")
-                rec.set_acc(int(k), int(j), float(a))
-        distances = _checkpoint_entries(raw, "proto_distance")
-        rec.proto_distance = {k: {int(c): d for c, d in row.items()}
-                              for k, row in distances.items()}
-        rec.confusions = _checkpoint_entries(raw, "confusions", ("classes", "counts"))
-        for k, entry in rec.confusions.items():  # plot draws these as they stand
-            classes, counts = entry["classes"], entry["counts"]
-            if not isinstance(classes, list):
-                raise ValueError(f"confusions[{k}]: 'classes' is not a list")
-            n = len(classes)
-            if not (isinstance(counts, list) and len(counts) == n and all(
-                    isinstance(row, list) and len(row) == n
-                    and all(type(c) is int and c >= 0 for c in row) for row in counts)):
-                raise ValueError(f"confusions[{k}]: 'counts' is not {n} rows of {n} "
-                                 "non-negative ints")
-        rec.sdc_events = {k: {int(c): e for c, e in row.items()}
-                          for k, row in _checkpoint_entries(raw, "sdc_events").items()}
-        rec.embed2d = _checkpoint_entries(raw, "embed2d", (
-            "points", "labels", "prototypes", "compensation", "true_means"))
-        rec.param_digest = {int(k): d for k, d in digests.items()}
+                rec.set_acc(k, j, a)
         return rec
-
-
-def _checkpoint_entries(raw: dict, name: str, keys: tuple = ()) -> dict:
-    """A record's per-checkpoint field ``name``, keyed by int; each entry
-    must be an object holding ``keys``, else a ValueError names it."""
-    table = raw.get(name, {})
-    if not isinstance(table, dict):
-        raise ValueError(f"field {name!r} is not an object")
-    for k, entry in table.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"{name}[{k}] is not an object")
-        for key in keys:
-            if key not in entry:
-                raise ValueError(f"{name}[{k}] has no {key!r}")
-    return {int(k): v for k, v in table.items()}
 
 
 def avg_incremental_accuracy(record: RunRecord, k: int) -> float:
     """A_k: mean over tasks 1..k of a[k][j]."""
     row = record.accuracy.get(k, {})
-    missing = [j for j in range(1, k + 1) if j not in row]
-    if missing:
-        raise ValueError(f"row {k} incomplete: missing tasks {missing}")
+    if len(row) < k:  # set_acc keeps each j in 1..k, so a full row holds k cells
+        raise ValueError(f"row {k} incomplete: missing tasks ({len(row)} of {k} held)")
     return sum(row[j] for j in range(1, k + 1)) / k
 
 
@@ -585,7 +584,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     start = time.perf_counter()
     record = RunRecord(
         method=config.method, seed=config.seed, n_tasks=len(sequence),
-        task_classes=[t.classes for t in sequence.tasks], config=config.to_dict(),
+        task_classes=[list(t.classes) for t in sequence.tasks], config=config.to_dict(),
     )
     rng = np.random.default_rng([config.seed, 101])
     spec = METHOD_SPECS[config.method]

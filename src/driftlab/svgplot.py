@@ -108,7 +108,7 @@ def embedding_figure(payload: dict, title: str = "") -> str:
     comp = {int(c): v for c, v in payload.get("compensation", {}).items()}
     means = {int(c): v for c, v in payload.get("true_means", {}).items()}
     labels = [int(c) for c in payload["labels"]]
-    class_order = sorted(set(labels) | set(protos))
+    class_order = sorted(set(labels) | set(protos) | set(means))
     hue = {c: _color(i) for i, c in enumerate(class_order)}
 
     body = [
@@ -245,7 +245,6 @@ def confusion_figure(classes: list, counts, title: str = "") -> str:
     n = len(classes)
     if n == 0:
         raise ValueError("empty confusion matrix")
-    counts = [[int(c) for c in row] for row in counts]
     cell = max(18, min(44, 440 // n))
     left, top = 70, 70
     width = left + n * cell + 30

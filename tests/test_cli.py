@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import signal
 import struct
 import subprocess
 import sys
@@ -339,14 +341,14 @@ def test_result_json_is_written_piece_by_piece(tmp_path):
     assert (tmp_path / "prototypes.json").read_text(encoding="utf-8") == record.book.to_json()
 
 
-def _driftlab_in_c_locale(*args) -> subprocess.CompletedProcess:
+def _driftlab_in_c_locale(*args, timeout=120) -> subprocess.CompletedProcess:
     """``python -m driftlab *args`` where the locale's encoding is ASCII."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     env.pop("PYTHONIOENCODING", None)
     return subprocess.run([sys.executable, "-m", "driftlab", *args], env=env,
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=timeout)
 
 
 def test_text_files_are_utf8_in_a_c_locale(tmp_path):
@@ -555,7 +557,7 @@ def test_pre_substitute_without_pretrain_classes_exit_2(tmp_path, capsys, datase
     ("[1, 2]", "missing field 'method'"),
     ("not json", "Expecting value"),
     ('{"method": "E-FT", "seed": 0, "n_tasks": 1, "task_classes": 5, "accuracy": {}}',
-     "field 'task_classes' is not a list of lists"),
+     "field 'task_classes' is not a list"),
 ])
 def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "results" / "E-FT" / "0" / "record.json"
@@ -574,7 +576,7 @@ def test_plot_malformed_record_exit_1(tmp_path, capsys, text, message):
     ({"1": {"1": None}}, "accuracy cell a[1][1] is null, not a number"),
     ({"1": {"1": [0.5]}}, "accuracy cell a[1][1] is [0.5], not a number"),
     ({"1": {"1": {"v": 0.5}}}, 'accuracy cell a[1][1] is {"v": 0.5}, not a number'),
-    ({"1": [0.5]}, "accuracy row '1' is not an object"),
+    ({"1": [0.5]}, "accuracy[1] is not an object"),
     ([[0.5]], "field 'accuracy' is not an object"),
 ])
 def test_plot_rejects_a_bad_accuracy_cell(tmp_path, capsys, accuracy, message):
@@ -591,9 +593,9 @@ def test_plot_rejects_a_bad_accuracy_cell(tmp_path, capsys, accuracy, message):
 @pytest.mark.parametrize("kind, field, entry, message", [
     ("confusion", "confusions", {"classes": [0, 1]}, "confusions[1] has no 'counts'"),
     ("confusion", "confusions", {"classes": [0, 1], "counts": [[2, 0], [0]]},
-     "confusions[1]: 'counts' is not 2 rows of 2 non-negative ints"),
+     "confusions[1] is not a square of counts, a row and a column per class"),
     ("confusion", "confusions", {"classes": [0, 1], "counts": [[2, -1], [0, 2]]},
-     "confusions[1]: 'counts' is not 2 rows of 2 non-negative ints"),
+     "confusions[1].counts[0][1] is -1, not a count"),
     ("embedding", "embed2d", {"points": [[0.0, 1.0]], "labels": [0],  # no "prototypes"
                               "compensation": {"0": [0.0, 0.0]},
                               "true_means": {"0": [0.0, 1.0]}},
@@ -619,12 +621,12 @@ def test_plot_rejects_a_damaged_checkpoint_entry(tmp_path, capsys, kind, field, 
      "field 'method' '../../escaped' must be a plain name: not empty, not . or ..,"),
     ("method", "", "field 'method' '' must be a plain name"),
     ("method", 7, "field 'method' 7 must be a plain name"),
-    ("seed", [1], "field 'seed' is [1], not an int"),
+    ("seed", [1], "field 'seed' is not an int"),
     ("seed", True, "field 'seed' is true, not an int"),
     ("n_tasks", "2", 'field \'n_tasks\' is "2", not an int of at least 1'),
     ("n_tasks", 0, "field 'n_tasks' is 0, not an int of at least 1"),
-    ("param_digest", ["ab"], "field 'param_digest' is not an object of strings"),
-    ("param_digest", {"1": 5}, "field 'param_digest' is not an object of strings"),
+    ("param_digest", ["ab"], "field 'param_digest' is not an object"),
+    ("param_digest", {"1": 5}, "param_digest[1] is 5, not a string"),
 ], ids=["method-escapes", "method-empty", "method-int", "seed-list", "seed-bool",
         "n_tasks-str", "n_tasks-zero", "digest-list", "digest-int"])
 def test_plot_rejects_a_bad_identity_field(tmp_path, capsys, field, value, message):
@@ -645,6 +647,137 @@ def test_plot_rejects_a_bad_identity_field(tmp_path, capsys, field, value, messa
             err = capsys.readouterr().err
             assert err.startswith(f"{path}: {message}") and err.count("\n") == 1
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+def _write_record(run_dir: Path, **changes) -> Path:
+    """A one-run directory whose record.json holds a small valid record,
+    with the fields in ``changes`` in place of its own."""
+    record = {"method": "E-FT", "seed": 0, "n_tasks": 1, "task_classes": [[0, 1]],
+              "accuracy": {"1": {"1": 1.0}},
+              "confusions": {"1": {"classes": [0, 1], "counts": [[1, 0], [0, 1]]}}}
+    run_dir.mkdir(parents=True)
+    (run_dir / "record.json").write_text(json.dumps(dict(record, **changes)))
+    return run_dir / "record.json"
+
+
+@pytest.mark.parametrize("kind, changes, message", [
+    ("curves", {"accuracy": {}}, "curves.svg: no series to plot"),
+    ("confusion", {"confusions": {"1": {"classes": [], "counts": []}}},
+     "E-FT_seed0_confusion_task1.svg: empty confusion matrix"),
+])
+def test_plot_a_figure_that_cannot_be_drawn_exit_1(tmp_path, capsys, kind, changes, message):
+    path = _write_record(tmp_path / "run", **changes)
+    assert main(["plot", str(path.parent), "--kind", kind]) == 1
+    assert capsys.readouterr().err == f"{path.parent / 'plots'}/{message}\n"
+
+
+def test_plot_a_record_nested_too_deep_for_the_decoder_exit_1(tmp_path, capsys):
+    path = tmp_path / "run" / "record.json"
+    path.parent.mkdir()
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["plot", str(path.parent), "--kind", "curves"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
+def test_plot_rejects_compensation_without_a_prototype(tmp_path, capsys):
+    capture = {"points": [[0.0, 1.0]], "labels": [0], "prototypes": {"0": [0.0, 1.0]},
+               "compensation": {"0": [0.0, 0.0], "9": [0.1, 0.0]}, "true_means": {}}
+    path = _write_record(tmp_path / "run", embed2d={"1": capture})
+    assert main(["plot", str(path.parent), "--kind", "embedding"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: embed2d[1] is not a capture whose compensated classes all have prototypes\n")
+
+
+def test_plot_into_an_unwritable_plots_dir_exit_1(tmp_path, capsys):
+    path = _write_record(tmp_path / "run")
+    (path.parent / "plots").write_text("a file, not a directory")
+    for kind in ("curves", "confusion"):
+        assert main(["plot", str(path.parent), "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path.parent / 'plots'}: ") and err.count("\n") == 1
+
+
+def test_plot_a_file_name_the_locale_cannot_encode_exit_1(tmp_path):
+    """Under an ASCII locale a method "Ω-FT" cannot name a figure file: the
+    write fails with ``<path>: ...``, and the temp file's cleanup, which
+    cannot encode the name either, does not raise past it."""
+    path = _write_record(tmp_path / "run", method="Ω-FT")
+    done = _driftlab_in_c_locale("plot", str(path.parent), "--kind", "confusion")
+    assert done.returncode == 1 and b"Traceback" not in done.stderr
+    assert done.stderr.startswith(os.fsencode(path.parent / "plots") + b"/")
+    assert b"UnicodeEncodeError" not in done.stderr and done.stderr.count(b"\n") == 1
+    assert os.listdir(path.parent / "plots") == []
+
+
+@pytest.mark.parametrize("row, code", [(1, 0), (2**70, 1)])
+def test_plot_curves_work_is_bounded_by_the_rows_held(tmp_path, row, code):
+    """A record claiming 2**70 tasks plots at once: the curve runs over the
+    accuracy rows a record holds, not up to n_tasks, and a row is complete
+    when it holds k cells, not after a scan of tasks 1..k. Row 2**70
+    holds one cell, so no curve has a point."""
+    path = _write_record(tmp_path / "run", n_tasks=2**70, accuracy={str(row): {"1": 0.5}})
+    done = _driftlab_in_c_locale("plot", str(path.parent), "--kind", "curves", timeout=30)
+    assert done.returncode == code and b"Traceback" not in done.stderr
+    assert (path.parent / "plots" / "curves.svg").exists() == (code == 0)
+
+
+MUTANTS = [None, "x", -1, True, [], {}, [[1]], float("nan"), 2**70, {"9": [0.0, 1.0]}]
+
+
+def _nodes(value, path=()):
+    """The key path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _nodes(child, path + (key,))
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("plot ran for more than 5 s")
+
+
+def test_plot_survives_seeded_record_mutations(results_dir, tmp_path, capsys):
+    """A 2-d E-FT+SDC record with one node (a leaf or a container, the
+    root included) replaced by one of MUTANTS, in a fixed sample of 500:
+    every plot kind exits 0, or exits 1 printing ``<path>: ...``. None
+    raises, and none runs past 5 s (a SIGALRM stops it)."""
+    text = (results_dir / "E-FT+SDC" / "0" / "record.json").read_text()
+    record = json.loads(text)
+    assert record["embed2d"] and record["sdc_events"]
+    cases = [(path, m) for path in _nodes(record) for m in range(len(MUTANTS))]
+    run_dir = tmp_path / "E-FT+SDC" / "0"
+    run_dir.mkdir(parents=True)
+    prefixes = (f"{run_dir / 'record.json'}: ", f"{run_dir / 'plots'}")
+    failures = set()
+    old = signal.signal(signal.SIGALRM, _timed_out)
+    try:
+        for path, m in random.Random(12).sample(cases, 500):
+            mutant = json.loads(text)
+            if path:
+                parent = mutant
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = MUTANTS[m]
+            else:
+                mutant = MUTANTS[m]
+            (run_dir / "record.json").write_text(json.dumps(mutant))
+            where = ".".join("*" if isinstance(key, int) else key for key in path)
+            for kind in ("curves", "embedding", "confusion"):
+                signal.setitimer(signal.ITIMER_REAL, 5)
+                try:
+                    code = main(["plot", str(run_dir), "--kind", kind])
+                except Exception as e:
+                    failures.add((kind, type(e).__name__, where))
+                    continue
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                err = capsys.readouterr().err
+                if not (code == 0 or code == 1 and err.startswith(prefixes)):
+                    failures.add((kind, f"exit {code}: {err}", where))
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert sorted(failures) == []
 
 
 def test_plot_leaves_no_temp_file(results_dir):

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,17 @@ def test_readme_methods_table_names_every_method():
     assert tuple(r.split("|")[1].strip() for r in rows[2:]) == driftlab.METHODS
 
 
+def test_readme_record_table_names_every_record_field():
+    """README's record.json table lists each RECORD field, in order, and
+    marks exactly the REQUIRED ones as required."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### record.json\n", 1)[1].split("\n#", 1)[0]
+    rows = [[c.strip() for c in line.split("|")[1:-1]]
+            for line in section.splitlines() if line.startswith("| ")]
+    assert tuple(r[0].strip("`") for r in rows[1:]) == tuple(harness.RECORD)
+    assert tuple(r[0].strip("`") for r in rows[1:] if r[1] == "yes") == harness.REQUIRED
+
+
 # ---- metrics against hand computation
 
 
@@ -370,6 +382,16 @@ def test_record_csv_and_json_round_trip():
     assert back.sdc_events[2][0]["delta"] == [0.1, 0.2]
     assert back.param_digest == rec.param_digest
     assert back.a_matrix_csv() == csv
+
+
+def test_record_json_round_trip_keeps_every_field_of_a_run():
+    """A 2-d SDC run's record.json loads back with every field equal: int
+    keys for checkpoints and classes, lists for JSON arrays."""
+    rec = run_sequence(quick("E-FT", sdc=True, epochs=3), tiny_sequence())
+    assert rec.embed2d and rec.sdc_events
+    back = RunRecord.from_json(rec.to_json())
+    for f in fields(RunRecord):
+        assert getattr(back, f.name) == getattr(rec, f.name), f.name
 
 
 # ---- end-to-end runs on synthetic clusters
