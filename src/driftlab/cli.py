@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, build_sequences, load_config
+from .data import write_whole
 from .harness import (
     MethodConfig,
     RunRecord,
@@ -53,22 +53,11 @@ def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
 
 
 def _write_whole(path: Path, pieces) -> None:
-    """Write the text ``pieces`` as UTF-8 into a temp sibling, then rename
-    it over ``path``: a reader never sees a half-written file, and a
-    failure, in the writer or in the code making the pieces, leaves no
-    temp file. Result files and plots both go through here. A label or
-    directory name that the locale could not decode (a C locale's ASCII)
-    holds surrogates, which go back out as the name's own bytes."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.writelines(pieces)
-        os.replace(tmp, path)
-    finally:
-        # gone once renamed, or never made; a name the file system cannot
-        # encode fails here as it failed at open, with a UnicodeEncodeError
-        with contextlib.suppress(OSError, ValueError):
-            tmp.unlink()
+    """Write the text ``pieces`` as UTF-8 through ``write_whole``. A label
+    or directory name that the locale could not decode (a C locale's
+    ASCII) holds surrogates, which go back out as the name's own bytes."""
+    write_whole(path, lambda fh: fh.writelines(
+        p.encode("utf-8", "surrogateescape") for p in pieces))
 
 
 def cmd_run(args) -> int:

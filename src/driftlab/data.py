@@ -1,6 +1,7 @@
 """Dataset acquisition: synthetic Gaussian clusters, IDX binary images,
-and a plain CSV reader. All readers are deterministic; nothing here ever
-reorders samples.
+and a plain CSV reader that caches each parsed table beside its file.
+All readers are deterministic; nothing here ever reorders samples.
+``write_whole`` writes that cache, the result files and the plots.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ import io
 import itertools
 import os
 import struct
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-SIDECAR_SUFFIX = ".driftlab.npz"  # beside a CSV: its parsed table, keyed by content
+SIDECAR_SUFFIX = ".driftlab.npz"  # beside a CSV: a key line, then its table as .npy
 
 
 class DatasetFormatError(ValueError):
@@ -214,44 +214,21 @@ def _first_fault(path) -> str:
     return f"{path}: no data rows (line 2)"
 
 
-def _sidecar_table(sidecar: str, digest: str):
-    """The table a sidecar holds for CSV bytes of ``digest``, or None: no
-    sidecar, another digest or reader, or a file that does not load."""
+def write_whole(path, fill) -> None:
+    """Call ``fill`` with a binary file open on a temp sibling of
+    ``path``, then rename that over ``path``: a reader never sees a
+    half-written file, and a failure, in ``fill`` or in the writing,
+    leaves no temp file."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with np.load(sidecar, allow_pickle=False) as stored:
-            if str(stored["sha256"]) != digest or str(stored["reader"]) != CSV_READER:
-                return None
-            return stored["table"]
-    # np.load fails in many ways on a damaged file (EOFError, BadZipFile,
-    # KeyError, TypeError for a plain .npy, even tokenize.TokenError from
-    # a mangled header); a sidecar is only a cache, so any of them means
-    # a parse
-    except Exception:
-        return None
-
-
-def _write_sidecar(sidecar: str, digest: str, table: np.ndarray) -> None:
-    """Store ``table`` under ``digest`` and ``CSV_READER``, renamed into
-    place whole. A directory that cannot be written to leaves the CSV
-    without one.
-
-    The file holds the members ``np.savez`` writes, but the table's bytes
-    go to the zip member straight from its buffer: ``np.savez`` copies
-    them out ``tobytes()`` up to 16 MiB at a time."""
-    tmp = f"{sidecar}.{os.getpid()}.tmp"
-    table = np.ascontiguousarray(table)
-    try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for name, value in (("sha256", digest), ("reader", CSV_READER)):
-                with zf.open(f"{name}.npy", "w") as out:
-                    np.lib.format.write_array(out, np.asarray(value))
-            with zf.open("table.npy", "w", force_zip64=True) as out:
-                np.lib.format.write_array_header_1_0(
-                    out, np.lib.format.header_data_from_array_1_0(table))
-                out.write(memoryview(table).cast("B"))
-        os.replace(tmp, sidecar)
-    except OSError:
-        with contextlib.suppress(OSError):
+        with open(tmp, "wb") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    finally:
+        # gone once renamed, or never made; a name the file system cannot
+        # encode fails here as it failed at open, with a UnicodeEncodeError
+        with contextlib.suppress(OSError, ValueError):
             os.remove(tmp)
 
 
@@ -283,10 +260,12 @@ def read_csv_dataset(path) -> LabeledDataset:
     parsed in one ``np.loadtxt`` call. If that fails, or its table breaks
     a rule, ``_first_fault`` rereads the file line by line to name the
     first bad line. A file that passes leaves its table in the sidecar
-    ``<path>.driftlab.npz`` under its digest and ``CSV_READER``, and a
-    later read of the same bytes by the same reader loads that table in
-    place of the parse; the checks and the remap run on it as on a parsed
-    one. Any other sidecar is ignored and rewritten.
+    ``<path>.driftlab.npz``: one ASCII key line, ``<sha256 hex>
+    <CSV_READER>``, then the table as ``.npy`` bytes. A later read of the
+    same bytes by the same reader loads that table in place of the parse;
+    the checks and the remap run on it as on a parsed one. Any other file
+    at that path, a zip sidecar of earlier versions included, is ignored
+    and overwritten.
     """
     sidecar = f"{path}{SIDECAR_SUFFIX}"
     table, width = None, 0
@@ -295,16 +274,21 @@ def read_csv_dataset(path) -> LabeledDataset:
             sha = hashlib.sha256()
             for chunk in iter(lambda: fh.read(1 << 18), b""):
                 sha.update(chunk)
-            digest = sha.hexdigest()
+            key = f"{sha.hexdigest()} {CSV_READER}\n".encode("ascii")
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="ascii")
             header = text.readline().rstrip("\n").split(",")
             width = len(header)
             if header[0] == "label":
-                with contextlib.suppress(DatasetFormatError):  # NaN in a forged table
-                    cached = _labeled(_sidecar_table(sidecar, digest), width)
-                    if cached is not None:
-                        return cached
+                # exactly len(key) bytes, as a zip has no early newline; a
+                # sidecar is only a cache, so any fault in it (a short
+                # table, a mangled header, a NaN) means a parse
+                with contextlib.suppress(Exception), open(sidecar, "rb") as side:
+                    if side.read(len(key)) == key:
+                        cached = _labeled(
+                            np.lib.format.read_array(side, allow_pickle=False), width)
+                        if cached is not None:
+                            return cached
                 rows = _data_lines(text)
                 first = next(rows, None)  # loadtxt warns on empty input
                 if first is not None:
@@ -317,5 +301,10 @@ def read_csv_dataset(path) -> LabeledDataset:
         raise DatasetFormatError(f"{path}: {e}") from None
     if dataset is None:
         raise DatasetFormatError(_first_fault(path))
-    _write_sidecar(sidecar, digest, table)
+
+    def fill(fh):
+        fh.write(key)
+        np.lib.format.write_array(fh, table, allow_pickle=False)  # tofile, no copy
+    with contextlib.suppress(OSError):  # an unwritable directory leaves no sidecar
+        write_whole(sidecar, fill)
     return dataset

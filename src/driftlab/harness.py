@@ -376,6 +376,9 @@ class RunRecord:
             except ValueError as e:
                 raise ValueError(f"line {n} {line!r}: {e}") from None
         record.n_tasks = max(record.accuracy)
+        if record.n_tasks > len(lines) - 1:  # compare sizes its table by n_tasks
+            raise ValueError(f"task {record.n_tasks} exceeds the {len(lines) - 1} "
+                             f"cell(s) held; row {record.n_tasks} cannot be complete")
         return record
 
     def json_pieces(self):

@@ -541,6 +541,29 @@ def test_compare_rejects_bad_indices_and_repeated_cells(tmp_path, capsys, rows, 
     assert capsys.readouterr().err == f"{path}: {line}: {message}\n"
 
 
+def test_compare_reads_a_last_row_only_csv(tmp_path, capsys):
+    """Joint evaluates its last row only: task 3 in 3 cells is complete."""
+    path = tmp_path / "results" / "Joint" / "0" / "a_matrix.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text("k,j,accuracy\n3,1,0.5\n3,2,0.25\n3,3,0.75\n")
+    assert main(["compare", str(tmp_path / "results")]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "| Joint | - | - | 0.5000 ± 0.0000 |"
+
+
+@pytest.mark.parametrize("k", [2**70, 10**7])
+def test_compare_rejects_a_task_beyond_the_cells_held(tmp_path, k):
+    """compare sizes its table by the largest task, so a row k no file can
+    complete is an error at once: 2**70 raised OverflowError, and 10**7
+    built a table of ten million columns."""
+    path = tmp_path / "results" / "E-FT" / "0" / "a_matrix.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(f"k,j,accuracy\n{k},1,0.5\n")
+    done = _driftlab_in_c_locale("compare", str(tmp_path / "results"), timeout=30)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == os.fsencode(
+        f"{path}: task {k} exceeds the 1 cell(s) held; row {k} cannot be complete\n")
+
+
 @pytest.mark.parametrize("dataset", [{}, {"pretrain_classes": 0}])
 def test_pre_substitute_without_pretrain_classes_exit_2(tmp_path, capsys, dataset):
     cfg = write_config(tmp_path, dataset=dataset, methods={

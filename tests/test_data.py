@@ -439,9 +439,22 @@ def count_parses(monkeypatch) -> list:
     return calls
 
 
-def forge(sidecar, digest, table, reader=None):
-    """A sidecar as the reader writes one, with any key or table."""
-    np.savez(sidecar, sha256=digest, reader=reader or data.CSV_READER, table=table)
+def key_line(digest, reader=data.CSV_READER) -> bytes:
+    """The key line the reader writes for CSV bytes of ``digest``."""
+    return f"{digest} {reader}\n".encode("ascii")
+
+
+def forge(sidecar, key, table):
+    """A sidecar as the reader writes one, with any key line or table."""
+    with open(sidecar, "wb") as fh:
+        fh.write(key)
+        np.lib.format.write_array(fh, table)
+
+
+def stored(sidecar):
+    """The key line and the table of a sidecar."""
+    with open(sidecar, "rb") as fh:
+        return fh.readline(), np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def write_remapped_csv(path):
@@ -479,21 +492,22 @@ def test_csv_rewrite_with_same_size_and_mtime_is_reparsed(tmp_path):
     ds = read_csv_dataset(p)
     assert ds.original_labels == (1, 0)
     assert ds.features[:, 0].tolist() == [1.5, 3.5]
-    with np.load(sidecar_of(p)) as stored:
-        assert str(stored["sha256"]) == sha256_of(p)
+    assert stored(sidecar_of(p))[0] == key_line(sha256_of(p))
 
 
 @pytest.mark.parametrize("fault", ["garbage", "empty file", "a plain .npy",
                                    "another file's digest", "one column short",
                                    "fractional label", "nan feature",
-                                   "a stale reader", "no reader"])
+                                   "a stale reader", "a key without the reader",
+                                   "table cut short after the key line",
+                                   "a zip sidecar of earlier versions"])
 def test_csv_bad_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, fault):
     p = tmp_path / "d.csv"
     write_remapped_csv(p)
     want = read_csv_dataset(p)
     side = sidecar_of(p)
-    with np.load(side) as stored:
-        table = stored["table"]
+    first = side.read_bytes()
+    key, table = stored(side)
     digest = sha256_of(p)
     if fault == "garbage":
         side.write_bytes(b"PK\x03\x04 not a zip")
@@ -503,26 +517,29 @@ def test_csv_bad_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, fault):
         with open(side, "wb") as fh:
             np.save(fh, table)
     elif fault == "another file's digest":
-        forge(side, hashlib.sha256(b"label,f0,f1\n").hexdigest(), table + 1)
+        forge(side, key_line(hashlib.sha256(b"label,f0,f1\n").hexdigest()), table + 1)
     elif fault == "one column short":
-        forge(side, digest, table[:, :-1])
+        forge(side, key, table[:, :-1])
     elif fault == "a stale reader":  # stored under older CSV rules or numpy
-        forge(side, digest, table + 1, reader="csv rules 0, numpy 1.24.0")
-    elif fault == "no reader":
-        np.savez(side, sha256=digest, table=table + 1)
+        forge(side, key_line(digest, "csv rules 0, numpy 1.24.0"), table + 1)
+    elif fault == "a key without the reader":
+        forge(side, f"{digest}\n".encode("ascii"), table + 1)
+    elif fault == "table cut short after the key line":
+        side.write_bytes(side.read_bytes()[:-8])  # the last cell is missing
+    elif fault == "a zip sidecar of earlier versions":  # the same path and members
+        np.savez(side, sha256=digest, reader=data.CSV_READER, table=table)
     else:  # the right key, but a table that breaks a rule the parsed one passed
         if fault == "fractional label":
             table[0, 0] = 0.5
         else:
             table[0, 1] = np.nan
-        forge(side, digest, table)
+        forge(side, key, table)
     calls = count_parses(monkeypatch)
     assert_same_dataset(read_csv_dataset(p), want)
     assert len(calls) == 1
-    with np.load(side) as stored:
-        assert str(stored["sha256"]) == digest
-        assert str(stored["reader"]) == data.CSV_READER
-        assert np.array_equal(stored["table"][:, 1:], want.features)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", side.name]
+    assert stored(side)[0] == key_line(digest)
+    assert side.read_bytes() == first
 
 
 def test_csv_read_survives_a_sidecar_it_cannot_write(tmp_path, monkeypatch):
@@ -544,8 +561,9 @@ def test_csv_read_survives_a_sidecar_it_cannot_write(tmp_path, monkeypatch):
 
 def test_cold_csv_read_writes_the_sidecar_without_a_copy(tmp_path):
     """A first read holds the parsed table and little more while it
-    writes the sidecar: np.savez copied the table out in 16 MiB chunks,
-    a whole second table here. A second read loads the same bytes."""
+    writes the sidecar: the table goes to the file straight from its
+    buffer (np.savez copied it out in 16 MiB chunks, a whole second table
+    here). A second read loads the same bytes."""
     p = tmp_path / "big.csv"
     write_csv_dataset(p, gen_gaussian_clusters(100, 60, 64, 0.35, seed=0))
     out = []
@@ -554,15 +572,16 @@ def test_cold_csv_read_writes_the_sidecar_without_a_copy(tmp_path):
     assert (n, d) == (6000, 64)
     assert peak <= 1.5 * n * (d + 1) * 8
     assert_same_dataset(read_csv_dataset(p), out[0])
-    with np.load(sidecar_of(p)) as stored:
-        assert sorted(stored.files) == ["reader", "sha256", "table"]
-        assert str(stored["sha256"]) == sha256_of(p)
+    key, table = stored(sidecar_of(p))
+    assert key == key_line(sha256_of(p))
+    assert table.shape == (n, d + 1)
 
 
 def test_warm_csv_read_holds_the_table_once(tmp_path):
-    """A sidecar hit allocates the table plus a fixed amount: np.load
-    reads the zip member through 256 KiB buffers, two at once, and the
-    zip reader's own state is well under 256 KiB more."""
+    """A sidecar hit allocates the table plus a fixed amount: the hash's
+    one 256 KiB read chunk, and well under 128 KiB more. The table is
+    read straight into its array; a zip sidecar's reader held two 256 KiB
+    buffers on top."""
     p = tmp_path / "big.csv"
     write_csv_dataset(p, gen_gaussian_clusters(100, 60, 64, 0.35, seed=0))
     read_csv_dataset(p)  # parses and writes the sidecar
@@ -570,4 +589,4 @@ def test_warm_csv_read_holds_the_table_once(tmp_path):
     peak = allocated_bytes(lambda: out.append(read_csv_dataset(p)))
     n, d = out[0].features.shape
     assert (n, d) == (6000, 64)
-    assert peak <= n * (d + 1) * 8 + 2 * 256 * 1024 + 256 * 1024
+    assert peak <= n * (d + 1) * 8 + 256 * 1024 + 128 * 1024
