@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .data import LabeledDataset, gen_gaussian_clusters, read_csv_dataset, read_idx
 from .harness import (
-    GAMMA_DEFAULTS,
     METHODS,
     MethodConfig,
     RunRecord,

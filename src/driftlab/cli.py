@@ -1,10 +1,11 @@
 """Command line front end.
 
 ``driftlab run <config>`` executes every (method, seed) pair from an INI
-config and writes ``results/<method>/<seed>/{a_matrix.csv, record.json,
-prototypes.json}``. ``driftlab plot <dir> --kind ...`` renders SVGs from
-those files, and ``driftlab compare <dirs...>`` prints a markdown table
-of A_k recomputed from the emitted CSVs alone.
+config, writes ``results/<method>/<seed>/{a_matrix.csv, record.json,
+prototypes.json}`` and prints the A_k table of the runs it wrote.
+``driftlab plot <dir> --kind ...`` renders SVGs from those files, and
+``driftlab compare <dirs...>`` prints the same markdown A_k table,
+recomputed from the emitted CSVs alone.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error.
 """
@@ -39,17 +40,29 @@ def _complete_aks(records, k: int) -> list[float]:
     return out
 
 
-def _ak_table(records: dict, n_tasks: int, n_seeds: int) -> str:
-    lines = [f"A_k by method, mean over {n_seeds} seed(s)", ""]
-    header = ["method".ljust(18)] + [f"A_{k}".rjust(8) for k in range(1, n_tasks + 1)]
-    lines.append("".join(header))
-    for label in sorted(records):
-        cells = [label.ljust(18)]
-        for k in range(1, n_tasks + 1):
-            vals = _complete_aks(records[label].values(), k)
-            cells.append((f"{np.mean(vals):.4f}" if vals else "-").rjust(8))
-        lines.append("".join(cells))
-    return "\n".join(lines)
+def _print_ak_table(rows: dict, n_tasks: int) -> None:
+    """Print the markdown table of A_k, mean ± std over each label's
+    records in ``rows``, for k in 1..n_tasks."""
+    ks = list(range(1, n_tasks + 1))
+    out = ["| method | " + " | ".join(f"A_{k}" for k in ks) + " |",
+           "| --- | " + " | ".join("---" for _ in ks) + " |"]
+    for label in sorted(rows):
+        cells = []
+        for k in ks:
+            vals = _complete_aks(rows[label], k)
+            cells.append(f"{np.mean(vals):.4f} ± {np.std(vals):.4f}" if vals else "-")
+        out.append(f"| {label} | " + " | ".join(cells) + " |")
+    text = "\n".join(out) + "\n"
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO, takes the text
+        sys.stdout.write(text)
+        return
+    # UTF-8 as the result files are, whatever the locale: an ASCII locale
+    # cannot encode "±", and a label it could not decode goes back out as
+    # the directory name's own bytes
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8", "surrogateescape"))
+    buffer.flush()
 
 
 def _write_whole(path: Path, pieces) -> None:
@@ -96,15 +109,13 @@ def cmd_run(args) -> int:
                       file=sys.stderr)
             else:
                 print(f"[done] {label} seed {seed} ({record.wall_time:.1f}s) -> {run_dir}")
-                records.setdefault(label, {})[seed] = RunRecord(  # all the A_k table reads
-                    record.method, record.seed, record.n_tasks, [], record.accuracy)
+                records.setdefault(label, []).append(RunRecord(  # all the A_k table reads
+                    record.method, record.seed, record.n_tasks, [], record.accuracy))
             del record  # with its book, confusions and SDC events
 
     if records:
-        n_tasks = max(r.n_tasks for by_seed in records.values()
-                      for r in by_seed.values())
         print()
-        print(_ak_table(records, n_tasks, len(cfg.seeds)))
+        _print_ak_table(records, max(r.n_tasks for recs in records.values() for r in recs))
     return 1 if failed else 0
 
 
@@ -155,11 +166,13 @@ def cmd_plot(args) -> int:
             print(out)
 
         elif args.kind == "embedding":
+            drawn = 0  # runs with captures; each other run gets a note
             for path, label, seed, record in found:
                 if not record.embed2d:
                     print(f"{path}: no 2-d captures; embedding plots need "
                           "embedding_dim = 2", file=sys.stderr)
-                    return 1
+                    continue
+                drawn += 1
                 checkpoints = sorted(record.embed2d)
                 if len(checkpoints) > 1:
                     checkpoints = [k for k in checkpoints if k > 1]
@@ -169,6 +182,8 @@ def cmd_plot(args) -> int:
                         record.embed2d[k],
                         title=f"{label} seed {seed}, after task {k}")])
                     print(out)
+            if not drawn:
+                return 1
 
         else:  # confusion
             for _, label, seed, record in found:
@@ -212,25 +227,7 @@ def cmd_compare(args) -> int:
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
             rows.setdefault(label, []).append(record)
-
-    ks = list(range(1, n_tasks + 1))
-    out = ["| method | " + " | ".join(f"A_{k}" for k in ks) + " |",
-           "| --- | " + " | ".join("---" for _ in ks) + " |"]
-    for label in sorted(rows):
-        cells = []
-        for k in ks:
-            vals = _complete_aks(rows[label], k)
-            if not vals:
-                cells.append("-")
-            else:
-                cells.append(f"{np.mean(vals):.4f} ± {np.std(vals):.4f}")
-        out.append(f"| {label} | " + " | ".join(cells) + " |")
-    # UTF-8 as the result files are, whatever the locale: an ASCII locale
-    # cannot encode "±", and a label it could not decode goes back out as
-    # the directory name's own bytes
-    sys.stdout.flush()
-    sys.stdout.buffer.write("\n".join(out).encode("utf-8", "surrogateescape") + b"\n")
-    sys.stdout.buffer.flush()
+    _print_ak_table(rows, n_tasks)
     return 0
 
 

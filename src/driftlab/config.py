@@ -19,9 +19,8 @@
     method = E-FT               ; defaults to the section label
     sdc = true
 
-Every unknown section or key is an error that names the offender.
-``DRIFTLAB_SEED_OVERRIDE`` in the environment replaces the seeds list;
-it exists for CI and is the only environment hook.
+Every unknown section or key is an error that names the offender, and so
+is a ``[dataset]`` key that only another source reads.
 """
 
 from __future__ import annotations
@@ -37,11 +36,20 @@ from .data import (
 )
 from .harness import METHOD_SPECS, MethodConfig, TaskSequence, check_plain_name, split_tasks
 
-SEED_ENV = "DRIFTLAB_SEED_OVERRIDE"
-
-SOURCES = ("synthetic", "digits", "idx", "csv")
+# the [dataset] keys of every source: they split the loaded data into tasks
+_SPLIT_TYPES = {"source": str, "n_tasks": int, "first_task_fraction": float,
+                "test_fraction": float, "pretrain_classes": int}
+# each source's own keys, as {key: (type, required)}
+_SOURCE_KEYS = {
+    "synthetic": {"n_classes": (int, False), "per_class": (int, False),
+                  "dim": (int, False), "spread": (float, False)},
+    "digits": {},
+    "idx": {"images": (str, True), "labels": (str, True),
+            "test_images": (str, False), "test_labels": (str, False)},
+    "csv": {"path": (str, True)},
+}
+SOURCES = tuple(_SOURCE_KEYS)
 _SEEDED_SOURCES = ("synthetic",)  # the others load the same data for every seed
-_REQUIRED_BY_SOURCE = {"idx": ("images", "labels"), "csv": ("path",)}
 
 
 class ConfigError(ValueError):
@@ -101,15 +109,8 @@ _PARSERS = {"bool": bool, "int": int, "float": float, "float | None": float,
             "str": str, "tuple": tuple}
 _METHOD_TYPES = {f.name: _PARSERS[f.type] for f in fields(MethodConfig) if f.name != "seed"}
 
-_DATASET_TYPES = {
-    "source": str, "n_classes": int, "per_class": int, "dim": int,
-    "spread": float, "n_tasks": int, "first_task_fraction": float,
-    "test_fraction": float, "pretrain_classes": int,
-    "images": str, "labels": str, "test_images": str, "test_labels": str,
-    "path": str,
-}
-
-METHOD_KEYS = set(_METHOD_TYPES)  # MethodConfig's fields but the run's seed
+_DATASET_TYPES = {**_SPLIT_TYPES, **{key: kind for keys in _SOURCE_KEYS.values()
+                                      for key, (kind, _) in keys.items()}}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -131,9 +132,6 @@ def load_config(path: str) -> ExperimentConfig:
     if "seeds" not in exp:
         raise ConfigError("[experiment] needs a seeds list")
     seeds = exp["seeds"]
-    if SEED_ENV in os.environ:
-        seeds = _parse_int_list("environment", SEED_ENV, os.environ[SEED_ENV],
-                                distinct=True)
     output_dir = exp.get("output_dir", "results")
 
     dataset = _section(parser, "dataset", _DATASET_TYPES)
@@ -141,9 +139,15 @@ def load_config(path: str) -> ExperimentConfig:
     if source not in SOURCES:
         raise ConfigError(f"[dataset] source must be one of {SOURCES}, "
                           f"got {source!r}")
-    for key in _REQUIRED_BY_SOURCE.get(source, ()):
-        if key not in dataset:
+    own = _SOURCE_KEYS[source]
+    for key, (_, required) in own.items():
+        if required and key not in dataset:
             raise ConfigError(f"[dataset] source = {source} needs the {key!r} key")
+    for key in dataset:
+        if key not in own and key not in _SPLIT_TYPES:
+            raise ConfigError(f"[dataset] {key!r} is not read by source = {source}")
+    if ("test_images" in dataset) != ("test_labels" in dataset):
+        raise ConfigError("[dataset] test_images and test_labels go together")
     n_tasks = dataset.setdefault("n_tasks", 2)
     if n_tasks < 1:
         raise ConfigError(f"[dataset] n_tasks must be at least 1, got {n_tasks}")
@@ -217,11 +221,8 @@ def _load_source(dataset: dict, seed: int) -> tuple:
         return LabeledDataset(feats, bunch.target.astype(np.int64)), None
     if source == "idx":
         train = read_idx(dataset["images"], dataset["labels"])
-        test = None
-        if "test_images" in dataset:
-            if "test_labels" not in dataset:
-                raise ConfigError("test_images given without test_labels")
-            test = read_idx(dataset["test_images"], dataset["test_labels"])
+        test = (read_idx(dataset["test_images"], dataset["test_labels"])
+                if "test_images" in dataset else None)
         return train, test
     train = read_csv_dataset(dataset["path"])
     return train, None

@@ -67,7 +67,6 @@ METHOD_SPECS = {
     "FT*": MethodSpec(GrowingSoftmaxNet, ncm_on="features_np"),
 }
 METHODS = tuple(METHOD_SPECS)
-GAMMA_DEFAULTS = {m: s.gamma for m, s in METHOD_SPECS.items() if s.regularizer}
 A_MATRIX_HEADER = "k,j,accuracy"
 
 

@@ -133,16 +133,14 @@ class GrowingSoftmaxNet:
         b = Tensor(np.zeros(len(ids)), requires_grad=True)
         self.heads.append((w, b, ids))
 
-    def penultimate_features(self, x) -> Tensor:
-        return _run_stack(self.trunk, _check_batch(x, self.input_dim))
-
     def features_np(self, x) -> np.ndarray:
         """Trunk features as a plain array, no graph kept."""
         return infer([p.data for p in self.trunk], x)
 
     def head_logits(self, x, head: int) -> Tensor:
         w, b, _ = self.heads[head]
-        return T.dense(self.penultimate_features(x), w, b, relu=False)
+        feats = _run_stack(self.trunk, _check_batch(x, self.input_dim))
+        return T.dense(feats, w, b, relu=False)
 
     def predict_multihead(self, x) -> np.ndarray:
         """Global argmax over the concatenation of per-head softmax rows,

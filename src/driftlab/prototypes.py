@@ -176,17 +176,6 @@ class PrototypeBook:
     def to_json(self) -> str:
         return "".join(self.json_pieces())
 
-    @classmethod
-    def from_json(cls, text: str) -> "PrototypeBook":
-        book = cls()
-        for row in json.loads(text)["classes"]:
-            book.entries[int(row["class_id"])] = PrototypeEntry(
-                vector=np.array(row["vector"]),
-                learned_at=int(row["learned_at"]),
-                compensation=np.array(row.get("compensation", np.zeros(len(row["vector"])))),
-            )
-        return book
-
 
 def compute_prototypes(embeddings, labels, classes=None) -> dict[int, np.ndarray]:
     """Per-class mean embedding; means are NOT re-normalized."""

@@ -34,7 +34,8 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` are parameters: their
     ``grad`` starts as None, and only a plain ``backward`` (no hook) makes
-    it, as zeros, and adds each pass's gradient into it until ``zero_grad``.
+    it, as zeros, and adds each pass's gradient into it until the caller
+    sets it back to None.
     Tensors produced by ops carry the local backward rule; their gradient
     is transient to each backward call.
     """
@@ -54,12 +55,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
 
     def backward(self, on_grad=None, sums=None):
         """Propagate d(self)/d(leaf) to every reachable parameter.
@@ -115,37 +110,22 @@ class Tensor:
                     if readers[key] == 0 and key in flowing:
                         on_grad(parent, flowing.pop(key))
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # operator sugar; all shape rules live in the op functions
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
     """The hook of a plain ``backward()``: add a leaf's summed gradient
-    from one pass into its ``grad``, made as zeros on first use, so
-    successive passes accumulate until ``zero_grad``. ``0.0 + x`` is
-    ``x`` for every x but -0.0, which becomes +0.0."""
+    from one pass into its ``grad``, made as zeros when it is None, so
+    ``.grad`` sums successive passes until the caller sets it to None.
+    ``0.0 + x`` is ``x`` for every x but -0.0, which becomes +0.0."""
     if leaf.grad is None:
         leaf.grad = np.zeros_like(leaf.data)
     leaf.grad += g
@@ -217,11 +197,6 @@ def add(a, b) -> Tensor:
     else:
         raise ShapeError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
     return _make(a.data + b.data, (a, b), back)
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def sub(a, b) -> Tensor:

@@ -25,10 +25,9 @@ from driftlab.prototypes import PrototypeBook
 def write_config(tmp_path, out_name="results", methods=None, dataset=None,
                  seeds="0 1", ini_name="exp.ini"):
     methods = methods or {"E-FT": {}}
-    dataset = dataset or {}
-    base_dataset = {"source": "synthetic", "n_classes": 4, "per_class": 24,
-                    "dim": 5, "spread": 0.2, "n_tasks": 2}
-    base_dataset.update(dataset)
+    dataset = {"source": "synthetic", "n_tasks": 2, **(dataset or {})}
+    if dataset["source"] == "synthetic":  # only that source reads these keys
+        dataset = {"n_classes": 4, "per_class": 24, "dim": 5, "spread": 0.2, **dataset}
     lines = [
         "[experiment]",
         f"output_dir = {tmp_path / out_name}",
@@ -36,7 +35,7 @@ def write_config(tmp_path, out_name="results", methods=None, dataset=None,
         "",
         "[dataset]",
     ]
-    lines += [f"{k} = {v}" for k, v in base_dataset.items()]
+    lines += [f"{k} = {v}" for k, v in dataset.items()]
     for label, overrides in methods.items():
         opts = {"epochs": 6, "batch_size": 12, "lr": 0.003,
                 "embedding_dim": 2, "hidden": 24}
@@ -54,8 +53,7 @@ def test_run_happy_path(tmp_path, capsys):
                                           {"method": "E-FT", "sdc": "true"}})
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "A_k by method" in out
-    assert "A_1" in out and "A_2" in out
+    assert "\n\n| method | A_1 | A_2 |\n" in out
     for label in ("E-FT", "E-FT+SDC"):
         for seed in ("0", "1"):
             d = tmp_path / "results" / label / seed
@@ -246,7 +244,6 @@ def test_result_json_is_compact_and_indented_files_still_read(tmp_path):
         (run_dir / name).write_text(json.dumps(json.loads(text), indent=1))
     rec = RunRecord.from_json((run_dir / "record.json").read_text())
     assert rec.to_json() == record
-    assert PrototypeBook.from_json((run_dir / "prototypes.json").read_text()).to_json() == book
     assert main(["plot", str(tmp_path / "results"), "--kind", "curves"]) == 0
 
 
@@ -357,6 +354,8 @@ def test_text_files_are_utf8_in_a_c_locale(tmp_path):
         fh.write("; σ is the kernel width\n".encode("utf-8"))
     done = _driftlab_in_c_locale("run", str(cfg))
     assert done.returncode == 0, done.stderr
+    table = done.stdout.decode("utf-8").split("\n\n")[-1]  # its "±" as UTF-8
+    assert table.startswith("| method | A_1 | A_2 |") and table.endswith(" ± 0.0000 |\n")
     # a label that an ASCII locale cannot make a directory of is a config error
     text = cfg.read_bytes().replace(b"[method E-FT]", "[method Ω-FT]\nmethod = E-FT".encode())
     bad = tmp_path / "omega.ini"
@@ -440,6 +439,23 @@ def test_plot_single_run_dir(results_dir):
     run_dir = results_dir / "E-FT" / "0"
     assert main(["plot", str(run_dir), "--kind", "confusion"]) == 0
     assert (run_dir / "plots" / "E-FT_seed0_confusion_task2.svg").exists()
+
+
+def test_plot_embedding_draws_each_run_with_captures(tmp_path, capsys):
+    """A root that mixes 2-d and wider embeddings: every 2-d run is drawn,
+    and each other run gets one note on stderr."""
+    cfg = write_config(tmp_path, seeds="0", methods={
+        "E-EWC": {"embedding_dim": 4}, "E-FT+SDC": {"method": "E-FT", "sdc": "true"}})
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    root = tmp_path / "results"
+    assert main(["plot", str(root), "--kind", "embedding"]) == 0
+    out, err = capsys.readouterr()
+    drawn = sorted(p.name for p in (root / "plots").iterdir())
+    assert drawn == ["E-FT+SDC_seed0_embedding_task2.svg"]
+    assert out.split() == [str(root / "plots" / drawn[0])]
+    assert err == (f"{root / 'E-EWC' / '0' / 'record.json'}: no 2-d captures; "
+                   "embedding plots need embedding_dim = 2\n")
 
 
 def test_plot_embedding_needs_2d(tmp_path, capsys):
@@ -825,10 +841,10 @@ def test_run_infinite_margin_exit_2(tmp_path, capsys, margin):
 
 def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkeypatch):
     """The A_k table reads only accuracy rows: no PrototypeBook lives on
-    into the next run or the table, which prints what the written
-    a_matrix.csv files give."""
+    into the next run or the table, and the table is the one ``compare``
+    prints from the written a_matrix.csv files."""
     books = []
-    inner_run, inner_table = cli.run_sequence, cli._ak_table
+    inner_run, inner_table = cli.run_sequence, cli._print_ak_table
 
     def run(*args):
         assert [b() for b in books] == [None] * len(books)
@@ -838,30 +854,29 @@ def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkey
 
     def table(*args):
         assert [b() for b in books] == [None] * len(books)
-        return inner_table(*args)
+        inner_table(*args)
 
     monkeypatch.setattr(cli, "run_sequence", run)
-    monkeypatch.setattr(cli, "_ak_table", table)
+    monkeypatch.setattr(cli, "_print_ak_table", table)
     cfg = write_config(tmp_path, methods={"E-FT": {}, "E-FT+SDC":
                                           {"method": "E-FT", "sdc": "true"}})
     assert main(["run", str(cfg)]) == 0
     assert len(books) == 4
-    root = tmp_path / "results"
-    from_csv = {label: {seed: RunRecord.from_a_matrix_csv(
-        (root / label / seed / "a_matrix.csv").read_text(), label, seed)
-        for seed in ("0", "1")} for label in ("E-FT", "E-FT+SDC")}
-    out = capsys.readouterr().out
-    assert out.endswith("\n\n" + inner_table(from_csv, 2, 2) + "\n")
+    ran = capsys.readouterr().out
+    assert main(["compare", str(tmp_path / "results")]) == 0
+    table = capsys.readouterr().out
+    assert table.startswith("| method | A_1 | A_2 |\n") and table.count("\n") == 4
+    assert ran.endswith("\n\n" + table)
 
 
 def _python(probe: str) -> str:
-    """Stdout of ``probe`` run by a fresh interpreter that imports this
-    checkout's driftlab."""
+    """Stdout of ``probe``, read as UTF-8 whatever the locale, run by a
+    fresh interpreter that imports this checkout's driftlab."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, encoding="utf-8").stdout
 
 
 def test_cli_import_loads_no_xml_or_http_stack():

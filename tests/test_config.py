@@ -7,13 +7,7 @@ import pytest
 
 from conftest import write_csv_dataset
 from driftlab.cli import main
-from driftlab.config import (
-    METHOD_KEYS,
-    SEED_ENV,
-    ConfigError,
-    build_sequences,
-    load_config,
-)
+from driftlab.config import ConfigError, build_sequences, load_config
 from driftlab.data import gen_gaussian_clusters
 from driftlab.harness import MethodConfig
 
@@ -58,25 +52,20 @@ def test_comma_seeds_and_defaults(tmp_path):
     assert cfg.output_dir == "results"
 
 
-def test_seed_override_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "7 8")
+def test_environment_does_not_replace_seeds(tmp_path, monkeypatch):
+    """The INI's seeds list is the only one: no environment variable
+    replaces it."""
+    monkeypatch.setenv("DRIFTLAB_SEED_OVERRIDE", "7 8")
     cfg = load_config(write_ini(tmp_path, BASE))
-    assert cfg.seeds == [7, 8]
+    assert cfg.seeds == [0, 1, 2]
 
 
-def test_duplicate_seeds_rejected(tmp_path, monkeypatch, capsys):
+def test_duplicate_seeds_rejected(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE.replace("seeds = 0 1 2", "seeds = 0 1 0"))
     with pytest.raises(ConfigError, match=r"\[experiment\] seeds lists 0 more than once"):
         load_config(ini)
     assert main(["run", ini]) == 2
     assert "config error:" in capsys.readouterr().err
-    monkeypatch.setenv(SEED_ENV, "7 8 8")
-    ini = write_ini(tmp_path, BASE)
-    with pytest.raises(ConfigError, match=f"{SEED_ENV} lists 8 more than once"):
-        load_config(ini)
-    assert main(["run", ini]) == 2
-    err = capsys.readouterr().err
-    assert "config error:" in err and "lists 8 more than once" in err
 
 
 def test_label_different_from_method(tmp_path):
@@ -230,6 +219,44 @@ def test_source_required_keys(tmp_path):
         load_config(write_ini(tmp_path, body))
 
 
+SYNTHETIC_KEYS = "source = synthetic\n    n_classes = 4\n    per_class = 20\n    dim = 5\n"
+OWN_KEYS = {"synthetic": SYNTHETIC_KEYS, "digits": "source = digits\n",
+            "idx": "source = idx\n    images = a.idx\n    labels = b.idx\n",
+            "csv": "source = csv\n    path = a.csv\n"}
+
+
+def with_dataset(source, extra=""):
+    """BASE with ``source`` and its own keys, plus ``extra`` [dataset] lines."""
+    return BASE.replace(SYNTHETIC_KEYS, OWN_KEYS[source]).replace(
+        "n_tasks = 2\n", "n_tasks = 2\n" + "".join(f"    {line}\n" for line in extra.splitlines()))
+
+
+@pytest.mark.parametrize("key", ["test_images", "test_labels"])
+def test_idx_test_files_go_together(tmp_path, capsys, key):
+    """A test file without its partner exits 2 at load: the run would
+    otherwise score a held-out split of the training file."""
+    ini = write_ini(tmp_path, with_dataset("idx", f"{key} = c.idx"))
+    with pytest.raises(ConfigError, match="test_images and test_labels go together"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert "config error:" in capsys.readouterr().err
+    both = with_dataset("idx", "test_images = c.idx\ntest_labels = d.idx")
+    assert load_config(write_ini(tmp_path, both)).dataset["test_labels"] == "d.idx"
+
+
+@pytest.mark.parametrize("source, key, value", [
+    ("synthetic", "path", "/nonexistent.csv"), ("synthetic", "images", "a.idx"),
+    ("csv", "n_classes", "4"), ("digits", "spread", "0.1"), ("idx", "path", "a.csv"),
+])
+def test_key_of_another_source_rejected(tmp_path, capsys, source, key, value):
+    assert load_config(write_ini(tmp_path, with_dataset(source))).dataset["source"] == source
+    ini = write_ini(tmp_path, with_dataset(source, f"{key} = {value}"))
+    with pytest.raises(ConfigError, match=f"'{key}' is not read by source = {source}"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 # ---- dataset realization
 
 
@@ -314,7 +341,6 @@ def _ini_text(value):
 
 @pytest.mark.parametrize("name", [f.name for f in fields(MethodConfig) if f.name != "seed"])
 def test_every_method_field_is_a_documented_key(tmp_path, name):
-    assert name in METHOD_KEYS
     default = getattr(MethodConfig("E-FT"), name)  # gamma: E-FT's 0.0, not None
     body = BASE.replace("epochs = 5\n", "") + f"{name} = {_ini_text(default)}\n"
     kwargs = load_config(write_ini(tmp_path, body)).methods[0][1]

@@ -274,7 +274,7 @@ def test_config_gamma_defaults():
 def test_method_table_exports():
     assert driftlab.METHODS == ("E-FT", "E-LwF", "E-EWC", "E-MAS", "E-Fix",
                                 "E-Pre-substitute", "Joint", "FT", "FT*")
-    assert list(driftlab.GAMMA_DEFAULTS.items()) == [
+    assert [(m, s.gamma) for m, s in harness.METHOD_SPECS.items() if s.regularizer] == [
         ("E-LwF", 1.0), ("E-EWC", 1e7), ("E-MAS", 1e6)]
 
 
@@ -565,7 +565,7 @@ def step_in_three_calls(self, loss):
 @pytest.mark.parametrize("method", ["E-FT", "E-LwF", "E-EWC", "E-MAS", "FT"])
 def test_step_inside_backward_gives_the_bytes_of_three_calls(monkeypatch, method):
     """Updating each parameter inside the backward pass steps every
-    parameter as zero_grad, backward and step did, over several tasks and
+    parameter as zeroed ``grad`` buffers, backward and step did, over several tasks and
     epochs: E-LwF reads each parameter from two dense nodes, E-EWC and
     E-MAS from a dense node and the penalty, and FT's older heads get no
     gradient."""

@@ -230,7 +230,7 @@ def tape_triplet_loss(emb, trip):
 
     hinge = T.add(T.sub(dist(trip.anchors, trip.positives),
                         dist(trip.anchors, trip.negatives)), trip.margin)
-    return T.relu(hinge).mean()
+    return T.tmean(T.relu(hinge))
 
 
 def fused_and_tape(z0, trip, scale=2.5):
@@ -309,7 +309,7 @@ def test_align_loss_gradient_stays_on_current_model(rng):
     x = rng.normal(size=(5, 4))
 
     for p in m.params:
-        p.zero_grad()
+        p.grad = None
     lwf_align_loss(m, snap, x).backward()
     grads = [p.grad.copy() for p in m.params]
     assert any(np.abs(g).max() > 0 for g in grads)
@@ -531,7 +531,7 @@ def test_fisher_leaves_grads_alone_and_equals_a_grad_loop(variant):
             raw = m.forward_raw(xb)
             loss = (raw * raw).sum()
         for p in m.params:
-            p.zero_grad()
+            p.grad = None
         loss.backward()
         for a, p in zip(acc, m.params):
             a += p.grad * p.grad
@@ -567,7 +567,7 @@ def test_fisher_scores_the_given_margin():
     z = m.embed(ds.features[order])
     trip = mine_triplets(ds.labels[order], z, "semihard", margin=0.5)
     for p in m.params:
-        p.zero_grad()
+        p.grad = None
     triplet_loss(z, trip).backward()
     for w, p in zip(fisher.weights, m.params):
         assert w.tobytes() == (p.grad * p.grad).tobytes()
@@ -637,7 +637,7 @@ def loop_mas(model, dataset):
     for x in dataset.features[interleaved_order(dataset)]:
         raw = model.forward_raw(x[None, :])
         for p in model.params:
-            p.zero_grad()
+            p.grad = None
         (raw * raw).sum().backward()
         for a, p in zip(acc, model.params):
             a += np.abs(p.grad)
@@ -690,7 +690,7 @@ def test_quadratic_penalty_bytes_match_textbook_formula(rng):
     snap = snapshot(m)
     for p in m.params:
         p.data = p.data + rng.normal(size=p.data.shape)
-        p.zero_grad()
+        p.grad = None
     imp = ImportanceMap("fisher", tuple(np.abs(rng.normal(size=p.data.shape))
                                      for p in m.params))
     loss = Tensor(3.7) * quadratic_penalty(m, snap, imp)
@@ -713,7 +713,7 @@ def test_quadratic_penalty_of_a_sum_matches_a_stored_mean_map(rng, n_maps, order
     snap = snapshot(m)
     for p in m.params:
         p.data = p.data + rng.normal(size=p.data.shape)
-        p.zero_grad()
+        p.grad = None
     maps = [[rng.exponential(size=p.data.shape)
              * 10.0 ** rng.uniform(-orders / 2, orders / 2, p.data.shape)
              for p in m.params] for _ in range(n_maps)]
@@ -756,7 +756,7 @@ def test_fused_quadratic_penalty_matches_composite(rng, depth):
     values, grads = [], []
     for build in (quadratic_penalty, composite_penalty):
         for p in m.params:
-            p.zero_grad()
+            p.grad = None
         loss = build(m, snap, imp)
         loss.backward()
         values.append(loss.item())

@@ -60,7 +60,7 @@ def test_multihead_single_head_is_plain_argmax(rng):
     m = GrowingSoftmaxNet(4, 6, seed=2)
     m.add_head((0, 1, 2))
     x = rng.normal(size=(10, 4))
-    feats = m.penultimate_features(x).data
+    feats = m.features_np(x)
     w, b, _ = m.heads[0]
     want = (feats @ w.data + b.data).argmax(axis=1)
     assert np.array_equal(m.predict_multihead(x), want)
@@ -72,7 +72,7 @@ def test_multihead_matches_concat_bruteforce(rng):
     m.add_head((3, 4))
     m.add_head((5, 6, 7, 8))
     x = rng.normal(size=(30, 5))
-    feats = m.penultimate_features(x).data
+    feats = m.features_np(x)
 
     rows = []
     for w, b, _ in m.heads:
@@ -104,8 +104,7 @@ def test_predict_without_heads():
 
 def test_penultimate_dim_contract(rng):
     m = GrowingSoftmaxNet(7, feat_dim=9, seed=1)
-    f = m.penultimate_features(rng.normal(size=(3, 7)))
-    assert f.data.shape == (3, 9)
+    assert m.features_np(rng.normal(size=(3, 7))).shape == (3, 9)
 
 
 def test_snapshot_restore_round_trip(rng):
@@ -179,7 +178,7 @@ def test_softmax_inference_builds_no_net(rng, nets_built):
     s.add_head((0, 1, 2))
     x = rng.normal(size=(12, 5))
     del nets_built[:]
-    assert np.array_equal(s.features_np(x), s.penultimate_features(x).data)
+    assert np.array_equal(s.features_np(x), models._run_stack(s.trunk, x).data)
     s.predict_multihead(x)
     assert nets_built == []
 

@@ -18,7 +18,7 @@ def quadratic_step(**kw):
     theta = Tensor(0.0, requires_grad=True)
     opt = Adam([theta], **kw)
     for _ in range(200):
-        d = theta - 5.0
+        d = T.sub(theta, 5.0)
         opt.step(d * d)
     return theta.item()
 

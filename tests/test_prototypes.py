@@ -468,16 +468,12 @@ def test_book_json_round_trip(rng):
     book.entries[0].vector = book.entries[0].vector + book.entries[0].compensation
 
     text = book.to_json()
-    payload = json.loads(text)
-    assert {r["class_id"] for r in payload["classes"]} == {0, 2, 4}
-    assert all({"class_id", "learned_at", "vector"} <= set(r) for r in payload["classes"])
-
-    back = PrototypeBook.from_json(text)
-    assert back.class_ids() == [0, 2, 4]
-    for c in (0, 2, 4):
-        assert np.allclose(back.entries[c].vector, book.entries[c].vector)
-        assert back.entries[c].learned_at == book.entries[c].learned_at
-        assert np.allclose(back.entries[c].compensation, book.entries[c].compensation)
+    rows = json.loads(text)["classes"]
+    assert [r["class_id"] for r in rows] == [0, 2, 4]
+    for r in rows:
+        e = book.entries[r["class_id"]]
+        assert r == {"class_id": r["class_id"], "learned_at": e.learned_at,
+                     "vector": e.vector.tolist(), "compensation": e.compensation.tolist()}
 
 
 def _dumps(obj) -> str:

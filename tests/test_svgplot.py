@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
 from driftlab.harness import MethodConfig, run_sequence, split_tasks
-from driftlab.prototypes import PrototypeBook
 from driftlab.svgplot import (
     _text,
     confusion_figure,
@@ -65,7 +65,7 @@ def test_arrow_endpoints_match_serialized_prototypes(sdc_record):
     # the prototypes as they come back off disk
     rec, seq = sdc_record
     payload = rec.embed2d[2]
-    book = PrototypeBook.from_json(rec.book.to_json())
+    rows = {r["class_id"]: r for r in json.loads(rec.book.to_json())["classes"]}
     sx, ox, sy, oy = embedding_transform(payload)
     root = ET.fromstring(embedding_figure(payload))
 
@@ -77,19 +77,17 @@ def test_arrow_endpoints_match_serialized_prototypes(sdc_record):
     assert set(corrected) == set(lines)
 
     for c, line in lines.items():
-        e = book.entries[c]
-        start = e.vector - e.compensation
+        vector = np.array(rows[c]["vector"])
+        start = vector - np.array(rows[c]["compensation"])
         assert float(line.get("x1")) == pytest.approx(sx * start[0] + ox, abs=6e-3)
         assert float(line.get("y1")) == pytest.approx(sy * start[1] + oy, abs=6e-3)
-        assert float(line.get("x2")) == pytest.approx(sx * e.vector[0] + ox, abs=6e-3)
-        assert float(line.get("y2")) == pytest.approx(sy * e.vector[1] + oy, abs=6e-3)
+        assert float(line.get("x2")) == pytest.approx(sx * vector[0] + ox, abs=6e-3)
+        assert float(line.get("y2")) == pytest.approx(sy * vector[1] + oy, abs=6e-3)
 
 
 def test_embedding_payload_survives_json_keys(sdc_record):
     # record.json round trip turns dict keys into strings; the figure
     # must render identically from either form
-    import json
-
     rec, _ = sdc_record
     payload = rec.embed2d[2]
     stringly = json.loads(json.dumps(payload))
