@@ -1,8 +1,8 @@
 """Command line front end.
 
 ``driftlab run <config>`` executes every (method, seed) pair from an INI
-config, writes ``results/<method>/<seed>/{a_matrix.csv, record.json,
-prototypes.json}`` and prints the A_k table of the runs it wrote.
+config, writes ``results/<method>/<seed>/{a_matrix.csv, record.json}``
+and prints the A_k table of the runs it wrote.
 ``driftlab plot <dir> --kind ...`` renders SVGs from those files, and
 ``driftlab compare <dirs...>`` prints the same markdown A_k table,
 recomputed from the emitted CSVs alone.
@@ -100,8 +100,7 @@ def cmd_run(args) -> int:
             try:
                 run_dir.mkdir(parents=True, exist_ok=True)
                 for name, pieces in (("a_matrix.csv", [record.a_matrix_csv()]),
-                                     ("record.json", record.json_pieces()),
-                                     ("prototypes.json", record.book.json_pieces())):
+                                     ("record.json", record.json_pieces())):
                     _write_whole(run_dir / name, pieces)
             except (OSError, TypeError, ValueError) as e:  # the encoder raises the last two
                 failed += 1
@@ -111,7 +110,7 @@ def cmd_run(args) -> int:
                 print(f"[done] {label} seed {seed} ({record.wall_time:.1f}s) -> {run_dir}")
                 records.setdefault(label, []).append(RunRecord(  # all the A_k table reads
                     record.method, record.seed, record.n_tasks, [], record.accuracy))
-            del record  # with its book, confusions and SDC events
+            del record  # with its confusions, SDC events and 2-d captures
 
     if records:
         print()

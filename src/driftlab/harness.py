@@ -572,8 +572,7 @@ def _capture_2d(model, book, task1: Task, record, k, z, means):
 
 
 def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
-    """Drive one method over the whole task sequence; returns the filled
-    RunRecord (with the final PrototypeBook attached as ``record.book``).
+    """Drive one method over the whole task sequence; returns the filled RunRecord.
 
     Every method runs the same loop: an optional pretraining stage, then
     per task training, prototypes, drift compensation, importance, a
@@ -654,6 +653,5 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             record.sdc_events[t] = {c: _sdc_event(m, before.get(c), means.get(c))
                                     for c, m in moves.items()}
 
-    record.book = book
     record.wall_time = time.perf_counter() - start
     return record

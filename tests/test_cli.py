@@ -19,7 +19,6 @@ from driftlab import cli, config
 from driftlab.cli import main
 from driftlab.data import gen_gaussian_clusters, read_csv_dataset
 from driftlab.harness import MethodConfig, RunRecord, avg_incremental_accuracy
-from driftlab.prototypes import PrototypeBook
 
 
 def write_config(tmp_path, out_name="results", methods=None, dataset=None,
@@ -58,14 +57,33 @@ def test_run_happy_path(tmp_path, capsys):
         for seed in ("0", "1"):
             d = tmp_path / "results" / label / seed
             # written through temp siblings renamed into place; none is left
-            assert sorted(f.name for f in d.iterdir()) == [
-                "a_matrix.csv", "prototypes.json", "record.json"]
+            assert sorted(f.name for f in d.iterdir()) == ["a_matrix.csv", "record.json"]
     rec = RunRecord.from_json(
         (tmp_path / "results" / "E-FT" / "0" / "record.json").read_text())
     assert rec.method == "E-FT" and rec.seed == 0
-    protos = json.loads(
-        (tmp_path / "results" / "E-FT+SDC" / "1" / "prototypes.json").read_text())
-    assert len(protos["classes"]) == 4
+    sdc = RunRecord.from_json(
+        (tmp_path / "results" / "E-FT+SDC" / "1" / "record.json").read_text())
+    assert len(sdc.embed2d[2]["prototypes"]) == 4
+
+
+def test_run_writes_only_the_a_matrix_and_the_record(tmp_path):
+    """A run's results are its a_matrix.csv and record.json, whether its
+    prototype book is empty (FT) or compensated (E-FT+SDC). What the book
+    held is in the record: a class's task is its row in task_classes, each
+    compensation step's size is an SDC event's delta_norm, and a 2-d run's
+    final vectors and compensations are its last embed2d capture."""
+    cfg = write_config(tmp_path, seeds="0", methods={
+        "FT": {}, "E-FT+SDC": {"method": "E-FT", "sdc": "true"}})
+    assert main(["run", str(cfg)]) == 0
+    root = tmp_path / "results"
+    assert sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) == [
+        os.path.join(label, "0", name) for label in ("E-FT+SDC", "FT")
+        for name in ("a_matrix.csv", "record.json")]
+    rec = RunRecord.from_json((root / "E-FT+SDC" / "0" / "record.json").read_text())
+    final = rec.embed2d[rec.n_tasks]
+    assert sorted(final["prototypes"]) == sorted(c for t in rec.task_classes for c in t)
+    for c, event in rec.sdc_events[2].items():  # one step: its size is the final shift
+        assert event["delta_norm"] == np.linalg.norm(final["compensation"][c])
 
 
 def test_run_determinism_replay(tmp_path):
@@ -236,12 +254,10 @@ def test_result_json_is_compact_and_indented_files_still_read(tmp_path):
     assert main(["run", str(cfg)]) == 0
     run_dir = tmp_path / "results" / "E-FT" / "0"
     record = (run_dir / "record.json").read_text()
-    book = (run_dir / "prototypes.json").read_text()
-    assert "\n" not in record and "\n" not in book
+    assert "\n" not in record
     assert '"wall_time": ' in record  # default separators, as bench/measure.py expects
     # result directories written with indent=1 by earlier versions
-    for name, text in (("record.json", record), ("prototypes.json", book)):
-        (run_dir / name).write_text(json.dumps(json.loads(text), indent=1))
+    (run_dir / "record.json").write_text(json.dumps(json.loads(record), indent=1))
     rec = RunRecord.from_json((run_dir / "record.json").read_text())
     assert rec.to_json() == record
     assert main(["plot", str(tmp_path / "results"), "--kind", "curves"]) == 0
@@ -288,15 +304,15 @@ def test_run_isolates_write_failures(tmp_path, capsys, monkeypatch, case):
     assert f"[fail] E-FT seed 0: {message}" in captured.err
     assert "[done] FT seed 0" in captured.out
     assert sorted(f.name for f in (root / "FT" / "0").iterdir()) == [
-        "a_matrix.csv", "prototypes.json", "record.json"]
+        "a_matrix.csv", "record.json"]
     assert not (root / "E-FT" / "0" / "record.json").exists()
     assert list(root.rglob("*.tmp")) == []
 
 
-def _many_classes_record(n_classes=100, n_tasks=10, dim=64):
-    """A record and book of the shape of a 100-class, 10-task E-FT+SDC
-    run, built by hand: every checkpoint's accuracy row, distances,
-    confusion and SDC events."""
+def _many_classes_record(n_classes=100, n_tasks=10):
+    """A record of the shape of a 100-class, 10-task E-FT+SDC run, built
+    by hand: every checkpoint's accuracy row, distances, confusion and SDC
+    events."""
     rng = np.random.default_rng(0)
     per = n_classes // n_tasks
     tasks = [tuple(range(t * per, (t + 1) * per)) for t in range(n_tasks)]
@@ -314,28 +330,22 @@ def _many_classes_record(n_classes=100, n_tasks=10, dim=64):
                                     "error_norm": v[4], "cosine": v[5]}
                                 for c, v in zip(seen[:-per], rng.random((len(seen), 6)).tolist())}
         record.param_digest[k] = f"{k:064x}"
-    record.book = PrototypeBook()
-    for t, classes in enumerate(tasks, start=1):
-        record.book.add_task({c: rng.normal(size=dim) for c in classes}, t)
     return record
 
 
 def test_result_json_is_written_piece_by_piece(tmp_path):
-    """cmd_run's writes of a 100-class, 10-checkpoint record and its book
-    give the bytes one json.dumps call gives, and peak at about 0.14 MB
-    traced on CPython 3.11: one json.dumps of the record alone peaks at
+    """cmd_run's write of a 100-class, 10-checkpoint record gives the
+    bytes one json.dumps call gives, and peaks at about 0.14 MB traced on
+    CPython 3.11: one json.dumps of the record alone peaks at
     3.5 MB, and encoding each confusion matrix whole at 0.73 MB."""
     record = _many_classes_record()
 
     def write():
-        for name, pieces in (("record.json", record.json_pieces()),
-                             ("prototypes.json", record.book.json_pieces())):
-            cli._write_whole(tmp_path / name, pieces)
+        cli._write_whole(tmp_path / "record.json", record.json_pieces())
 
     assert allocated_bytes(write) <= 500_000
     payload = {f.name: getattr(record, f.name) for f in fields(record)}
     assert (tmp_path / "record.json").read_text(encoding="utf-8") == json.dumps(payload)
-    assert (tmp_path / "prototypes.json").read_text(encoding="utf-8") == record.book.to_json()
 
 
 def _driftlab_in_c_locale(*args, timeout=120) -> subprocess.CompletedProcess:
@@ -433,6 +443,33 @@ def test_records_with_drift_vectors_still_load_and_plot(tmp_path):
                        ("confusion", "E-FT+SDC_seed0_confusion_task2.svg")):
         assert main(["plot", str(tmp_path / "results"), "--kind", kind]) == 0
         ET.fromstring((plots / name).read_text())
+
+
+def test_results_roots_with_a_prototypes_json_still_plot_and_compare(tmp_path, capsys):
+    """Earlier versions also wrote each run's final prototype book to
+    prototypes.json. No command reads that file, and a later run into the
+    same root leaves it as it is."""
+    cfg = write_config(tmp_path, methods={"FT": {}, "E-FT+SDC":
+                                          {"method": "E-FT", "sdc": "true"}})
+    assert main(["run", str(cfg)]) == 0
+    root = tmp_path / "results"
+    row = {"class_id": 0, "learned_at": 1, "vector": [0.5, -0.5], "compensation": [0.1, 0.0]}
+    books = {run / "prototypes.json": json.dumps({"classes": [] if run.parent.name == "FT"
+                                                  else [row]}) for run in root.glob("*/*")}
+    assert len(books) == 4
+    for path, text in books.items():
+        path.write_text(text)
+    capsys.readouterr()
+    for kind in ("curves", "confusion", "embedding"):
+        assert main(["plot", str(root), "--kind", kind]) == 0
+    drawn = {p.name for p in (root / "plots").iterdir()}
+    assert {"curves.svg", "FT_seed1_confusion_task2.svg",
+            "E-FT+SDC_seed1_embedding_task2.svg"} <= drawn
+    assert main(["compare", str(root)]) == 0
+    table = capsys.readouterr().out.split("\n")
+    assert [row.split(" |")[0] for row in table[-3:-1]] == ["| E-FT+SDC", "| FT"]
+    assert main(["run", str(cfg)]) == 0
+    assert {path: path.read_text() for path in books} == books
 
 
 def test_plot_single_run_dir(results_dir):
@@ -840,20 +877,21 @@ def test_run_infinite_margin_exit_2(tmp_path, capsys, margin):
 
 
 def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkeypatch):
-    """The A_k table reads only accuracy rows: no PrototypeBook lives on
-    into the next run or the table, and the table is the one ``compare``
-    prints from the written a_matrix.csv files."""
-    books = []
+    """The A_k table reads only accuracy rows: no returned record, with its
+    confusions and SDC events, lives on into the next run or the table,
+    and the table is the one ``compare`` prints from the written
+    a_matrix.csv files. The prototype book never leaves ``run_sequence``."""
+    records = []
     inner_run, inner_table = cli.run_sequence, cli._print_ak_table
 
     def run(*args):
-        assert [b() for b in books] == [None] * len(books)
+        assert [r() for r in records] == [None] * len(records)
         record = inner_run(*args)
-        books.append(weakref.ref(record.book))
+        records.append(weakref.ref(record))
         return record
 
     def table(*args):
-        assert [b() for b in books] == [None] * len(books)
+        assert [r() for r in records] == [None] * len(records)
         inner_table(*args)
 
     monkeypatch.setattr(cli, "run_sequence", run)
@@ -861,7 +899,7 @@ def test_run_drops_each_book_once_its_files_are_written(tmp_path, capsys, monkey
     cfg = write_config(tmp_path, methods={"E-FT": {}, "E-FT+SDC":
                                           {"method": "E-FT", "sdc": "true"}})
     assert main(["run", str(cfg)]) == 0
-    assert len(books) == 4
+    assert len(records) == 4
     ran = capsys.readouterr().out
     assert main(["compare", str(tmp_path / "results")]) == 0
     table = capsys.readouterr().out

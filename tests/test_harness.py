@@ -641,14 +641,13 @@ def test_sdc_events_only_for_old_classes():
     rec = run_sequence(quick("E-FT", sdc=True), seq)
     assert set(rec.sdc_events) == {2}
     assert set(rec.sdc_events[2]) == set(seq.tasks[0].classes)
-    book = rec.book
+    compensation = rec.embed2d[2]["compensation"]  # the final book's, a 2-d run
     for c, event in rec.sdc_events[2].items():  # one transition: delta == compensation
         assert list(event) == ["delta_norm", "mass", "nearest", "fallback",
                                "true_norm", "error_norm", "cosine"]
-        assert event["delta_norm"] == np.linalg.norm(book.entries[c].compensation)
+        assert event["delta_norm"] == np.linalg.norm(compensation[c])
     for c in seq.tasks[1].classes:
-        assert np.array_equal(book.entries[c].compensation,
-                              np.zeros(len(book.entries[c].compensation)))
+        assert compensation[c] == [0.0, 0.0]
 
 
 C5_CONFIG = dict(epochs=40, lr=1e-4, batch_size=64, embedding_dim=2,
@@ -733,8 +732,8 @@ def test_sdc_changes_only_prototypes_not_training():
     assert plain.param_digest == comp.param_digest  # same trajectory
     # but old-class prototypes moved
     moved = [c for c in seq.tasks[0].classes
-             if not np.allclose(plain.book.entries[c].vector,
-                                comp.book.entries[c].vector)]
+             if not np.allclose(plain.embed2d[2]["prototypes"][c],
+                                comp.embed2d[2]["prototypes"][c])]
     assert moved
 
 

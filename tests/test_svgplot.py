@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftlab.data import gen_gaussian_clusters
-from driftlab.harness import MethodConfig, run_sequence, split_tasks
+from driftlab.harness import MethodConfig, RunRecord, run_sequence, split_tasks
 from driftlab.svgplot import (
     _text,
     confusion_figure,
@@ -62,10 +62,10 @@ def test_embedding_marker_census(sdc_record):
 
 def test_arrow_endpoints_match_serialized_prototypes(sdc_record):
     # the drawn arrow must join (vector - compensation) to vector, using
-    # the prototypes as they come back off disk
+    # the prototypes as they come back off disk in record.json
     rec, seq = sdc_record
     payload = rec.embed2d[2]
-    rows = {r["class_id"]: r for r in json.loads(rec.book.to_json())["classes"]}
+    saved = RunRecord.from_json(rec.to_json()).embed2d[2]
     sx, ox, sy, oy = embedding_transform(payload)
     root = ET.fromstring(embedding_figure(payload))
 
@@ -77,8 +77,8 @@ def test_arrow_endpoints_match_serialized_prototypes(sdc_record):
     assert set(corrected) == set(lines)
 
     for c, line in lines.items():
-        vector = np.array(rows[c]["vector"])
-        start = vector - np.array(rows[c]["compensation"])
+        vector = np.array(saved["prototypes"][c])
+        start = vector - np.array(saved["compensation"][c])
         assert float(line.get("x1")) == pytest.approx(sx * start[0] + ox, abs=6e-3)
         assert float(line.get("y1")) == pytest.approx(sy * start[1] + oy, abs=6e-3)
         assert float(line.get("x2")) == pytest.approx(sx * vector[0] + ox, abs=6e-3)
