@@ -119,8 +119,11 @@ def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                        inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # keep key case as written
-    try:
-        parser.read(path, encoding="utf-8")
+    try:  # parser.read would skip a file it cannot open, a directory too
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, source=path)
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e.strerror or e}") from None
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
 
@@ -148,6 +151,8 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"[dataset] {key!r} is not read by source = {source}")
     if ("test_images" in dataset) != ("test_labels" in dataset):
         raise ConfigError("[dataset] test_images and test_labels go together")
+    if "test_images" in dataset and "test_fraction" in dataset:
+        raise ConfigError("[dataset] 'test_fraction' is not read beside test_images/test_labels")
     n_tasks = dataset.setdefault("n_tasks", 2)
     if n_tasks < 1:
         raise ConfigError(f"[dataset] n_tasks must be at least 1, got {n_tasks}")

@@ -453,15 +453,13 @@ def _step(opt: Adam, loss, epoch: int) -> None:
 
 
 def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
-               snap=None, importance=None, n_maps: int = 1) -> None:
+               penalty=None) -> None:
     """One task's training loop on an embedding model.
 
-    Metric loss per batch, plus gamma times the method's regularizer
-    against ``snap`` (the previous task's parameters, from
-    ``models.snapshot``) when gamma > 0; a quadratic penalty weighs by
-    ``importance``, the sum of ``n_maps`` importance maps, over
-    ``n_maps``. Raises TrainingError if a loss is NaN or inf, or if no
-    batch in any epoch yields a valid triplet.
+    Metric loss per batch, plus gamma times ``penalty(xb)``, the method's
+    regularizer on the batch's inputs, when a penalty is given. Raises
+    TrainingError if a loss is NaN or inf, or if no batch in any epoch
+    yields a valid triplet.
     """
     if len(task_data.labels) == 0:
         raise TrainingError("task has no training data")
@@ -476,12 +474,8 @@ def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                 continue
             any_triplets = True
             loss = triplet_loss(z, trip)
-            if config.gamma > 0 and snap is not None:
-                if METHOD_SPECS[config.method].regularizer == "lwf":
-                    reg = lwf_align_loss(model, snap, xb)
-                else:
-                    reg = quadratic_penalty(model, snap, importance, n_maps)
-                loss = loss + Tensor(config.gamma) * reg
+            if penalty is not None:
+                loss = loss + Tensor(config.gamma) * penalty(xb)
             _step(opt, loss, epoch)
     if not any_triplets:
         raise TrainingError(
@@ -575,8 +569,8 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     """Drive one method over the whole task sequence; returns the filled RunRecord.
 
     Every method runs the same loop: an optional pretraining stage, then
-    per task training, prototypes, drift compensation, importance, a
-    snapshot (gamma > 0) and evaluation, after which each compensated
+    per task training, prototypes, drift compensation, importance, the
+    next task's penalty (gamma > 0) and evaluation, after which each compensated
     class gets its ``_sdc_event`` diagnostics. The method's ``METHOD_SPECS``
     row sets the net, what NCM classifies (or the heads), which tasks
     train it, its pretraining and its regularizer. A net pretrained on the
@@ -603,8 +597,8 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
 
     book = PrototypeBook()
     kcfg = KernelConfig(sigma=config.sigma)
-    snap = None
-    total, n_maps = None, 0  # running sum of the E-EWC/E-MAS maps, in task order
+    penalty = None  # the regularizer against the last snapshot
+    total = None  # running sum of the E-EWC/E-MAS maps, in task order
     means: dict = {}  # class -> test-embedding mean at the last checkpoint
     for task in sequence.tasks:
         t = task.index
@@ -617,8 +611,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         if trains and softmax:
             _train_softmax_task(model, task, config, rng)
         elif trains:
-            train_task(model, task.train, config, rng, snap=snap, importance=total,
-                       n_maps=n_maps)
+            train_task(model, task.train, config, rng, penalty=penalty)
 
         moves = None
         if embed is not None:  # sdc implies an embedding net: z is embed_np's
@@ -639,10 +632,13 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             elif spec.regularizer == "mas":
                 new = estimate_mas_importance(model, task.train)
             if spec.regularizer in ("fisher", "mas"):  # weights are >= +0: w1 is 0 + w1
-                total, n_maps = new if total is None else total.add(new), n_maps + 1
+                total = new if total is None else total.add(new)
                 del new  # the task's map lives on only in the sum
-            if config.gamma > 0:  # only a regularizer reads the snapshot
-                snap = snapshot(model)
+            if config.gamma > 0:  # the next task's penalty, against this snapshot
+                snap = snapshot(model)  # both regularizers are looked up when called
+                penalty = ((lambda xb: lwf_align_loss(model, snap, xb))
+                           if spec.regularizer == "lwf"
+                           else (lambda xb: quadratic_penalty(model, snap, total)))
 
         if spec.pretrain == "union" and t < len(sequence):  # trained on later tasks
             continue

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import distinct_labels
 from .models import INFER_ROWS, EmbeddingNet, infer, layers_np
 from .tensor import ShapeError, Tensor
 
@@ -161,30 +160,34 @@ def lwf_align_loss(model: EmbeddingNet, snap: tuple, batch) -> Tensor:
 
 @dataclass
 class ImportanceMap:
-    """Per-parameter nonnegative weights, aligned with model.params order."""
+    """Per-parameter nonnegative weights, aligned with model.params order:
+    the sum of ``count`` maps (an estimate is one)."""
 
     kind: str
     weights: tuple
+    count: int = 1
 
     def __post_init__(self):
         self.weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
         if any(np.any(w < 0) for w in self.weights):
             raise ValueError("importance weights must be nonnegative")
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
 
     def add(self, other: "ImportanceMap") -> "ImportanceMap":
-        """This map, with ``other``'s weights added into its arrays in place."""
+        """This map, with ``other``'s weights and count added into it in place."""
         if other.kind != self.kind:
             raise ValueError(f"cannot add a {other.kind} map to a {self.kind} map")
         for w, o in zip(self.weights, other.weights):
             w += o
+        self.count += other.count
         return self
 
 
-def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
-                      n_maps: int = 1) -> Tensor:
+def quadratic_penalty(model, snap: tuple, importance: ImportanceMap) -> Tensor:
     """Sum over parameters of 1/2 * w * (theta - theta_snapshot)^2, as one tape node.
 
-    w is ``importance`` over ``n_maps``: the mean of that many maps, given
+    w is ``importance`` over its count: the mean of that many maps, given
     as their sum. Nothing parameter-sized outlives the call: the forward
     and the backward each form w and d = theta - theta_snapshot one
     parameter at a time, and each product rounds as ``0.5 * w * d * d``
@@ -195,8 +198,7 @@ def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
         raise ShapeError(
             f"{len(importance.weights)} weight arrays for {len(model.params)} parameters"
         )
-    if n_maps < 1:
-        raise ValueError(f"n_maps must be at least 1, got {n_maps}")
+    count = importance.count
     terms = tuple(zip(model.params, snap, importance.weights))
     for p, old, w in terms:
         if w.shape != p.data.shape or old.shape != p.data.shape:
@@ -206,7 +208,7 @@ def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
 
     def half_wdd(p, old, w):
         d = p.data - old
-        t = np.divide(w, n_maps)
+        t = np.divide(w, count)
         t *= 0.5
         t *= d
         t *= d
@@ -214,7 +216,7 @@ def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
 
     def back(g):  # one parameter's gradient alive at a time
         for p, old, w in terms:
-            t = np.divide(w, n_maps)
+            t = np.divide(w, count)
             t *= g
             t *= p.data - old
             yield t
@@ -225,20 +227,15 @@ def quadratic_penalty(model, snap: tuple, importance: ImportanceMap,
 def _canonical_order(dataset) -> np.ndarray:
     """Input-order-independent sample order that also mixes classes.
 
-    Samples are byte-sorted within each class, then classes are interleaved
-    round-robin so every mini-batch cut from the order sees several labels
-    (a label-sorted order would starve triplet mining).
+    Samples are byte-sorted within each class, then ordered by that rank,
+    then by label: classes interleave round-robin, so every mini-batch cut
+    from the order sees several labels (a label-sorted order would starve
+    triplet mining).
     """
-    keys = [row.tobytes() for row in dataset.features]
-    grouped = np.lexsort((keys, dataset.labels))
+    grouped = np.lexsort(([row.tobytes() for row in dataset.features], dataset.labels))
     labels = dataset.labels[grouped]
-    queues = [grouped[labels == c] for c in distinct_labels(labels)]
-    out = []
-    i = 0
-    while any(i < len(q) for q in queues):
-        out.extend(q[i] for q in queues if i < len(q))
-        i += 1
-    return np.asarray(out, dtype=np.intp)
+    rank = np.arange(len(labels)) - np.searchsorted(labels, labels)
+    return grouped[np.lexsort((labels, rank))]
 
 
 def estimate_fisher(model: EmbeddingNet, dataset, batch_size: int = 32,

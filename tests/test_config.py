@@ -1,3 +1,4 @@
+import re
 import textwrap
 from dataclasses import fields
 from pathlib import Path
@@ -112,6 +113,15 @@ def test_hidden_parses_to_tuple(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/exp.ini")
+
+
+def test_a_path_that_cannot_be_read_is_named(tmp_path, capsys):
+    """A directory exists but cannot be read as a config: the error says
+    so, instead of a missing [experiment] section."""
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+        load_config(str(tmp_path))
+    assert main(["run", str(tmp_path)]) == 2
+    assert f"config error: cannot read {tmp_path}" in capsys.readouterr().err
 
 
 def test_unknown_keys_named(tmp_path):
@@ -242,6 +252,19 @@ def test_idx_test_files_go_together(tmp_path, capsys, key):
     assert "config error:" in capsys.readouterr().err
     both = with_dataset("idx", "test_images = c.idx\ntest_labels = d.idx")
     assert load_config(write_ini(tmp_path, both)).dataset["test_labels"] == "d.idx"
+
+
+def test_test_fraction_beside_test_files_exits_2(tmp_path, capsys):
+    """The split holds nothing out when test files are given, so a
+    test_fraction there would be ignored: it exits 2 at load."""
+    ini = write_ini(tmp_path, with_dataset(
+        "idx", "test_images = c.idx\ntest_labels = d.idx\ntest_fraction = 0.3"))
+    with pytest.raises(ConfigError, match="'test_fraction' is not read beside test_images"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert "config error: [dataset] 'test_fraction'" in capsys.readouterr().err
+    alone = with_dataset("idx", "test_fraction = 0.3")
+    assert load_config(write_ini(tmp_path, alone)).dataset["test_fraction"] == 0.3
 
 
 @pytest.mark.parametrize("source, key, value", [

@@ -749,6 +749,18 @@ def test_sdc_takes_a_snapshot_only_for_a_regularizer(monkeypatch, method, snapsh
     assert sorted(rec.sdc_events) == [2, 3]
 
 
+def test_lwf_penalty_looks_its_regularizer_up_in_harness(monkeypatch):
+    """The E-LwF penalty calls ``harness.lwf_align_loss`` as it is when the
+    penalty runs, so a wrapper put there later (as the benchmark's tracer
+    does) sees every call, each against the last snapshot."""
+    calls = []
+    inner = harness.lwf_align_loss
+    monkeypatch.setattr(harness, "lwf_align_loss",
+                        lambda model, snap, xb: calls.append(snap) or inner(model, snap, xb))
+    run_sequence(quick("E-LwF", epochs=2), tiny_sequence(n_classes=6, n_tasks=3))
+    assert calls and len({id(snap) for snap in calls}) == 2  # tasks 2 and 3
+
+
 def test_training_error_single_class_task():
     ds = gen_gaussian_clusters(2, 20, 4, 0.2, seed=0)
     seq = split_tasks(ds, 2, seed=0)  # one class per task
@@ -829,7 +841,7 @@ def test_train_task_standalone_on_empty_data():
 
 
 def test_train_task_stops_on_non_finite_loss():
-    from driftlab.losses import ImportanceMap
+    from driftlab.losses import ImportanceMap, quadratic_penalty
     from driftlab.models import EmbeddingNet, snapshot
 
     m = EmbeddingNet(6, 2, hidden=(8,), seed=0)
@@ -839,7 +851,7 @@ def test_train_task_stops_on_non_finite_loss():
     with np.errstate(invalid="ignore"), \
             pytest.raises(TrainingError, match="non-finite loss nan in epoch 1"):
         train_task(m, tiny_sequence().tasks[0].train, quick("E-MAS"),
-                   np.random.default_rng(0), snap=snap, importance=imp)
+                   np.random.default_rng(0), penalty=lambda xb: quadratic_penalty(m, snap, imp))
 
 
 def test_digest_hashes_parameter_buffers_without_copies():
@@ -887,10 +899,10 @@ def test_eval_peak_grows_only_with_the_rows_it_keeps(method):
     ("E-EWC", "estimate_fisher", "fisher"), ("E-MAS", "estimate_mas_importance", "mas")])
 def test_running_importance_sum_equals_the_mean_of_all_maps(monkeypatch, method, estimator,
                                                             kind, n_maps):
-    """Each task trains against the running sum of the earlier maps and
-    their count, byte for byte the builtin sum of the maps in task order;
-    ``quadratic_penalty`` divides it by the count (the byte check against
-    a stored mean map is in test_losses.py)."""
+    """Each task's penalty weighs by the running sum of the earlier maps,
+    byte for byte the builtin sum of the maps in task order, which counts
+    them; ``quadratic_penalty`` divides it by that count (the byte check
+    against a stored mean map is in test_losses.py)."""
     rng = np.random.default_rng(n_maps)
     shapes = [p.data.shape for p in EmbeddingNet(6, 2, hidden=(32,)).params]
     maps = [ImportanceMap(kind, tuple(rng.exponential(size=s) * 10.0 ** rng.uniform(-8, 8, s)
@@ -899,10 +911,17 @@ def test_running_importance_sum_equals_the_mean_of_all_maps(monkeypatch, method,
     monkeypatch.setattr(harness, estimator, lambda *args, **kwargs: next(handed))
     got = []
 
-    def train(*args, importance=None, n_maps=1, **kwargs):  # the sum as it is now
-        got.append(None if importance is None else
-                   (importance.kind, [w.copy() for w in importance.weights], n_maps))
+    def penalty_of(model, snap, importance):  # the sum as it is now
+        got.append((importance.kind, [w.copy() for w in importance.weights],
+                    importance.count))
 
+    def train(*args, penalty=None):
+        if penalty is None:
+            got.append(None)
+        else:
+            penalty(None)
+
+    monkeypatch.setattr(harness, "quadratic_penalty", penalty_of)
     monkeypatch.setattr(harness, "train_task", train)
     run_sequence(quick(method), tiny_sequence(n_classes=n_maps + 1, n_tasks=n_maps + 1))
     assert got[0] is None and len(got) == n_maps + 1

@@ -404,6 +404,8 @@ def test_importance_map_validation():
     buffer = a.weights[0]
     assert a.add(b) is a and a.weights[0] is buffer  # summed in place
     assert a.weights[0].tolist() == [4.0, 6.0] and b.weights[0].tolist() == [3.0, 4.0]
+    assert (a.count, b.count) == (2, 1)
+    assert a.add(ImportanceMap("mas", (np.zeros(2),), count=3)).count == 5
     with pytest.raises(ValueError, match="cannot add a fisher map to a mas map"):
         a.add(ImportanceMap("fisher", (np.zeros(2),)))
 
@@ -437,6 +439,19 @@ def interleaved_order(ds):
         out.extend(q[i] for q in queues if i < len(q))
         i += 1
     return np.asarray(out)
+
+
+def test_canonical_order_matches_the_round_robin_loop():
+    """One sort by rank within the class, then label, gives the order of
+    the round-robin loop, with unequal class sizes and repeated rows."""
+    for seed in range(300):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(0, 40))
+        labels = r.integers(-2, int(r.integers(1, 7)), n)
+        ds = LabeledDataset(r.integers(0, 3, (n, 2)).astype(float), labels)
+        got = losses._canonical_order(ds)
+        assert got.dtype == np.intp, seed
+        assert got.tolist() == interleaved_order(ds).tolist(), seed
 
 
 def test_fisher_matches_bruteforce_fd(rng):
@@ -705,7 +720,7 @@ def test_quadratic_penalty_bytes_match_textbook_formula(rng):
 @pytest.mark.parametrize("orders", [0, 16])
 @pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
 def test_quadratic_penalty_of_a_sum_matches_a_stored_mean_map(rng, n_maps, orders):
-    """The penalty on the sum of ``n_maps`` maps and their count has the
+    """The penalty on the sum of ``n_maps`` maps, counting them, has the
     forward and gradient bytes of the penalty on their mean, stored as
     one map and applied as ``0.5 * w * d * d`` and ``g * w * d``, for
     weights spread over 16 orders of magnitude and over none."""
@@ -717,8 +732,8 @@ def test_quadratic_penalty_of_a_sum_matches_a_stored_mean_map(rng, n_maps, order
     maps = [[rng.exponential(size=p.data.shape)
              * 10.0 ** rng.uniform(-orders / 2, orders / 2, p.data.shape)
              for p in m.params] for _ in range(n_maps)]
-    total = ImportanceMap("mas", tuple(sum(ws) for ws in zip(*maps)))
-    loss = Tensor(3.7) * quadratic_penalty(m, snap, total, n_maps)
+    total = ImportanceMap("mas", tuple(sum(ws) for ws in zip(*maps)), count=n_maps)
+    loss = Tensor(3.7) * quadratic_penalty(m, snap, total)
     loss.backward()
     means = [w / n_maps for w in total.weights]
     ds = [p.data - old for p, old in zip(m.params, snap)]
@@ -730,10 +745,10 @@ def test_quadratic_penalty_of_a_sum_matches_a_stored_mean_map(rng, n_maps, order
     flat = [np.concatenate([a.ravel() for a in arrays]) for arrays in (total.weights, ds)]
     for w, d in zip(*flat):
         term = quadratic_penalty(one_param_model([d]), (np.zeros(1),),
-                                 ImportanceMap("mas", (np.array([w]),)), n_maps)
+                                 ImportanceMap("mas", (np.array([w]),), count=n_maps))
         assert term.data.tobytes() == (0.5 * (w / n_maps) * d * d).tobytes()
-    with pytest.raises(ValueError, match="n_maps must be at least 1, got 0"):
-        quadratic_penalty(m, snap, total, 0)
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+        ImportanceMap("mas", total.weights, count=0)
 
 
 def composite_penalty(model, snap, importance):
