@@ -65,9 +65,9 @@ book.add_task(compute_prototypes(z2, t2.train.labels), task_index=2)
 # means under the drifted model?
 z1 = model.embed_np(t1.test.features)
 def staleness(b):
-    return {c: float(np.linalg.norm(
-        b.entries[c].vector - z1[t1.test.labels == c].mean(axis=0)))
-        for c in t1.classes}
+    vectors = dict(zip(b.ids.tolist(), b.vectors))  # the book's rows by class id
+    return {c: float(np.linalg.norm(vectors[c] - z1[t1.test.labels == c].mean(axis=0)))
+            for c in t1.classes}
 
 def accuracies(b):
     out = {}
@@ -102,10 +102,8 @@ print(f"mean accuracy:   {np.mean(list(acc_stale.values())):.3f} stale ->"
 payload = {
     "points": z1.tolist(),
     "labels": t1.test.labels.tolist(),
-    "prototypes": {c: book.entries[c].vector.tolist()
-                   for c in book.class_ids()},
-    "compensation": {c: book.entries[c].compensation.tolist()
-                     for c in book.class_ids()},
+    "prototypes": dict(zip(book.ids.tolist(), book.vectors.tolist())),
+    "compensation": dict(zip(book.ids.tolist(), book.compensation.tolist())),
     "true_means": {c: z1[t1.test.labels == c].mean(axis=0).tolist()
                    for c in t1.classes},
 }

@@ -184,8 +184,13 @@ def cmd_plot(args) -> int:
             if not drawn:
                 return 1
 
-        else:  # confusion
-            for _, label, seed, record in found:
+        else:  # confusion, by the same rule as embedding
+            drawn = 0
+            for path, label, seed, record in found:
+                if not record.confusions:
+                    print(f"{path}: no confusions", file=sys.stderr)
+                    continue
+                drawn += 1
                 for k in sorted(record.confusions):
                     entry = record.confusions[k]
                     out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
@@ -193,6 +198,8 @@ def cmd_plot(args) -> int:
                         entry["classes"], entry["counts"],
                         title=f"{label} seed {seed}, after task {k}")])
                     print(out)
+            if not drawn:
+                return 1
     except (OSError, ValueError) as e:
         print(f"{out}: {e}", file=sys.stderr)
         return 1
@@ -226,6 +233,14 @@ def cmd_compare(args) -> int:
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
             rows.setdefault(label, []).append(record)
+    named: dict = {}  # root name -> the root given under it
+    for dirname in args.dirs:  # rows are labelled by root name: one name, one root
+        name = Path(dirname).name
+        if name in named:
+            print(f"{named[name]} and {dirname} have the same name; their runs would "
+                  "pool under one label", file=sys.stderr)
+            return 1
+        named[name] = dirname
     _print_ak_table(rows, n_tasks)
     return 0
 

@@ -30,7 +30,7 @@ from .losses import (
 from .models import EmbeddingNet, GrowingSoftmaxNet, snapshot
 from .optim import Adam
 from .prototypes import (
-    Compensation,
+    WEIGHT_FLOOR,
     KernelConfig,
     PrototypeBook,
     collect_drift,
@@ -423,16 +423,6 @@ def avg_forgetting(record: RunRecord, k: int) -> float:
     return total / (k - 1)
 
 
-def prototype_distance_trace(record: RunRecord) -> dict[int, list[tuple[int, float]]]:
-    """Pivot of per-checkpoint prototype-to-true-mean distances:
-    class -> [(k, distance), ...]."""
-    trace: dict[int, list[tuple[int, float]]] = {}
-    for k in sorted(record.proto_distance):
-        for c, d in record.proto_distance[k].items():
-            trace.setdefault(int(c), []).append((k, float(d)))
-    return trace
-
-
 def _digest(model) -> str:
     h = hashlib.sha256()
     for p in model.params:
@@ -516,8 +506,9 @@ def _embedding_eval(model, book: PrototypeBook, sequence: TaskSequence,
         z = embed(x)
         pred = ncm_classify(z, book)
         means = compute_prototypes(z, y)
-        record.proto_distance[k] = {
-            c: float(np.linalg.norm(book.entries[c].vector - m)) for c, m in means.items()}
+        record.proto_distance[k] = {c: float(np.linalg.norm(v - means[c]))
+                                    for c, v in zip(book.ids.tolist(), book.vectors)
+                                    if c in means}
     for task, hit in zip(tasks_seen, np.split(pred == y, ends[:-1])):
         record.set_acc(k, task.index, float(np.mean(hit)))
     seen = np.array(sorted(c for t in tasks_seen for c in t.classes))
@@ -529,25 +520,26 @@ def _embedding_eval(model, book: PrototypeBook, sequence: TaskSequence,
     return means
 
 
-def _sdc_event(move: Compensation, before, after) -> dict:
+def _sdc_event(delta, mass: float, nearest: float, before, after) -> dict:
     """Scalars that explain one class's compensation at a checkpoint: the
-    applied drift ``move.delta``, its kernel reach, and how it compares
+    applied drift ``delta``, its kernel reach (``mass`` below WEIGHT_FLOOR
+    is a fallback: the prototype stayed in place), and how it compares
     with the true change, the shift of the class's test-embedding mean
     from the previous checkpoint (``before``) to this one (``after``).
     ``before`` or ``after`` is None for a class without test rows, and
     the true change's three fields are then None. The cosine is also None
     where either norm is 0."""
-    delta_norm = float(np.linalg.norm(move.delta))
-    event = {"delta_norm": delta_norm, "mass": move.mass, "nearest": move.nearest,
-             "fallback": move.fallback, "true_norm": None, "error_norm": None,
+    delta_norm = float(np.linalg.norm(delta))
+    event = {"delta_norm": delta_norm, "mass": mass, "nearest": nearest,
+             "fallback": bool(mass < WEIGHT_FLOOR), "true_norm": None, "error_norm": None,
              "cosine": None}
     if before is not None and after is not None:
         true = after - before
         true_norm = float(np.linalg.norm(true))
         event["true_norm"] = true_norm
-        event["error_norm"] = float(np.linalg.norm(true - move.delta))
+        event["error_norm"] = float(np.linalg.norm(true - delta))
         if true_norm > 0 and delta_norm > 0:
-            event["cosine"] = float(true @ move.delta) / (true_norm * delta_norm)
+            event["cosine"] = float(true @ delta) / (true_norm * delta_norm)
     return event
 
 
@@ -558,9 +550,8 @@ def _capture_2d(model, book, task1: Task, record, k, z, means):
     record.embed2d[k] = {
         "points": z[: len(task1.test.labels)].tolist(),
         "labels": task1.test.labels.tolist(),
-        "prototypes": {c: book.entries[c].vector.tolist() for c in book.class_ids()},
-        "compensation": {c: book.entries[c].compensation.tolist()
-                         for c in book.class_ids()},
+        "prototypes": dict(zip(book.ids.tolist(), book.vectors.tolist())),
+        "compensation": dict(zip(book.ids.tolist(), book.compensation.tolist())),
         "true_means": {c: means[c].tolist() for c in task1.classes if c in means},
     }
 
@@ -646,8 +637,10 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         before = means
         means = _embedding_eval(model, book, sequence, record, t, embed)
         if moves is not None:
-            record.sdc_events[t] = {c: _sdc_event(m, before.get(c), means.get(c))
-                                    for c, m in moves.items()}
+            ids, delta, mass, nearest = moves
+            record.sdc_events[t] = {
+                c: _sdc_event(d, m, n, before.get(c), means.get(c))
+                for c, d, m, n in zip(ids.tolist(), delta, mass.tolist(), nearest.tolist())}
 
     record.wall_time = time.perf_counter() - start
     return record

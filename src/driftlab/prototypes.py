@@ -67,17 +67,6 @@ class DriftField:
         return self.positions.shape[0]
 
 
-@dataclass
-class PrototypeEntry:
-    vector: np.ndarray
-    learned_at: int
-    compensation: np.ndarray  # cumulative drift applied since learning
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        self.compensation = np.asarray(self.compensation, dtype=np.float64)
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -139,36 +128,43 @@ def json_pieces(obj):
 
 
 class PrototypeBook:
-    """class id -> PrototypeEntry, mutated only at task boundaries."""
+    """One row per class, in ascending class id: ``ids`` ``[C]``, the task
+    each was ``learned_at`` ``[C]``, its ``vectors`` ``[C, D]`` and the
+    cumulative drift applied since learning, ``compensation`` ``[C, D]``.
+    Mutated only at task boundaries."""
 
     def __init__(self):
-        self.entries: dict[int, PrototypeEntry] = {}
+        self.ids = np.empty(0, dtype=np.int64)
+        self.learned_at = np.empty(0, dtype=np.int64)
+        self.vectors = self.compensation = np.empty((0, 0))
 
     def __len__(self):
-        return len(self.entries)
-
-    def class_ids(self) -> list[int]:
-        return sorted(self.entries)
+        return len(self.ids)
 
     def add_task(self, protos: dict[int, np.ndarray], task_index: int):
-        for c, vec in protos.items():
-            if c in self.entries:
-                raise StateError(f"class {c} already has a prototype")
-            self.entries[int(c)] = PrototypeEntry(
-                vector=np.array(vec, dtype=np.float64),
-                learned_at=task_index,
-                compensation=np.zeros(len(vec)),
-            )
-
-    def matrix(self) -> np.ndarray:
-        return np.stack([self.entries[c].vector for c in self.class_ids()])
+        """Merge ``protos`` (class id -> vector) in as rows learned at
+        ``task_index``, keeping ``ids`` ascending."""
+        new = np.array(list(protos.values()), dtype=np.float64)
+        if not len(self):  # the width is the first task's
+            self.vectors = self.compensation = np.empty((0, new.shape[1]))
+        ids = np.concatenate([self.ids, np.fromiter(protos, np.int64, len(protos))])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        twice = ids[1:][ids[1:] == ids[:-1]]
+        if twice.size:
+            raise StateError(f"class {twice[0]} already has a prototype")
+        vectors = np.concatenate([self.vectors, new])[order]
+        self.compensation = np.concatenate([self.compensation, np.zeros_like(new)])[order]
+        self.learned_at = np.concatenate([self.learned_at,
+                                          np.full(len(new), task_index)])[order]
+        self.ids, self.vectors = ids, vectors
 
     # bench/tracing.py wraps this name, and a traced run raises AttributeError without it
     def to_json(self) -> str:
         return _ENCODE({"classes": [
-            {"class_id": c, "learned_at": e.learned_at,
-             "vector": e.vector.tolist(), "compensation": e.compensation.tolist()}
-            for c, e in sorted(self.entries.items())]})
+            {"class_id": c, "learned_at": t, "vector": v, "compensation": m}
+            for c, t, v, m in zip(self.ids.tolist(), self.learned_at.tolist(),
+                                  self.vectors.tolist(), self.compensation.tolist())]})
 
 
 def compute_prototypes(embeddings, labels, classes=None) -> dict[int, np.ndarray]:
@@ -216,8 +212,7 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     if len(book) == 0:
         raise StateError("prototype book is empty")
     z = np.asarray(embeddings, dtype=np.float64)
-    ids = np.asarray(book.class_ids())
-    protos = book.matrix()
+    ids, protos = book.ids, book.vectors
     bad = ids[~np.isfinite(protos).all(axis=1)]
     if bad.size:
         raise NonFiniteError(f"prototypes of classes {bad.tolist()} are not finite")
@@ -285,22 +280,6 @@ def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray
     return _kernel_pass(field, q.reshape(-1, q.shape[-1]), cfg)[0].reshape(q.shape)
 
 
-@dataclass(frozen=True)
-class Compensation:
-    """One old prototype's move at a task boundary: the drift applied to
-    it, the total kernel mass behind that estimate, and the distance from
-    the prototype to the nearest drift evidence."""
-
-    delta: np.ndarray
-    mass: float
-    nearest: float
-
-    @property
-    def fallback(self) -> bool:
-        """Out of reach of all evidence: the prototype stayed in place."""
-        return self.mass < WEIGHT_FLOOR
-
-
 def _kernel_pass(field: DriftField, queries: np.ndarray, cfg: KernelConfig):
     """The kernel average at each row of ``queries`` ``[C, D]``, with each
     query's total kernel mass and its distance to the nearest evidence:
@@ -333,20 +312,19 @@ def _kernel_pass(field: DriftField, queries: np.ndarray, cfg: KernelConfig):
 
 
 def compensate(book: PrototypeBook, field: DriftField, cfg: KernelConfig,
-               current_task: int) -> dict[int, Compensation]:
+               current_task: int):
     """Move every prototype learned before ``current_task`` by the drift
-    interpolated at its current (already-compensated) position; returns
-    the applied move by class id. All old prototypes go through one
-    kernel pass, the one ``interpolate_drift`` makes."""
-    old = [c for c in book.class_ids() if book.entries[c].learned_at < current_task]
-    if not old:
-        return {}
-    moved, mass, nearest = _kernel_pass(
-        field, np.stack([book.entries[c].vector for c in old]), cfg)
-    moves = {}
-    for c, delta, m, d in zip(old, moved, mass, nearest):
-        entry = book.entries[c]
-        entry.vector = entry.vector + delta
-        entry.compensation = entry.compensation + delta
-        moves[c] = Compensation(delta, float(m), float(d))
-    return moves
+    interpolated at its current (already-compensated) position. All old
+    prototypes go through one kernel pass, the one ``interpolate_drift``
+    makes. Returns ``(ids [M], delta [M, D], mass [M], nearest [M])`` of the
+    moved classes in class-id order: the drift applied, the total kernel
+    mass behind it (below WEIGHT_FLOOR, the prototype stayed in place), and
+    the distance to the nearest drift evidence."""
+    old = book.learned_at < current_task
+    ids, queries = book.ids[old], book.vectors[old]
+    if not ids.size:
+        return ids, queries, np.empty(0), np.empty(0)
+    moved, mass, nearest = _kernel_pass(field, queries, cfg)
+    book.vectors[old] += moved
+    book.compensation[old] += moved
+    return ids, moved, mass, nearest

@@ -26,7 +26,6 @@ from driftlab.harness import (
     RunRecord,
     avg_forgetting,
     avg_incremental_accuracy,
-    prototype_distance_trace,
     run_sequence,
     split_tasks,
 )
@@ -501,10 +500,11 @@ def test_criterion_9_frozen_baseline_contract(capfd):
                                     hidden=(32,), seed=0), seq)
     digests_equal = (rec.param_digest[1] == rec.param_digest[2]
                      == rec.param_digest[3])
-    spread = 0.0
-    for _, points in prototype_distance_trace(rec).items():
-        ds_ = [d for _, d in points]
-        spread = max(spread, max(ds_) - min(ds_))
+    per_class: dict = {}  # class -> its prototype distance at each checkpoint
+    for row in rec.proto_distance.values():
+        for c, d in row.items():
+            per_class.setdefault(c, []).append(d)
+    spread = max(max(ds_) - min(ds_) for ds_ in per_class.values())
     dt = time.perf_counter() - t0
     ok = digests_equal and spread == 0.0
     _verdict(capfd, 9, ok,

@@ -472,6 +472,28 @@ def test_results_roots_with_a_prototypes_json_still_plot_and_compare(tmp_path, c
     assert {path: path.read_text() for path in books} == books
 
 
+def test_plot_confusion_notes_each_run_without_confusions(tmp_path, capsys):
+    """Like ``--kind embedding``: a run whose record holds no confusions
+    gets one note on stderr, and only a root with none at all exits 1."""
+    bare = {"method": "E-FT", "seed": 1, "n_tasks": 1, "task_classes": [[0, 1]],
+            "accuracy": {"1": {"1": 1.0}}}  # the required fields only
+    lone = tmp_path / "lone" / "E-FT" / "1" / "record.json"
+    lone.parent.mkdir(parents=True)
+    lone.write_text(json.dumps(bare))
+    assert main(["plot", str(tmp_path / "lone"), "--kind", "confusion"]) == 1
+    assert capsys.readouterr().err == f"{lone}: no confusions\n"
+    assert not any((tmp_path / "lone" / "plots").iterdir())
+
+    root = tmp_path / "mixed"
+    _write_record(root / "E-FT" / "0")
+    (root / "E-FT" / "1").mkdir()
+    (root / "E-FT" / "1" / "record.json").write_text(json.dumps(bare))
+    assert main(["plot", str(root), "--kind", "confusion"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == [str(root / "plots" / "E-FT_seed0_confusion_task1.svg")]
+    assert err == f"{root / 'E-FT' / '1' / 'record.json'}: no confusions\n"
+
+
 def test_plot_single_run_dir(results_dir):
     run_dir = results_dir / "E-FT" / "0"
     assert main(["plot", str(run_dir), "--kind", "confusion"]) == 0
@@ -577,6 +599,22 @@ def test_compare_multiple_dirs_prefixed(results_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| other:E-FT |" in out
     assert "| results:E-FT |" in out
+
+
+def test_compare_refuses_roots_with_one_name(results_dir, tmp_path, capsys):
+    """Rows of several roots are labelled by root name, so two roots named
+    alike (or one root given twice) would pool their runs in one row."""
+    other = tmp_path / "elsewhere" / "results"
+    cfg = write_config(tmp_path, out_name="elsewhere/results", seeds="0",
+                       methods={"E-FT": {"epochs": 2}})
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    for dirs in ([results_dir, other], [results_dir, results_dir]):
+        assert main(["compare", *map(str, dirs)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"{dirs[0]} and {dirs[1]} have the same name; their runs "
+                       "would pool under one label\n")
 
 
 @pytest.mark.parametrize("rows, line, message", [

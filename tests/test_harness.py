@@ -25,7 +25,6 @@ from driftlab.harness import (
     TrainingError,
     avg_forgetting,
     avg_incremental_accuracy,
-    prototype_distance_trace,
     run_sequence,
     split_tasks,
     train_task,
@@ -494,7 +493,8 @@ def test_true_means_match_per_task_reference(monkeypatch):
             for c in task.classes:
                 if c != gone:
                     means[c] = z[y == c].mean(axis=0)
-                    dists[c] = float(np.linalg.norm(book.entries[c].vector - means[c]))
+                    row = np.searchsorted(book.ids, c)
+                    dists[c] = float(np.linalg.norm(book.vectors[row] - means[c]))
         refs[k] = dists, means, z_all[: len(t1.test.labels)]
         return inner(model, book, sequence, record, k, embed)
 
@@ -629,10 +629,13 @@ def test_efix_frozen_after_first_task():
     seq = tiny_sequence(n_classes=6, n_tasks=3)
     rec = run_sequence(quick("E-Fix"), seq)
     assert rec.param_digest[1] == rec.param_digest[2] == rec.param_digest[3]
-    # frozen model, unmoved prototypes: distance traces are constant
-    trace = prototype_distance_trace(rec)
-    for c, points in trace.items():
-        ds = [d for _, d in points]
+    # frozen model, unmoved prototypes: each class's distance is constant
+    per_class: dict = {}
+    for row in rec.proto_distance.values():
+        for c, d in row.items():
+            per_class.setdefault(c, []).append(d)
+    assert sorted(per_class) == sorted(c for t in seq.tasks for c in t.classes)
+    for ds in per_class.values():
         assert max(ds) - min(ds) < 1e-15
 
 

@@ -119,10 +119,10 @@ def test_ncm_empty_book():
 def test_ncm_rejects_non_finite_prototypes_and_embeddings(rng):
     book = book_of(rng.normal(size=(3, 2)))
     z = rng.normal(size=(5, 2))
-    book.entries[1].vector[0] = np.nan
+    book.vectors[1, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"prototypes of classes \[1\]"):
         ncm_classify(z, book)
-    book.entries[1].vector[0] = 0.0
+    book.vectors[1, 0] = 0.0
     for bad in (np.nan, np.inf, -np.inf):
         z[3, 1] = bad
         with pytest.raises(NonFiniteError, match="1 embedding rows.*row 3"):
@@ -132,9 +132,8 @@ def test_ncm_rejects_non_finite_prototypes_and_embeddings(rng):
 def broadcast_ncm(z, book):
     """The coordinate-wise NCM that ncm_classify must reproduce exactly:
     an [N, C, D] difference tensor, summed, argmin to the lowest id."""
-    ids = np.asarray(book.class_ids())
-    diff = z[:, None, :] - book.matrix()[None, :, :]
-    return ids[np.argmin(np.sum(diff * diff, axis=2), axis=1)]
+    diff = z[:, None, :] - book.vectors[None, :, :]
+    return book.ids[np.argmin(np.sum(diff * diff, axis=2), axis=1)]
 
 
 @st.composite
@@ -175,7 +174,7 @@ def ncm_cases(draw):
 def test_ncm_equals_broadcast_reference(case):
     z, book = case
     with np.errstate(over="ignore"):  # at 1e150 some distances are inf
-        diff = z[:, None, :] - book.matrix()[None, :, :]
+        diff = z[:, None, :] - book.vectors[None, :, :]
         lost = np.flatnonzero(np.isinf(np.sum(diff * diff, axis=2)).all(axis=1))
         if len(book) > 1 and lost.size:  # no nearest prototype, as in the 2nd example
             with pytest.raises(NonFiniteError,
@@ -391,19 +390,20 @@ def test_compensate_matches_per_class_loop(rng, caplog):
     book.add_task({10: vecs[10], 11: vecs[11]}, task_index=2)
     want = {c: loop_interpolate(field, vecs[c], cfg) for c in range(10)}
     with caplog.at_level(logging.WARNING):
-        moves = compensate(book, field, cfg, current_task=2)
+        ids, delta, mass, nearest = compensate(book, field, cfg, current_task=2)
     assert sum("degenerate kernel" in r.getMessage() for r in caplog.records) == 2
-    assert list(moves) == list(range(10))
+    assert ids.tolist() == list(range(10))
     for c in range(10):
-        assert moves[c].delta.tobytes() == want[c].tobytes()
+        assert delta[c].tobytes() == want[c].tobytes()
         d2 = np.sum((field.positions - vecs[c]) ** 2, axis=1)
-        assert moves[c].mass == np.exp(-d2 / (2.0 * cfg.sigma**2)).sum()
-        assert moves[c].nearest == np.sqrt(d2.min())
-        assert moves[c].fallback == (c in (2, 7))
-        assert book.entries[c].vector.tobytes() == (vecs[c] + want[c]).tobytes()
-        assert book.entries[c].compensation.tobytes() == (np.zeros(75) + want[c]).tobytes()
+        assert mass[c] == np.exp(-d2 / (2.0 * cfg.sigma**2)).sum()
+        assert nearest[c] == np.sqrt(d2.min())
+        assert (mass[c] < WEIGHT_FLOOR) == (c in (2, 7))
+        assert book.vectors[c].tobytes() == (vecs[c] + want[c]).tobytes()
+        assert book.compensation[c].tobytes() == (np.zeros(75) + want[c]).tobytes()
     for c in (10, 11):
-        assert book.entries[c].vector.tobytes() == vecs[c].tobytes()
+        assert book.vectors[c].tobytes() == vecs[c].tobytes()
+        assert not book.compensation[c].any()
 
 
 def test_kernel_config_validation():
@@ -422,23 +422,34 @@ def test_compensate_zero_field_is_identity(rng):
     book = book_of(vecs, learned_at=1)
     field = DriftField(rng.normal(size=(8, 2)), np.zeros((8, 2)))
     compensate(book, field, KernelConfig(), current_task=2)
-    for c in range(3):
-        assert np.array_equal(book.entries[c].vector, vecs[c])
-        assert np.array_equal(book.entries[c].compensation, np.zeros(2))
+    assert np.array_equal(book.vectors, vecs)
+    assert np.array_equal(book.compensation, np.zeros((3, 2)))
 
 
 def test_compensate_skips_current_task_prototypes(rng):
     book = PrototypeBook()
     book.add_task({0: rng.normal(size=2)}, task_index=1)
     book.add_task({1: rng.normal(size=2)}, task_index=2)
-    keep = book.entries[1].vector.copy()
+    keep = book.vectors[1].copy()
     field = DriftField(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-    moves = compensate(book, field, KernelConfig(sigma=0.5), current_task=2)
-    assert np.array_equal(book.entries[1].vector, keep)  # bit-unchanged
-    assert not np.array_equal(book.entries[0].compensation, np.zeros(2))
+    ids, delta, mass, nearest = compensate(book, field, KernelConfig(sigma=0.5),
+                                           current_task=2)
+    assert np.array_equal(book.vectors[1], keep)  # bit-unchanged
+    assert not np.array_equal(book.compensation[0], np.zeros(2))
     # the returned deltas are exactly what was applied, old classes only
-    assert list(moves) == [0]
-    assert np.array_equal(moves[0].delta, book.entries[0].compensation)
+    assert ids.tolist() == [0] and len(mass) == len(nearest) == 1
+    assert np.array_equal(delta, book.compensation[:1])
+
+
+def test_compensate_without_old_classes_reads_no_field(rng):
+    """Nothing to move: empty arrays come back, before the kernel pass,
+    which an empty field would fail."""
+    book = book_of(rng.normal(size=(3, 2)), learned_at=2)
+    vectors = book.vectors.copy()
+    empty = DriftField(np.zeros((0, 2)), np.zeros((0, 2)))
+    ids, delta, mass, nearest = compensate(book, empty, KernelConfig(), current_task=2)
+    assert ids.shape == mass.shape == nearest.shape == (0,) and delta.shape == (0, 2)
+    assert np.array_equal(book.vectors, vectors) and not book.compensation.any()
 
 
 def test_compensate_two_transitions_unroll(rng):
@@ -456,24 +467,24 @@ def test_compensate_two_transitions_unroll(rng):
 
     d1 = brute_interp(f1.positions, f1.displacements, mu, 0.5)
     d2 = brute_interp(f2.positions, f2.displacements, mu + d1, 0.5)
-    assert np.max(np.abs(book.entries[0].vector - (mu + d1 + d2))) < 1e-10
-    assert np.max(np.abs(book.entries[0].compensation - (d1 + d2))) < 1e-10
+    assert np.max(np.abs(book.vectors[0] - (mu + d1 + d2))) < 1e-10
+    assert np.max(np.abs(book.compensation[0] - (d1 + d2))) < 1e-10
 
 
 def test_book_json_round_trip(rng):
     book = PrototypeBook()
     book.add_task({0: rng.normal(size=3), 4: rng.normal(size=3)}, 1)
     book.add_task({2: rng.normal(size=3)}, 2)
-    book.entries[0].compensation = rng.normal(size=3)
-    book.entries[0].vector = book.entries[0].vector + book.entries[0].compensation
+    book.compensation[0] = rng.normal(size=3)
+    book.vectors[0] += book.compensation[0]
 
     text = book.to_json()
     rows = json.loads(text)["classes"]
     assert [r["class_id"] for r in rows] == [0, 2, 4]
-    for r in rows:
-        e = book.entries[r["class_id"]]
-        assert r == {"class_id": r["class_id"], "learned_at": e.learned_at,
-                     "vector": e.vector.tolist(), "compensation": e.compensation.tolist()}
+    for i, r in enumerate(rows):
+        assert r == {"class_id": r["class_id"], "learned_at": int(book.learned_at[i]),
+                     "vector": book.vectors[i].tolist(),
+                     "compensation": book.compensation[i].tolist()}
 
 
 def _dumps(obj) -> str:
@@ -525,18 +536,50 @@ def test_json_pieces_reject_what_json_dumps_rejects(payload):
 def test_book_json_is_the_bytes_of_one_json_dumps(rng):
     def dumps(book):  # list(ndarray) boxes each float as an np.float64
         return json.dumps({"classes": [
-            {"class_id": c, "learned_at": e.learned_at, "vector": list(e.vector),
-             "compensation": list(e.compensation)} for c, e in sorted(book.entries.items())]})
+            {"class_id": int(c), "learned_at": int(t), "vector": list(v),
+             "compensation": list(m)}
+            for c, t, v, m in zip(book.ids, book.learned_at, book.vectors,
+                                  book.compensation)]})
 
     book = PrototypeBook()
     assert book.to_json() == dumps(book) == '{"classes": []}'
     book.add_task({3: rng.normal(size=4), 1: [np.nan, np.inf, -np.inf, -0.0]}, 1)
     book.add_task({2: [1e-310, 1e300, 0.1, 1.0]}, 2)
-    book.entries[3].compensation = rng.normal(size=4)
+    book.compensation[2] = rng.normal(size=4)  # class 3's row
     assert book.to_json() == dumps(book)
 
 
 def test_book_rejects_duplicate_class(rng):
     book = book_of(rng.normal(size=(2, 2)))
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="class 1 already"):
         book.add_task({1: np.zeros(2)}, 2)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True),
+       st.data())
+def test_book_is_one_table_in_class_id_order(classes, data):
+    """Any split of classes into tasks, with any key order within a task:
+    ids come out ascending, each row's vector is bit-equal to its input,
+    learned_at is the task index and compensation zeros, and adding a
+    class again raises StateError naming it."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(classes) - 1))) if len(classes) > 1
+                  else [])
+    tasks = np.split(np.array(classes), cuts)
+    r = np.random.default_rng(len(classes))
+    vectors = {c: r.normal(size=3) * 10.0 ** r.integers(-300, 300) for c in classes}
+    book = PrototypeBook()
+    for t, task in enumerate(tasks, start=1):
+        order = data.draw(st.permutations(task.tolist()))
+        book.add_task({c: vectors[c] for c in order}, t)
+    assert book.ids.dtype == book.learned_at.dtype == np.int64
+    assert book.ids.tolist() == sorted(classes)
+    learned = {c: t for t, task in enumerate(tasks, start=1) for c in task.tolist()}
+    for c, t, v, m in zip(book.ids.tolist(), book.learned_at.tolist(), book.vectors,
+                          book.compensation):
+        assert v.tobytes() == vectors[c].tobytes()
+        assert t == learned[c] and m.tobytes() == np.zeros(3).tobytes()
+    again = data.draw(st.sampled_from(classes))
+    with pytest.raises(StateError, match=f"class {again} already"):
+        book.add_task({again: np.zeros(3), -1: np.zeros(3)}, len(tasks) + 1)
+    assert book.ids.tolist() == sorted(classes)
