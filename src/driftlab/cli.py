@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -135,6 +136,18 @@ def _find_records(root: Path):
     return [(p, p.parent.parent.name, p.parent.name, _read_record(p)) for p in hits]
 
 
+# per-run figure kinds: a run's figures as (checkpoint, figure arguments), the figure
+# function and the note for a run with none; embedding skips task 1 if later ones exist
+_PER_RUN = {
+    "embedding": (lambda r: [(k, (e,)) for k, e in sorted(r.embed2d.items())
+                             if k > 1 or len(r.embed2d) == 1],
+                  embedding_figure, "no 2-d captures; embedding plots need embedding_dim = 2"),
+    "confusion": (lambda r: [(k, (e["classes"], e["counts"]))
+                             for k, e in sorted(r.confusions.items())],
+                  confusion_figure, "no confusions"),
+}
+
+
 def cmd_plot(args) -> int:
     root = Path(args.dir)
     try:
@@ -163,41 +176,19 @@ def cmd_plot(args) -> int:
             out = plots / "curves.svg"
             _write_whole(out, [curves_figure(series, title=root.name)])
             print(out)
-
-        elif args.kind == "embedding":
-            drawn = 0  # runs with captures; each other run gets a note
-            for path, label, seed, record in found:
-                if not record.embed2d:
-                    print(f"{path}: no 2-d captures; embedding plots need "
-                          "embedding_dim = 2", file=sys.stderr)
-                    continue
-                drawn += 1
-                checkpoints = sorted(record.embed2d)
-                if len(checkpoints) > 1:
-                    checkpoints = [k for k in checkpoints if k > 1]
-                for k in checkpoints:
-                    out = plots / f"{label}_seed{seed}_embedding_task{k}.svg"
-                    _write_whole(out, [embedding_figure(
-                        record.embed2d[k],
-                        title=f"{label} seed {seed}, after task {k}")])
-                    print(out)
-            if not drawn:
-                return 1
-
-        else:  # confusion, by the same rule as embedding
+        else:  # a per-run kind: draw each run that has figures, note each other run
+            figures_of, figure, note = _PER_RUN[args.kind]
             drawn = 0
             for path, label, seed, record in found:
-                if not record.confusions:
-                    print(f"{path}: no confusions", file=sys.stderr)
-                    continue
-                drawn += 1
-                for k in sorted(record.confusions):
-                    entry = record.confusions[k]
-                    out = plots / f"{label}_seed{seed}_confusion_task{k}.svg"
-                    _write_whole(out, [confusion_figure(
-                        entry["classes"], entry["counts"],
-                        title=f"{label} seed {seed}, after task {k}")])
+                figures = figures_of(record)
+                if not figures:
+                    print(f"{path}: {note}", file=sys.stderr)
+                for k, data in figures:
+                    out = plots / f"{label}_seed{seed}_{args.kind}_task{k}.svg"
+                    title = f"{label} seed {seed}, after task {k}"
+                    _write_whole(out, [figure(*data, title=title)])
                     print(out)
+                    drawn += 1
             if not drawn:
                 return 1
     except (OSError, ValueError) as e:
@@ -207,10 +198,11 @@ def cmd_plot(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # each root's resolved name; realpath, unlike Path.resolve, takes a symlink loop
+    names = [os.path.basename(os.path.realpath(d)) for d in args.dirs]
     rows: dict = {}
     n_tasks = None
-    for dirname in args.dirs:
-        root = Path(dirname)
+    for root, name in zip(map(Path, args.dirs), names):
         hits = sorted(root.glob("*/*/a_matrix.csv"))
         if not hits:
             print(f"no a_matrix.csv under {root}", file=sys.stderr)
@@ -223,19 +215,16 @@ def cmd_compare(args) -> int:
             except ValueError as e:
                 print(f"{path}: {e}", file=sys.stderr)
                 return 1
-            label = record.method
-            if len(args.dirs) > 1:
-                label = f"{root.name}:{label}"
             if n_tasks is None:
                 n_tasks = record.n_tasks
             elif record.n_tasks != n_tasks:
                 print(f"inconsistent task counts: {path} has {record.n_tasks}, "
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
+            label = f"{name}:{record.method}" if len(names) > 1 else record.method
             rows.setdefault(label, []).append(record)
-    named: dict = {}  # root name -> the root given under it
-    for dirname in args.dirs:  # rows are labelled by root name: one name, one root
-        name = Path(dirname).name
+    named: dict = {}  # rows are labelled by root name: one name, one root
+    for dirname, name in zip(args.dirs, names):
         if name in named:
             print(f"{named[name]} and {dirname} have the same name; their runs would "
                   "pool under one label", file=sys.stderr)
@@ -257,8 +246,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="render SVG figures from results")
     p_plot.add_argument("dir", help="results directory (from `driftlab run`)")
-    p_plot.add_argument("--kind", required=True,
-                        choices=("embedding", "curves", "confusion"))
+    p_plot.add_argument("--kind", required=True, choices=("curves", *_PER_RUN))
 
     p_cmp = sub.add_parser("compare", help="markdown A_k table across results dirs")
     p_cmp.add_argument("dirs", nargs="+")

@@ -135,6 +135,8 @@ def load_config(path: str) -> ExperimentConfig:
     if "seeds" not in exp:
         raise ConfigError("[experiment] needs a seeds list")
     seeds = exp["seeds"]
+    if min(seeds) < 0:  # numpy would reject it only once the data is read
+        raise ConfigError(f"[experiment] seeds must be nonnegative, got {min(seeds)}")
     output_dir = exp.get("output_dir", "results")
 
     dataset = _section(parser, "dataset", _DATASET_TYPES)
@@ -264,12 +266,10 @@ def _split(dataset: dict, train, test, seed: int) -> TaskSequence:
         classes = distinct_labels(train.labels)
         if n_pre >= len(classes):
             raise ConfigError(f"pretrain_classes = {n_pre} leaves no task classes")
-        reserved = classes[-n_pre:]
-        held = np.isin(train.labels, reserved)
+        # the n_pre highest ids; split_tasks leaves out their test rows
+        held = train.labels >= classes[-n_pre]
         pretrain = train.subset(held)
         train = train.subset(~held)
-        if test is not None:
-            test = test.subset(~np.isin(test.labels, reserved))
     try:
         seq = split_tasks(
             train, dataset.get("n_tasks", 2),

@@ -472,26 +472,33 @@ def test_results_roots_with_a_prototypes_json_still_plot_and_compare(tmp_path, c
     assert {path: path.read_text() for path in books} == books
 
 
-def test_plot_confusion_notes_each_run_without_confusions(tmp_path, capsys):
-    """Like ``--kind embedding``: a run whose record holds no confusions
+@pytest.mark.parametrize("kind, note", [
+    ("confusion", "no confusions"),
+    ("embedding", "no 2-d captures; embedding plots need embedding_dim = 2"),
+], ids=["confusion", "embedding"])
+def test_plot_notes_each_run_without_figures(tmp_path, capsys, kind, note):
+    """Every per-run kind: a run whose record holds none of the kind's data
     gets one note on stderr, and only a root with none at all exits 1."""
     bare = {"method": "E-FT", "seed": 1, "n_tasks": 1, "task_classes": [[0, 1]],
             "accuracy": {"1": {"1": 1.0}}}  # the required fields only
     lone = tmp_path / "lone" / "E-FT" / "1" / "record.json"
     lone.parent.mkdir(parents=True)
     lone.write_text(json.dumps(bare))
-    assert main(["plot", str(tmp_path / "lone"), "--kind", "confusion"]) == 1
-    assert capsys.readouterr().err == f"{lone}: no confusions\n"
+    assert main(["plot", str(tmp_path / "lone"), "--kind", kind]) == 1
+    assert capsys.readouterr().err == f"{lone}: {note}\n"
     assert not any((tmp_path / "lone" / "plots").iterdir())
 
     root = tmp_path / "mixed"
-    _write_record(root / "E-FT" / "0")
+    drawn = {"confusion": {}, "embedding": {"embed2d": {"1": {
+        "points": [[0.0, 1.0]], "labels": [0], "prototypes": {"0": [0.0, 1.0]},
+        "compensation": {}, "true_means": {"0": [0.0, 1.0]}}}}}[kind]
+    _write_record(root / "E-FT" / "0", **drawn)
     (root / "E-FT" / "1").mkdir()
     (root / "E-FT" / "1" / "record.json").write_text(json.dumps(bare))
-    assert main(["plot", str(root), "--kind", "confusion"]) == 0
+    assert main(["plot", str(root), "--kind", kind]) == 0
     out, err = capsys.readouterr()
-    assert out.split() == [str(root / "plots" / "E-FT_seed0_confusion_task1.svg")]
-    assert err == f"{root / 'E-FT' / '1' / 'record.json'}: no confusions\n"
+    assert out.split() == [str(root / "plots" / f"E-FT_seed0_{kind}_task1.svg")]
+    assert err == f"{root / 'E-FT' / '1' / 'record.json'}: {note}\n"
 
 
 def test_plot_single_run_dir(results_dir):
@@ -557,6 +564,9 @@ def test_compare_matches_records(results_dir, capsys):
 def test_compare_missing_dir(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "void")]) == 1
     assert "no a_matrix.csv" in capsys.readouterr().err
+    (tmp_path / "loop").symlink_to("loop")  # naming it resolves no further
+    assert main(["compare", str(tmp_path / "loop")]) == 1
+    assert "no a_matrix.csv" in capsys.readouterr().err
 
 
 def test_compare_header_only_csv(tmp_path, capsys):
@@ -590,26 +600,31 @@ def test_compare_inconsistent_tasks(results_dir, tmp_path, capsys):
     assert "inconsistent task counts" in capsys.readouterr().err
 
 
-def test_compare_multiple_dirs_prefixed(results_dir, tmp_path, capsys):
+def test_compare_multiple_dirs_prefixed(results_dir, tmp_path, capsys, monkeypatch):
+    """Each row is prefixed by its root's resolved name, "." included."""
     other = tmp_path / "other"
     cfg = write_config(tmp_path, out_name="other", seeds="0")
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
-    assert main(["compare", str(results_dir), str(other)]) == 0
-    out = capsys.readouterr().out
-    assert "| other:E-FT |" in out
-    assert "| results:E-FT |" in out
+    monkeypatch.chdir(results_dir)
+    for dirs in ([results_dir, other], [".", other]):
+        assert main(["compare", *map(str, dirs)]) == 0
+        out = capsys.readouterr().out
+        assert "| other:E-FT |" in out
+        assert "| results:E-FT |" in out
 
 
-def test_compare_refuses_roots_with_one_name(results_dir, tmp_path, capsys):
+def test_compare_refuses_roots_with_one_name(results_dir, tmp_path, capsys, monkeypatch):
     """Rows of several roots are labelled by root name, so two roots named
-    alike (or one root given twice) would pool their runs in one row."""
+    alike (or one root given twice, under any spelling) would pool their
+    runs in one row."""
     other = tmp_path / "elsewhere" / "results"
     cfg = write_config(tmp_path, out_name="elsewhere/results", seeds="0",
                        methods={"E-FT": {"epochs": 2}})
     assert main(["run", str(cfg)]) == 0
     capsys.readouterr()
-    for dirs in ([results_dir, other], [results_dir, results_dir]):
+    monkeypatch.chdir(results_dir)
+    for dirs in ([results_dir, other], [results_dir, results_dir], [".", "../results"]):
         assert main(["compare", *map(str, dirs)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -241,6 +241,19 @@ def with_dataset(source, extra=""):
         "n_tasks = 2\n", "n_tasks = 2\n" + "".join(f"    {line}\n" for line in extra.splitlines()))
 
 
+def test_negative_seed_rejected_before_the_data_is_read(tmp_path, capsys):
+    data = tmp_path / "a.csv"
+    write_csv_dataset(str(data), gen_gaussian_clusters(4, 10, 3, 0.2, seed=0))
+    ini = write_ini(tmp_path, with_dataset("csv").replace(
+        "seeds = 0 1 2", "seeds = 3 -2").replace("path = a.csv", f"path = {data}"))
+    with pytest.raises(ConfigError, match=r"^\[experiment\] seeds must be nonnegative, got -2$"):
+        load_config(ini)
+    assert main(["run", ini]) == 2
+    assert capsys.readouterr().err == ("config error: [experiment] seeds must be "
+                                       "nonnegative, got -2\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "exp.ini"]  # no sidecar
+
+
 @pytest.mark.parametrize("key", ["test_images", "test_labels"])
 def test_idx_test_files_go_together(tmp_path, capsys, key):
     """A test file without its partner exits 2 at load: the run would
