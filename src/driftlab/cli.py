@@ -1,11 +1,13 @@
 """Command line front end.
 
 ``driftlab run <config>`` executes every (method, seed) pair from an INI
-config, writes ``results/<method>/<seed>/{a_matrix.csv, record.json}``
+config, writes ``results/<label>/<seed>/{a_matrix.csv, record.json}``
 and prints the A_k table of the runs it wrote.
-``driftlab plot <dir> --kind ...`` renders SVGs from those files, and
-``driftlab compare <dirs...>`` prints the same markdown A_k table,
-recomputed from the emitted CSVs alone.
+``driftlab plot <dir> --kind ...`` renders SVGs from the record.json files, and
+``driftlab compare <dirs...>`` prints the same markdown A_k table from the
+a_matrix.csv files alone. Both read a root one way: a results root, or one
+run directory. A run's label and seed are its directory names, resolved for
+the directory given ("." too); a result file that cannot be read exits 1, named.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error.
 """
@@ -119,21 +121,33 @@ def cmd_run(args) -> int:
     return 1 if failed else 0
 
 
-def _read_record(path: Path) -> RunRecord:
-    try:
-        return RunRecord.from_json(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as e:  # a JSONDecodeError, or nesting too deep
-        raise ValueError(f"{path}: {e}") from None
+def _name(path) -> str:
+    """A directory's resolved name, "." too; realpath, unlike Path.resolve, takes a loop."""
+    return os.path.basename(os.path.realpath(path))
 
 
-def _find_records(root: Path):
-    """(path, label, seed, record) of each run under a results root, or of
-    the root itself when it holds a single run; each record.json is read once."""
-    if (root / "record.json").exists():
-        rec = _read_record(root / "record.json")
-        return [(root / "record.json", rec.method, str(rec.seed), rec)]
-    hits = sorted(root.glob("*/*/record.json"))
-    return [(p, p.parent.parent.name, p.parent.name, _read_record(p)) for p in hits]
+def _runs(root: str, name: str, parse):
+    """(path, label, seed, parse(text, label, seed)) of each run: ``root``
+    itself if it holds ``name``, else each ``<label>/<seed>/<name>`` under it.
+    A file that cannot be read or parsed, or a root with none, raises
+    ValueError ``<path>: <reason>``."""
+    here = Path(root)
+    if os.path.exists(here / name):
+        hits = [(here / name, _name(here / ".."), _name(here))]
+    else:
+        hits = [(p, p.parent.parent.name, p.parent.name)
+                for p in sorted(here.glob(f"*/*/{name}"))]
+    if not hits:
+        raise ValueError(f"no {name} under {here}")
+    runs = []
+    for path, label, seed in hits:
+        try:
+            text = path.read_text(encoding="utf-8")
+            runs.append((path, label, seed, parse(text, label, seed)))
+        except (OSError, ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+            # an OSError's own text repeats the path; its strerror is the reason alone
+            raise ValueError(f"{path}: {getattr(e, 'strerror', None) or e}") from None
+    return runs
 
 
 # per-run figure kinds: a run's figures as (checkpoint, figure arguments), the figure
@@ -149,16 +163,12 @@ _PER_RUN = {
 
 
 def cmd_plot(args) -> int:
-    root = Path(args.dir)
     try:
-        found = _find_records(root)
+        found = _runs(args.dir, "record.json", lambda text, *_: RunRecord.from_json(text))
     except ValueError as e:
         print(e, file=sys.stderr)
         return 1
-    if not found:
-        print(f"no record.json under {root}", file=sys.stderr)
-        return 1
-    out = plots = root / "plots"
+    out = plots = Path(args.dir) / "plots"
     try:  # a figure that cannot be drawn or written (a UnicodeError is a ValueError)
         plots.mkdir(parents=True, exist_ok=True)
         if args.kind == "curves":
@@ -174,7 +184,7 @@ def cmd_plot(args) -> int:
                 if pts:
                     series.append((label, pts))
             out = plots / "curves.svg"
-            _write_whole(out, [curves_figure(series, title=root.name)])
+            _write_whole(out, [curves_figure(series, title=_name(args.dir))])
             print(out)
         else:  # a per-run kind: draw each run that has figures, note each other run
             figures_of, figure, note = _PER_RUN[args.kind]
@@ -198,31 +208,23 @@ def cmd_plot(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # each root's resolved name; realpath, unlike Path.resolve, takes a symlink loop
-    names = [os.path.basename(os.path.realpath(d)) for d in args.dirs]
+    names = [_name(d) for d in args.dirs]
     rows: dict = {}
     n_tasks = None
-    for root, name in zip(map(Path, args.dirs), names):
-        hits = sorted(root.glob("*/*/a_matrix.csv"))
-        if not hits:
-            print(f"no a_matrix.csv under {root}", file=sys.stderr)
+    for root, name in zip(args.dirs, names):
+        try:
+            runs = _runs(root, "a_matrix.csv", RunRecord.from_a_matrix_csv)
+        except ValueError as e:
+            print(e, file=sys.stderr)
             return 1
-        for path in hits:
-            try:
-                record = RunRecord.from_a_matrix_csv(
-                    path.read_text(encoding="utf-8"), path.parent.parent.name,
-                    path.parent.name)
-            except ValueError as e:
-                print(f"{path}: {e}", file=sys.stderr)
-                return 1
+        for path, label, _, record in runs:
             if n_tasks is None:
                 n_tasks = record.n_tasks
             elif record.n_tasks != n_tasks:
                 print(f"inconsistent task counts: {path} has {record.n_tasks}, "
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
-            label = f"{name}:{record.method}" if len(names) > 1 else record.method
-            rows.setdefault(label, []).append(record)
+            rows.setdefault(f"{name}:{label}" if len(names) > 1 else label, []).append(record)
     named: dict = {}  # rows are labelled by root name: one name, one root
     for dirname, name in zip(args.dirs, names):
         if name in named:

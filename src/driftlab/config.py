@@ -68,15 +68,10 @@ def _parse_value(section, key, raw, kind):
     if kind in (tuple, list):  # integers: hidden widths, or seeds that must differ
         return kind(_parse_int_list(section, key, raw, distinct=kind is list))
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+        if kind is bool:  # 1/yes/true/on or 0/no/false/off, in any case
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None

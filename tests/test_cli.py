@@ -507,6 +507,44 @@ def test_plot_single_run_dir(results_dir):
     assert (run_dir / "plots" / "E-FT_seed0_confusion_task2.svg").exists()
 
 
+def test_a_single_run_is_named_by_its_directories(results_dir, capsys, monkeypatch):
+    """A run directory given as a root, by its path or as ".", is the run
+    ``<label>/<seed>`` its directories name: E-FT+SDC, whose records say
+    method E-FT, keeps its label in compare's row and in plot's file names."""
+    run_dir = results_dir / "E-FT+SDC" / "0"
+    for root, where in [(results_dir, results_dir), (".", results_dir),
+                        (run_dir, results_dir), (".", run_dir)]:
+        monkeypatch.chdir(where)
+        assert main(["compare", str(root)]) == 0
+        assert "\n| E-FT+SDC | " in capsys.readouterr().out
+    out = run_dir / "plots" / "E-FT+SDC_seed0_confusion_task1.svg"
+    for root, where in [(run_dir, results_dir), (".", run_dir)]:
+        monkeypatch.chdir(where)
+        out.unlink(missing_ok=True)
+        assert main(["plot", str(root), "--kind", "confusion"]) == 0
+        ET.fromstring(out.read_text())
+
+
+def test_plot_curves_of_dot_is_titled_by_the_roots_real_name(results_dir, monkeypatch):
+    monkeypatch.chdir(results_dir)
+    assert main(["plot", ".", "--kind", "curves"]) == 0
+    svg = ET.fromstring((results_dir / "plots" / "curves.svg").read_text())
+    assert "results" in [t.text for t in svg.iter() if t.tag.endswith("text")]
+
+
+@pytest.mark.parametrize("command, name", [("plot", "record.json"),
+                                           ("compare", "a_matrix.csv")])
+def test_a_result_file_that_cannot_be_read_exit_1(tmp_path, capsys, command, name):
+    """A directory in place of a result file is named on one stderr line,
+    for a results root and for the run directory itself."""
+    path = tmp_path / "results" / "E-FT" / "0" / name
+    path.mkdir(parents=True)
+    for root in (tmp_path / "results", path.parent):
+        args = [command, str(root)] + (["--kind", "curves"] if command == "plot" else [])
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"{path}: Is a directory\n")
+
+
 def test_plot_embedding_draws_each_run_with_captures(tmp_path, capsys):
     """A root that mixes 2-d and wider embeddings: every 2-d run is drawn,
     and each other run gets one note on stderr."""
@@ -795,7 +833,7 @@ def _write_record(run_dir: Path, **changes) -> Path:
      "E-FT_seed0_confusion_task1.svg: empty confusion matrix"),
 ])
 def test_plot_a_figure_that_cannot_be_drawn_exit_1(tmp_path, capsys, kind, changes, message):
-    path = _write_record(tmp_path / "run", **changes)
+    path = _write_record(tmp_path / "run" / "E-FT" / "0", **changes)
     assert main(["plot", str(path.parent), "--kind", kind]) == 1
     assert capsys.readouterr().err == f"{path.parent / 'plots'}/{message}\n"
 
@@ -827,16 +865,23 @@ def test_plot_into_an_unwritable_plots_dir_exit_1(tmp_path, capsys):
         assert err.startswith(f"{path.parent / 'plots'}: ") and err.count("\n") == 1
 
 
-def test_plot_a_file_name_the_locale_cannot_encode_exit_1(tmp_path):
-    """Under an ASCII locale a method "Ω-FT" cannot name a figure file: the
-    write fails with ``<path>: ...``, and the temp file's cleanup, which
-    cannot encode the name either, does not raise past it."""
-    path = _write_record(tmp_path / "run", method="Ω-FT")
-    done = _driftlab_in_c_locale("plot", str(path.parent), "--kind", "confusion")
-    assert done.returncode == 1 and b"Traceback" not in done.stderr
-    assert done.stderr.startswith(os.fsencode(path.parent / "plots") + b"/")
-    assert b"UnicodeEncodeError" not in done.stderr and done.stderr.count(b"\n") == 1
-    assert os.listdir(path.parent / "plots") == []
+def test_a_run_directory_the_locale_cannot_decode_plots_and_compares(tmp_path):
+    """Under an ASCII locale a run directory ``Ω-FT/0`` names its figures
+    and its row: the name goes back out as the directory's own bytes."""
+    run_dir = os.fsencode(tmp_path) + "/Ω-FT/0".encode()
+    os.makedirs(run_dir)
+    with open(run_dir + b"/record.json", "w", encoding="utf-8") as fh:
+        json.dump({"method": "E-FT", "seed": 0, "n_tasks": 1, "task_classes": [[0, 1]],
+                   "accuracy": {"1": {"1": 1.0}},
+                   "confusions": {"1": {"classes": [0, 1], "counts": [[1, 0], [0, 1]]}}}, fh)
+    with open(run_dir + b"/a_matrix.csv", "w", encoding="utf-8") as fh:
+        fh.write("k,j,accuracy\n1,1,1.0\n")
+    done = _driftlab_in_c_locale("plot", run_dir, "--kind", "confusion")
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(run_dir + b"/plots") == ["Ω-FT_seed0_confusion_task1.svg".encode()]
+    done = _driftlab_in_c_locale("compare", run_dir)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode("utf-8").splitlines()[2] == "| Ω-FT | 1.0000 ± 0.0000 |"
 
 
 @pytest.mark.parametrize("row, code", [(1, 0), (2**70, 1)])

@@ -110,6 +110,20 @@ def test_hidden_parses_to_tuple(tmp_path):
     assert cfg.methods[0][1]["hidden"] == (32, 16)
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("YES", True), ("True", True), ("on", True),
+    ("0", False), ("No", False), ("FALSE", False), ("oFF", False), ("maybe", None),
+])
+def test_bool_words_in_any_case(tmp_path, word, value):
+    ini = write_ini(tmp_path, BASE + f"sdc = {word}\n")
+    if value is None:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[method E-FT] sdc = {word!r} is not a valid bool")):
+            load_config(ini)
+    else:
+        assert load_config(ini).methods[0][1]["sdc"] is value
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/exp.ini")
