@@ -208,15 +208,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    names = [_name(d) for d in args.dirs]
     rows: dict = {}
+    given: dict = {}  # row key -> the index of the root that gave it: one key, one root
     n_tasks = None
-    for root, name in zip(args.dirs, names):
+    for i, root in enumerate(args.dirs):
         try:
             runs = _runs(root, "a_matrix.csv", RunRecord.from_a_matrix_csv)
         except ValueError as e:
             print(e, file=sys.stderr)
             return 1
+        prefix = f"{_name(root)}:" if len(args.dirs) > 1 else ""
         for path, label, _, record in runs:
             if n_tasks is None:
                 n_tasks = record.n_tasks
@@ -224,14 +225,12 @@ def cmd_compare(args) -> int:
                 print(f"inconsistent task counts: {path} has {record.n_tasks}, "
                       f"others have {n_tasks}", file=sys.stderr)
                 return 1
-            rows.setdefault(f"{name}:{label}" if len(names) > 1 else label, []).append(record)
-    named: dict = {}  # rows are labelled by root name: one name, one root
-    for dirname, name in zip(args.dirs, names):
-        if name in named:
-            print(f"{named[name]} and {dirname} have the same name; their runs would "
-                  "pool under one label", file=sys.stderr)
-            return 1
-        named[name] = dirname
+            key = prefix + label
+            if given.setdefault(key, i) != i:  # a root given twice gives its keys twice
+                print(f"{args.dirs[given[key]]} and {root} both give the row {key}; "
+                      "their runs would pool under one label", file=sys.stderr)
+                return 1
+            rows.setdefault(key, []).append(record)
     _print_ak_table(rows, n_tasks)
     return 0
 

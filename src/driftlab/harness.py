@@ -430,62 +430,57 @@ def _digest(model) -> str:
     return h.hexdigest()
 
 
-def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _step(opt: Adam, loss, epoch: int) -> None:
-    """One optimizer step on ``loss``; a NaN or inf loss stops the run."""
-    if not np.isfinite(loss.data):
-        raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
-    opt.step(loss)
-
-
 def train_task(model, task_data: LabeledDataset, config: MethodConfig, rng,
                penalty=None) -> None:
-    """One task's training loop on an embedding model.
+    """One task's training loop, for either kind of net.
 
-    Metric loss per batch, plus gamma times ``penalty(xb)``, the method's
+    An embedding net steps every parameter on the mined-triplet loss; a
+    batch with no triplet is skipped. A softmax net steps its trunk and
+    newest head on cross-entropy over that head, so older heads get no
+    gradient. Each batch adds gamma times ``penalty(xb)``, the method's
     regularizer on the batch's inputs, when a penalty is given. Raises
-    TrainingError if a loss is NaN or inf, or if no batch in any epoch
-    yields a valid triplet.
+    TrainingError on empty data, if a loss is NaN or inf, or if no batch
+    in any epoch yields a loss.
     """
-    if len(task_data.labels) == 0:
+    n = len(task_data.labels)
+    if n == 0:
         raise TrainingError("task has no training data")
-    opt = Adam(model.params, lr=config.lr)  # fresh state every task
-    any_triplets = False
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(task_data.labels), config.batch_size, rng):
-            xb, yb = task_data.features[idx], task_data.labels[idx]
+    labels = task_data.labels
+    if model.kind == "embedding":
+        params = model.params
+
+        def batch_loss(xb, yb):
             z = model.embed(xb)
             trip = mine_triplets(yb, z, config.mining, config.margin, rng=rng)
-            if len(trip) == 0:
+            return triplet_loss(z, trip) if len(trip) else None
+    else:
+        w, b, classes = model.heads[-1]
+        local = {c: i for i, c in enumerate(classes)}
+        labels = np.array([local[c] for c in labels])  # head-local, made once
+        params = [*model.trunk, w, b]
+
+        def batch_loss(xb, yb):
+            return softmax_cross_entropy(model.head_logits(xb, -1), yb)
+    opt = Adam(params, lr=config.lr)  # fresh state every task
+    trained = False
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for i in range(0, n, config.batch_size):
+            idx = order[i : i + config.batch_size]
+            xb = task_data.features[idx]
+            loss = batch_loss(xb, labels[idx])
+            if loss is None:
                 continue
-            any_triplets = True
-            loss = triplet_loss(z, trip)
+            trained = True
             if penalty is not None:
                 loss = loss + Tensor(config.gamma) * penalty(xb)
-            _step(opt, loss, epoch)
-    if not any_triplets:
+            if not np.isfinite(loss.data):
+                raise TrainingError(f"non-finite loss {loss.item()} in epoch {epoch}")
+            opt.step(loss)
+    if not trained:
         raise TrainingError(
             "no batch produced a valid triplet; check class mix and batch size"
         )
-
-
-def _train_softmax_task(model: GrowingSoftmaxNet, task: Task, config: MethodConfig,
-                        rng) -> None:
-    """Cross-entropy on the newest head only; older heads get no gradient.
-    A NaN or inf loss raises TrainingError."""
-    head = len(model.heads) - 1
-    local = {c: i for i, c in enumerate(model.heads[head][2])}
-    labels = np.array([local[c] for c in task.train.labels])
-    params = list(model.trunk) + [model.heads[head][0], model.heads[head][1]]
-    opt = Adam(params, lr=config.lr)
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(labels), config.batch_size, rng):
-            logits = model.head_logits(task.train.features[idx], head)
-            _step(opt, softmax_cross_entropy(logits, labels[idx]), epoch)
 
 
 def _embedding_eval(model, book: PrototypeBook, sequence: TaskSequence,
@@ -574,7 +569,6 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     )
     rng = np.random.default_rng([config.seed, 101])
     spec = METHOD_SPECS[config.method]
-    softmax = spec.net is GrowingSoftmaxNet
     model = spec.net(sequence.input_dim, config.embedding_dim, config.hidden,
                      seed=config.seed)
     embed = getattr(model, spec.ncm_on) if spec.ncm_on else None
@@ -597,11 +591,9 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         sdc = config.sdc and t > 1
         # SDC's evidence: the task's rows under the model before it trains
         old_z = embed(task.train.features) if sdc and trains else None
-        if softmax:
+        if spec.net is GrowingSoftmaxNet:
             model.add_head(task.classes)
-        if trains and softmax:
-            _train_softmax_task(model, task, config, rng)
-        elif trains:
+        if trains:
             train_task(model, task.train, config, rng, penalty=penalty)
 
         moves = None

@@ -653,9 +653,9 @@ def test_compare_multiple_dirs_prefixed(results_dir, tmp_path, capsys, monkeypat
 
 
 def test_compare_refuses_roots_with_one_name(results_dir, tmp_path, capsys, monkeypatch):
-    """Rows of several roots are labelled by root name, so two roots named
-    alike (or one root given twice, under any spelling) would pool their
-    runs in one row."""
+    """Rows of several roots are labelled <root name>:<label>, so two roots
+    named alike that hold one label (or one root given twice, under any
+    spelling) would pool their runs in one row."""
     other = tmp_path / "elsewhere" / "results"
     cfg = write_config(tmp_path, out_name="elsewhere/results", seeds="0",
                        methods={"E-FT": {"epochs": 2}})
@@ -666,8 +666,25 @@ def test_compare_refuses_roots_with_one_name(results_dir, tmp_path, capsys, monk
         assert main(["compare", *map(str, dirs)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"{dirs[0]} and {dirs[1]} have the same name; their runs "
-                       "would pool under one label\n")
+        assert err == (f"{dirs[0]} and {dirs[1]} both give the row results:E-FT; their "
+                       "runs would pool under one label\n")
+
+
+def test_compare_two_run_directories_of_one_seed(results_dir, tmp_path, capsys):
+    """Two run directories are both named by their seed, yet their rows
+    <seed>:<label> differ, so E-X against E-X+SDC compares; two runs of
+    one label and seed from different roots would share a row and do not."""
+    assert main(["compare", str(results_dir / "E-FT+SDC" / "0"),
+                 str(results_dir / "E-FT" / "0")]) == 0
+    out = capsys.readouterr().out
+    assert "| 0:E-FT+SDC |" in out and "| 0:E-FT |" in out
+    copy = tmp_path / "copy" / "E-FT" / "0"
+    copy.mkdir(parents=True)
+    (copy / "a_matrix.csv").write_bytes((results_dir / "E-FT" / "0" / "a_matrix.csv")
+                                        .read_bytes())
+    assert main(["compare", str(results_dir / "E-FT" / "0"), str(copy)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "both give the row 0:E-FT;" in err
 
 
 @pytest.mark.parametrize("rows, line, message", [

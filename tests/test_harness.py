@@ -30,7 +30,7 @@ from driftlab.harness import (
     train_task,
 )
 from driftlab.models import EmbeddingNet, GrowingSoftmaxNet
-from driftlab.harness import _digest, _embedding_eval, _train_softmax_task
+from driftlab.harness import _digest, _embedding_eval
 from driftlab.prototypes import WEIGHT_FLOOR, PrototypeBook, ncm_classify
 
 
@@ -584,7 +584,7 @@ def test_training_leaves_no_gradient_buffers(method):
     if method == "FT":
         model = GrowingSoftmaxNet(6, 2, hidden=(32,), seed=0)
         model.add_head(seq.tasks[0].classes)
-        _train_softmax_task(model, seq.tasks[0], config, np.random.default_rng(0))
+        train_task(model, seq.tasks[0].train, config, np.random.default_rng(0))
     else:
         model = EmbeddingNet(6, 2, hidden=(32,), seed=0)
         train_task(model, seq.tasks[0].train, config, np.random.default_rng(0))
@@ -810,13 +810,13 @@ def test_ft_old_head_gets_no_update():
     rng = np.random.default_rng(0)
     m = GrowingSoftmaxNet(6, cfg.embedding_dim, cfg.hidden, seed=0)
     m.add_head(seq.tasks[0].classes)
-    _train_softmax_task(m, seq.tasks[0], cfg, rng)
+    train_task(m, seq.tasks[0].train, cfg, rng)
     head1_w = m.heads[0][0].data.copy()
     head1_b = m.heads[0][1].data.copy()
     trunk_before = [p.data.copy() for p in m.trunk]
 
     m.add_head(seq.tasks[1].classes)
-    _train_softmax_task(m, seq.tasks[1], cfg, rng)
+    train_task(m, seq.tasks[1].train, cfg, rng)
     assert np.array_equal(m.heads[0][0].data, head1_w)
     assert np.array_equal(m.heads[0][1].data, head1_b)
     assert any(not np.array_equal(p.data, b) for p, b in zip(m.trunk, trunk_before))
@@ -832,14 +832,20 @@ def test_softmax_training_stops_on_non_finite_loss():
             run_sequence(quick(method), seq)
 
 
-def test_train_task_standalone_on_empty_data():
+@pytest.mark.parametrize("method", ["E-FT", "FT"])
+def test_train_task_standalone_on_empty_data(method):
+    """Either kind of net refuses a task with no rows: an FT head with
+    nothing to learn from is an error, not a silent no-op."""
     from driftlab.data import LabeledDataset
-    from driftlab.models import EmbeddingNet
 
-    cfg = quick("E-FT")
-    m = EmbeddingNet(3, 2, hidden=(8,), seed=0)
+    cfg = quick(method)
+    if method == "FT":
+        m = GrowingSoftmaxNet(3, 2, hidden=(8,), seed=0)
+        m.add_head((0, 1))
+    else:
+        m = EmbeddingNet(3, 2, hidden=(8,), seed=0)
     empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match="task has no training data"):
         train_task(m, empty, cfg, np.random.default_rng(0))
 
 
