@@ -95,44 +95,14 @@ def _task_of(labels: np.ndarray, groups) -> np.ndarray:
 
 @dataclass
 class TaskSequence:
-    """Tasks over two tables whose rows run task by task, in the order of
-    ``groups`` (each task's classes). A task's ``train`` and ``test`` are
-    one row range of each table, read-only views, so the test rows of
-    tasks 1..k are a prefix of ``test``. A class in two groups, a row of
-    no group or out of task order, or a task without test rows is a
-    ValueError."""
+    """The tasks ``split_tasks`` lays out over two read-only tables whose
+    rows run task by task. A task's ``train`` and ``test`` are one row
+    range of each table, so the test rows of tasks 1..k are a prefix of
+    ``test``."""
     train: LabeledDataset
     test: LabeledDataset
-    groups: list
+    tasks: list[Task]
     pretrain: LabeledDataset | None = None  # held-out classes for E-Pre-substitute
-    tasks: list[Task] = field(init=False)
-
-    def __post_init__(self):
-        self.groups = [tuple(int(c) for c in g) for g in self.groups]
-        if not self.groups:
-            raise ValueError("a sequence needs at least one task")
-        seen: set[int] = set()
-        for g in self.groups:
-            overlap = seen & set(g)
-            if overlap:
-                raise ValueError(f"classes {sorted(overlap)} appear in two tasks")
-            seen |= set(g)
-        bounds = []
-        for name in ("train", "test"):
-            table = getattr(self, name).subset(slice(None))
-            table.features.flags.writeable = table.labels.flags.writeable = False
-            setattr(self, name, table)
-            owner = _task_of(table.labels, self.groups)
-            if np.any(owner[1:] < owner[:-1]) or np.any(owner == len(self.groups)):
-                raise ValueError(f"{name} rows do not run task by task")
-            bounds.append(np.searchsorted(owner, np.arange(len(self.groups) + 1)))
-        tr, te = bounds
-        self.tasks = []
-        for i, ids in enumerate(self.groups):
-            if te[i] == te[i + 1]:
-                raise ValueError(f"task {i + 1} (classes {list(ids)}) has no test rows")
-            self.tasks.append(Task(i + 1, ids, self.train.subset(slice(tr[i], tr[i + 1])),
-                                   self.test.subset(slice(te[i], te[i + 1]))))
 
     def __len__(self):
         return len(self.tasks)
@@ -150,14 +120,19 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     The first task optionally takes ``first_task_fraction`` of the classes;
     the rest must divide evenly over the remaining tasks. With no separate
     ``test`` set, ``test_fraction`` of each class is held out (seeded).
-    Each split is gathered once, into a table whose rows run task by task
-    and keep their source order within a task (see ``TaskSequence``);
-    ``test`` rows of no task's class are left out. A task with no test
-    rows (an explicit ``test`` set that lacks all of its classes) is a
-    ValueError, and so is ``n_tasks`` below 1, or below 2 with a
-    ``first_task_fraction``.
+    A fraction that is read must lie strictly between 0 and 1: a given
+    ``first_task_fraction``, and ``test_fraction`` without a ``test`` set.
+    Each split is gathered once, into a read-only table whose rows run
+    task by task and keep their source order within a task; ``test`` rows
+    of no task's class are left out. A task with no test rows (an explicit
+    ``test`` set that lacks all of its classes) is a ValueError, and so is
+    ``n_tasks`` below 1, or below 2 with a ``first_task_fraction``.
     """
-    least = 2 if first_task_fraction else 1
+    for key, value in (("first_task_fraction", first_task_fraction),
+                       ("test_fraction", test_fraction if test is None else None)):
+        if value is not None and not 0 < value < 1:  # NaN fails too
+            raise ValueError(f"{key} must be between 0 and 1 (exclusive), got {value!r}")
+    least = 1 if first_task_fraction is None else 2
     if n_tasks < least:
         raise ValueError(f"n_tasks must be at least {least}, got {n_tasks}")
     classes = distinct_labels(dataset.labels)
@@ -166,7 +141,7 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     rng = np.random.default_rng(seed)
     order = rng.permutation(classes)
 
-    if first_task_fraction:
+    if first_task_fraction is not None:
         n_first = int(round(first_task_fraction * len(classes)))
         if not 1 <= n_first <= len(classes) - (n_tasks - 1):
             raise ValueError(f"first task of {n_first} classes leaves too few behind")
@@ -203,9 +178,20 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     tables = []
     for src, idx in sources:
         owner = _task_of(src.labels[idx], groups)
-        in_order = np.argsort(owner, kind="stable")[: np.count_nonzero(owner < n_tasks)]
-        tables.append(src.subset(idx[in_order]))
-    return TaskSequence(*tables, groups)
+        in_order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[in_order], np.arange(n_tasks + 1))  # task i: [i]:[i + 1]
+        table = src.subset(idx[in_order[: bounds[-1]]])  # rows of no task left out
+        table.features.flags.writeable = table.labels.flags.writeable = False
+        tables.append((table, bounds))
+    (train, tr), (test, te) = tables
+    tasks = []
+    for i, group in enumerate(groups):
+        ids = tuple(int(c) for c in group)
+        if te[i] == te[i + 1]:
+            raise ValueError(f"task {i + 1} (classes {list(ids)}) has no test rows")
+        tasks.append(Task(i + 1, ids, train.subset(slice(tr[i], tr[i + 1])),
+                          test.subset(slice(te[i], te[i + 1]))))
+    return TaskSequence(train, test, tasks)
 
 
 @dataclass

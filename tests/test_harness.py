@@ -21,7 +21,6 @@ from driftlab.losses import ImportanceMap
 from driftlab.harness import (
     MethodConfig,
     RunRecord,
-    TaskSequence,
     TrainingError,
     avg_forgetting,
     avg_incremental_accuracy,
@@ -108,6 +107,9 @@ def test_split_with_explicit_test_set():
         assert len(t.train.labels) == 40
         assert len(t.test.labels) == 10
         assert set(t.test.labels) == set(t.classes)
+    # test_fraction is not read beside a test set, so no value of it is rejected
+    bare = split_tasks(train, 2, seed=0, test=test, test_fraction=0.0)
+    assert bare.test.labels.tobytes() == seq.test.labels.tobytes()
 
 
 def test_split_holdout_fraction():
@@ -173,6 +175,18 @@ def test_split_subsets_equal_the_two_step_copies(kwargs):
     assert allocated_bytes(lambda: split_tasks(ds, 4, seed=3)) < 1.25 * ds.features.nbytes
 
 
+@pytest.mark.parametrize("key, value", [
+    ("test_fraction", 0.0), ("test_fraction", -0.5), ("test_fraction", 1.0),
+    ("test_fraction", float("nan")), ("first_task_fraction", 0.0),
+    ("first_task_fraction", 1.5), ("first_task_fraction", float("nan")),
+])
+def test_split_rejects_a_fraction_outside_0_1(key, value):
+    ds = gen_gaussian_clusters(4, 10, 3, 0.2, seed=0)
+    message = f"{key} must be between 0 and 1 (exclusive), got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_tasks(ds, 2, seed=0, **{key: value})
+
+
 def test_split_rejects_a_task_without_test_rows():
     ds = gen_gaussian_clusters(4, 10, 3, 0.2, seed=0)
     test = ds.subset(ds.labels == 0)  # every other class lacks test rows
@@ -210,6 +224,15 @@ def test_split_rows_equal_the_two_step_copies_for_any_shape(n_tasks, per_task, n
         for got, ref in ((task.train, train), (task.test, test_rows)):
             assert got.features.tobytes() == ref.features.tobytes()
             assert got.labels.tobytes() == ref.labels.tobytes()
+    # the tasks' classes are disjoint and cover every class split
+    split_classes = [c for t in seq.tasks for c in t.classes]
+    assert sorted(split_classes) == np.unique(ds.labels).tolist()
+    # the tasks' rows, concatenated, are the sequence's tables
+    for name in ("train", "test"):
+        table = getattr(seq, name)
+        for column in ("features", "labels"):
+            rows = np.concatenate([getattr(getattr(t, name), column) for t in seq.tasks])
+            assert rows.tobytes() == getattr(table, column).tobytes()
 
 
 @pytest.mark.parametrize("explicit_test", [False, True])
@@ -229,19 +252,6 @@ def test_split_tasks_are_read_only_views_of_one_table_per_split(explicit_test):
         with pytest.raises(ValueError, match="read-only"):
             rows[-1].labels[-1] = rows[0].labels[0]
     assert seq.input_dim == 4
-
-
-def test_sequence_rejects_overlap():
-    ds = gen_gaussian_clusters(4, 5, 2, 0.1, seed=0)
-    seq = split_tasks(ds, 2, seed=0)
-    g = seq.groups[0]
-    with pytest.raises(ValueError, match="appear in two tasks"):
-        TaskSequence(seq.train, seq.test, [g, g])
-    # rows out of task order, or of a class in no task
-    with pytest.raises(ValueError, match="^train rows do not run task by task$"):
-        TaskSequence(seq.train, seq.test, seq.groups[::-1])
-    with pytest.raises(ValueError, match="^train rows do not run task by task$"):
-        TaskSequence(seq.train, seq.test, seq.groups[:1])
 
 
 # ---- method config
@@ -305,6 +315,20 @@ def test_readme_record_table_names_every_record_field():
             for line in section.splitlines() if line.startswith("| ")]
     assert tuple(r[0].strip("`") for r in rows[1:]) == tuple(harness.RECORD)
     assert tuple(r[0].strip("`") for r in rows[1:] if r[1] == "yes") == harness.REQUIRED
+
+
+def test_readme_library_use_block_runs(capsys):
+    """README's "Library use" code runs as written: its split_tasks,
+    run_sequence and a_matrix_csv calls fill rows 1-3 of the matrix."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md, Library use", "exec"), scope)
+    record = scope["record"]
+    assert {k: sorted(row) for k, row in record.accuracy.items()} == {
+        1: [1], 2: [1, 2], 3: [1, 2, 3]}
+    assert capsys.readouterr().out.endswith("\n" + record.a_matrix_csv() + "\n")
 
 
 # ---- metrics against hand computation
