@@ -31,10 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import (
-    LabeledDataset, distinct_labels, gen_gaussian_clusters, read_csv_dataset, read_idx,
-)
-from .harness import METHOD_SPECS, MethodConfig, TaskSequence, check_plain_name, split_tasks
+from .data import LabeledDataset, gen_gaussian_clusters, read_csv_dataset, read_idx
+from .harness import METHOD_SPECS, MethodConfig, check_plain_name, check_split, split_tasks
 
 # the [dataset] keys of every source: they split the loaded data into tasks
 _SPLIT_TYPES = {"source": str, "n_tasks": int, "first_task_fraction": float,
@@ -151,17 +149,11 @@ def load_config(path: str) -> ExperimentConfig:
     if "test_images" in dataset and "test_fraction" in dataset:
         raise ConfigError("[dataset] 'test_fraction' is not read beside test_images/test_labels")
     n_tasks = dataset.setdefault("n_tasks", 2)
-    if n_tasks < 1:
-        raise ConfigError(f"[dataset] n_tasks must be at least 1, got {n_tasks}")
-    for key in ("test_fraction", "first_task_fraction"):
-        if key in dataset and not 0 < dataset[key] < 1:
-            raise ConfigError(f"[dataset] {key} must be between 0 and 1 "
-                              f"(exclusive), got {dataset[key]!r}")
-    if "first_task_fraction" in dataset and n_tasks < 2:
-        raise ConfigError("[dataset] first_task_fraction needs n_tasks of at least 2")
-    if dataset.get("pretrain_classes", 0) < 0:
-        raise ConfigError("[dataset] pretrain_classes must be nonnegative, "
-                          f"got {dataset['pretrain_classes']}")
+    try:  # split_tasks' own rules, before any data is read
+        check_split(n_tasks, dataset.get("first_task_fraction"),
+                    dataset.get("test_fraction"), dataset.get("pretrain_classes", 0))
+    except ValueError as e:
+        raise ConfigError(f"[dataset] {e}") from None
     if not 0 <= dataset.get("spread", 0.0) < np.inf:  # NaN fails too
         raise ConfigError("[dataset] spread must be finite and nonnegative, "
                           f"got {dataset['spread']!r}")
@@ -235,44 +227,23 @@ def build_sequences(dataset: dict, seeds) -> dict:
     seed; a sequence carries its held-out pretraining data, if any.
 
     A seeded source is drawn once per seed; a file-backed or bundled one is
-    loaded once and split per seed. ``pretrain_classes`` reserves the
-    highest class ids for pretraining, independent of the seed, so every
-    replicate pretrains on the same held-out classes and splits the rest.
-    An unreadable or malformed dataset file, or synthetic counts a
-    generator rejects, is a ConfigError.
+    loaded once and split per seed by ``split_tasks``. An unreadable or
+    malformed dataset file, synthetic counts a generator rejects, or a
+    split ``split_tasks`` rejects is a ConfigError.
     """
     sequences = {}
     loaded = None
     for seed in seeds:
-        try:
+        try:  # DatasetFormatError and a split rule's error are ValueErrors
             if loaded is None or dataset["source"] in _SEEDED_SOURCES:
                 loaded = _load_source(dataset, seed)
-        except (ValueError, OSError) as e:  # DatasetFormatError is a ValueError
+            train, test = loaded
+            sequences[seed] = split_tasks(
+                train, dataset.get("n_tasks", 2),
+                first_task_fraction=dataset.get("first_task_fraction"), seed=seed,
+                test=test, test_fraction=dataset.get("test_fraction", 0.2),
+                pretrain_classes=dataset.get("pretrain_classes", 0),
+            )
+        except (ValueError, OSError) as e:
             raise ConfigError(str(e)) from None
-        sequences[seed] = _split(dataset, *loaded, seed)
     return sequences
-
-
-def _split(dataset: dict, train, test, seed: int) -> TaskSequence:
-    """The TaskSequence for one seed."""
-    pretrain = None
-    n_pre = dataset.get("pretrain_classes", 0)
-    if n_pre:
-        classes = distinct_labels(train.labels)
-        if n_pre >= len(classes):
-            raise ConfigError(f"pretrain_classes = {n_pre} leaves no task classes")
-        # the n_pre highest ids; split_tasks leaves out their test rows
-        held = train.labels >= classes[-n_pre]
-        pretrain = train.subset(held)
-        train = train.subset(~held)
-    try:
-        seq = split_tasks(
-            train, dataset.get("n_tasks", 2),
-            first_task_fraction=dataset.get("first_task_fraction"),
-            seed=seed, test=test,
-            test_fraction=dataset.get("test_fraction", 0.2),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    seq.pretrain = pretrain
-    return seq

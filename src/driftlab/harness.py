@@ -112,30 +112,48 @@ class TaskSequence:
         return self.train.features.shape[1]
 
 
-def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
-                seed: int = 0, test: LabeledDataset | None = None,
-                test_fraction: float = 0.2) -> TaskSequence:
-    """Partition classes into disjoint tasks with a seeded random order.
-
-    The first task optionally takes ``first_task_fraction`` of the classes;
-    the rest must divide evenly over the remaining tasks. With no separate
-    ``test`` set, ``test_fraction`` of each class is held out (seeded).
-    A fraction that is read must lie strictly between 0 and 1: a given
-    ``first_task_fraction``, and ``test_fraction`` without a ``test`` set.
-    Each split is gathered once, into a read-only table whose rows run
-    task by task and keep their source order within a task; ``test`` rows
-    of no task's class are left out. A task with no test rows (an explicit
-    ``test`` set that lacks all of its classes) is a ValueError, and so is
-    ``n_tasks`` below 1, or below 2 with a ``first_task_fraction``.
-    """
-    for key, value in (("first_task_fraction", first_task_fraction),
-                       ("test_fraction", test_fraction if test is None else None)):
+def check_split(n_tasks, first_task_fraction, test_fraction, pretrain_classes) -> None:
+    """Raise a ValueError naming the first ``split_tasks`` argument that
+    breaks a rule of its own; a fraction of None is not read. The rules that
+    depend on the data, such as how the classes divide, are checked there."""
+    if n_tasks < 1:
+        raise ValueError(f"n_tasks must be at least 1, got {n_tasks}")
+    for key, value in (("test_fraction", test_fraction),
+                       ("first_task_fraction", first_task_fraction)):
         if value is not None and not 0 < value < 1:  # NaN fails too
             raise ValueError(f"{key} must be between 0 and 1 (exclusive), got {value!r}")
-    least = 1 if first_task_fraction is None else 2
-    if n_tasks < least:
-        raise ValueError(f"n_tasks must be at least {least}, got {n_tasks}")
+    if first_task_fraction is not None and n_tasks < 2:
+        raise ValueError("first_task_fraction needs n_tasks of at least 2")
+    if pretrain_classes < 0:
+        raise ValueError(f"pretrain_classes must be nonnegative, got {pretrain_classes}")
+
+
+def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
+                seed: int = 0, test: LabeledDataset | None = None,
+                test_fraction: float = 0.2, pretrain_classes: int = 0) -> TaskSequence:
+    """Partition classes into disjoint tasks with a seeded random order.
+
+    ``pretrain_classes`` reserves that many of the highest class ids, the
+    same for every seed, and puts every ``dataset`` row of them in
+    ``pretrain``; at least one class must be left for the tasks. The first
+    task optionally takes ``first_task_fraction`` of the other classes; the
+    rest must divide evenly over the remaining tasks. With no separate
+    ``test`` set, ``test_fraction`` of each task class is held out
+    (seeded). ``check_split`` holds the argument rules. Each split is
+    gathered once, into a read-only table whose rows run task by task and
+    keep their source order within a task; ``test`` rows of no task's
+    class are left out. A task with no test rows (an explicit ``test`` set
+    that lacks all of its classes) is a ValueError.
+    """
+    check_split(n_tasks, first_task_fraction, test_fraction if test is None else None,
+                pretrain_classes)
     classes = distinct_labels(dataset.labels)
+    pretrain = None
+    if pretrain_classes:
+        if pretrain_classes >= len(classes):
+            raise ValueError(f"pretrain_classes = {pretrain_classes} leaves no task classes")
+        classes, lowest_held = classes[:-pretrain_classes], classes[-pretrain_classes]
+        pretrain = dataset.subset(dataset.labels >= lowest_held)
     if n_tasks > len(classes):
         raise ValueError(f"{n_tasks} tasks but only {len(classes)} classes")
     rng = np.random.default_rng(seed)
@@ -163,6 +181,7 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
     if test is None:
         held = np.zeros(len(dataset.labels), dtype=bool)
         by_class = np.argsort(dataset.labels, kind="stable")  # each class's rows in order
+        # the task classes are the lowest ids, so their rows lead by_class
         ends = np.searchsorted(dataset.labels[by_class], classes, side="right")
         for c, end, n in zip(classes, ends, np.diff(ends, prepend=0)):
             cut = max(1, int(round(test_fraction * n)))
@@ -191,7 +210,7 @@ def split_tasks(dataset: LabeledDataset, n_tasks: int, first_task_fraction=None,
             raise ValueError(f"task {i + 1} (classes {list(ids)}) has no test rows")
         tasks.append(Task(i + 1, ids, train.subset(slice(tr[i], tr[i + 1])),
                           test.subset(slice(te[i], te[i + 1]))))
-    return TaskSequence(train, test, tasks)
+    return TaskSequence(train, test, tasks, pretrain)
 
 
 @dataclass

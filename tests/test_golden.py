@@ -24,6 +24,15 @@ they are hardest to keep exact: E-FT+SDC in a 2-D embedding, where
 queries often sit near a tie between prototypes, and FT*, whose
 prototypes are unnormalized trunk features. Its values were taken with
 the [N, C, D] broadcast NCM and the per-class compensation loop.
+
+The later pins hold the paths no other pin runs. On the first config:
+FT, whose softmax heads predict, and E-EWC with the squared-norm Fisher
+at gamma 1 (from gamma 10 to 1e5 its seed-0 bytes are those of E-Fix
+with random mining, a net frozen after task 1, and of E-LwF's seed-0
+pin). A config with two held-out pretraining classes pins
+E-Pre-substitute and Joint, which pretrains on the union of the tasks. A
+checkpoint with more test rows than ``INFER_ROWS`` pins E-FT+SDC and FT
+across more than one inference block.
 """
 
 import hashlib
@@ -31,6 +40,7 @@ import hashlib
 import pytest
 
 from driftlab.cli import main
+from driftlab.models import INFER_ROWS
 
 GOLDEN = {
     ("E-FT+SDC", 0): "68904b23699321d1d236e624c01785fe3337ec905833653d7331c5d297dddeb8",
@@ -45,6 +55,10 @@ GOLDEN = {
     ("E-LwF+SDC", 1): "9886c2885fb33f8792183178e06f4e16a1e4e86bb8cab00379e1645cb424268a",
     ("E-Fix+SDC", 0): "f82bef24e3ad0c2385e5b26cbd5b0ea32ea605374262ed934cc286cb10f0c511",
     ("E-Fix+SDC", 1): "30b4b6cac7ffd716fc6645e6110d049a3e15af3b1438e4f3690db6153c2544b1",
+    ("FT", 0): "229866d919e309f82293e825113cbc288d046eae1880fd210547e9433a40a1ec",
+    ("FT", 1): "f41eeb6e9d3d2e99dbb4d41d9bcbc773e25bf3af3eb7babe0b6750cb27a65126",
+    ("E-EWC-squared_norm", 0): "1bb57ea9d492a897afb067a5190e3eec6adbe9ad4e520bdd6038aea53a55f957",
+    ("E-EWC-squared_norm", 1): "39a4cd378ea0a675c32da96f1a33c39c2d8c100686ad34852bb0e144bcc4c918",
 }
 
 GOLDEN_MANY = {
@@ -54,6 +68,20 @@ GOLDEN_MANY = {
     ("FT*", 1): "15587e08ee0420df6cc0c284b433e45b89781201426e77f3351038f4ad486ce2",
 }
 
+GOLDEN_PRETRAIN = {
+    ("E-Pre-substitute", 0): "8d6b2ae33310f3fff73b2c458e33437ee20627c8a4800f77907e9e1a2b1ade96",
+    ("E-Pre-substitute", 1): "6409ea5e540526ced6bb18c056057c8ff9b378111a191f6227826b86578074ce",
+    ("Joint", 0): "074ca000cfa3c919cedc9fc4fa4cc8bd1c77aefe6150e97019bb5d17724af774",
+    ("Joint", 1): "bc672ef01c41338ca136507966d7b30f847d7625bf6afb03294623f721f7ecab",
+}
+
+GOLDEN_ROWS = {
+    ("E-FT+SDC", 0): "ead3b67655ffc1346e0c6df9dad3038f3982e6cc831b113e8f736018542ec0c3",
+    ("E-FT+SDC", 1): "dcd8eb7fb1f3f63d79c0634d39d87ae82f174bfbf440c318130d6f6c426d80c1",
+    ("FT", 0): "fc5c77a6d39b76df4cee0da15d14da444a60b17445ee3ef6af5f1f5c3eae7ed2",
+    ("FT", 1): "c3abfed097332aece60881607f1760e918e816d27e03d7e6bfb476757ccbccd0",
+}
+
 METHODS = {
     "E-FT+SDC": {"method": "E-FT", "sdc": "true", "mining": "semihard"},
     "E-LwF": {"mining": "random"},
@@ -61,6 +89,9 @@ METHODS = {
     "E-MAS": {"mining": "random", "gamma": "1"},
     "E-LwF+SDC": {"method": "E-LwF", "sdc": "true", "mining": "random", "gamma": "0.1"},
     "E-Fix+SDC": {"method": "E-Fix", "sdc": "true", "mining": "semihard"},
+    "FT": {},
+    "E-EWC-squared_norm": {"method": "E-EWC", "mining": "random", "gamma": "1",
+                           "fisher_variant": "squared_norm"},
 }
 
 
@@ -72,6 +103,11 @@ METHODS_MANY = {
 
 DATASET = {"n_classes": 6, "per_class": 40, "spread": 0.5, "n_tasks": 3}
 DATASET_MANY = {"n_classes": 24, "per_class": 20, "spread": 0.3, "n_tasks": 4}
+# pretrain_classes sets the layout of every method in a config
+DATASET_PRETRAIN = {"n_classes": 8, "per_class": 40, "spread": 0.5, "n_tasks": 3,
+                    "pretrain_classes": 2}
+# 25 test rows per class: 600 at checkpoint 4, more than one INFER_ROWS block
+DATASET_ROWS = {"n_classes": 24, "per_class": 50, "spread": 0.3, "n_tasks": 4}
 
 
 def run_bytes(tmp_path, label, dataset, method):
@@ -105,3 +141,17 @@ def test_a_matrix_bytes_pinned(tmp_path, label):
 def test_many_class_ncm_bytes_pinned(tmp_path, label):
     method = {"epochs": 3, **METHODS_MANY[label]}
     assert_pinned(label, run_bytes(tmp_path, label, DATASET_MANY, method), GOLDEN_MANY)
+
+
+@pytest.mark.parametrize("label", ["E-Pre-substitute", "Joint"])
+def test_pretraining_bytes_pinned(tmp_path, label):
+    method = {"epochs": 3, "embedding_dim": 8}
+    assert_pinned(label, run_bytes(tmp_path, label, DATASET_PRETRAIN, method),
+                  GOLDEN_PRETRAIN)
+
+
+@pytest.mark.parametrize("label", ["E-FT+SDC", "FT"])
+def test_checkpoint_beyond_one_infer_block_bytes_pinned(tmp_path, label):
+    assert DATASET_ROWS["n_classes"] * DATASET_ROWS["per_class"] // 2 > INFER_ROWS
+    method = {"epochs": 3, "embedding_dim": 8, **METHODS[label]}
+    assert_pinned(label, run_bytes(tmp_path, label, DATASET_ROWS, method), GOLDEN_ROWS)

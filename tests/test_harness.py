@@ -94,9 +94,11 @@ def test_split_too_many_tasks():
         split_tasks(ds, 4, seed=0)
     with pytest.raises(ValueError):
         split_tasks(ds, 2, seed=0)  # 3 classes over 2 tasks
-    for n_tasks, fraction in ((0, None), (-1, None), (1, 0.5)):
-        with pytest.raises(ValueError, match=f"n_tasks must be at least .*got {n_tasks}"):
-            split_tasks(ds, n_tasks, first_task_fraction=fraction, seed=0)
+    for n_tasks in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_tasks must be at least 1, got {n_tasks}$"):
+            split_tasks(ds, n_tasks, seed=0)
+    with pytest.raises(ValueError, match="^first_task_fraction needs n_tasks of at least 2$"):
+        split_tasks(ds, 1, first_task_fraction=0.5, seed=0)
 
 
 def test_split_with_explicit_test_set():
@@ -199,6 +201,40 @@ def test_split_rejects_a_task_without_test_rows():
 def _shuffled_clusters(n_classes, per_class, seed):
     ds = gen_gaussian_clusters(n_classes, per_class, 3, 0.3, seed=seed)
     return ds.subset(np.random.default_rng(seed).permutation(len(ds.labels)))
+
+
+@pytest.mark.parametrize("explicit_test", [False, True])
+@pytest.mark.parametrize("seed", [0, 5, 301])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_split_holds_out_the_highest_classes_for_pretraining(k, seed, explicit_test):
+    """``pretrain_classes=k``: ``pretrain`` is every row of the k highest
+    ids in source order, and the tasks and tables are byte for byte the
+    split of the data without those classes."""
+    ds = _shuffled_clusters(9, 7, seed)
+    test = _shuffled_clusters(9, 3, seed + 1) if explicit_test else None
+    seq = split_tasks(ds, 2, seed=seed, test=test, pretrain_classes=k)
+    held = ds.labels >= 9 - k
+    assert seq.pretrain.features.tobytes() == ds.features[held].tobytes()
+    assert seq.pretrain.labels.tobytes() == ds.labels[held].tobytes()
+    assert all(c < 9 - k for t in seq.tasks for c in t.classes)
+    want = split_tasks(ds.subset(~held), 2, seed=seed, test=test)
+    assert want.pretrain is None
+    assert [t.classes for t in seq.tasks] == [t.classes for t in want.tasks]
+    for got, ref in [(seq, want), *zip(seq.tasks, want.tasks)]:
+        for name in ("train", "test"):
+            for column in ("features", "labels"):
+                assert (getattr(getattr(got, name), column).tobytes()
+                        == getattr(getattr(ref, name), column).tobytes())
+
+
+@pytest.mark.parametrize("k, message", [
+    (4, "pretrain_classes = 4 leaves no task classes"),
+    (-1, "pretrain_classes must be nonnegative, got -1"),
+])
+def test_split_rejects_a_pretrain_count_outside_the_classes(k, message):
+    ds = gen_gaussian_clusters(4, 10, 3, 0.2, seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_tasks(ds, 1, seed=0, pretrain_classes=k)
 
 
 @settings(max_examples=40)
