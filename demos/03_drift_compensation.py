@@ -21,7 +21,6 @@ from driftlab.data import LabeledDataset
 from driftlab.harness import MethodConfig, split_tasks, train_task
 from driftlab.models import EmbeddingNet
 from driftlab.prototypes import (
-    KernelConfig,
     PrototypeBook,
     collect_drift,
     compensate,
@@ -83,7 +82,7 @@ acc_stale = accuracies(book)
 # task-1 model, and how far it moved. Task-1 prototypes get the
 # kernel-weighted average of nearby displacements.
 field = collect_drift(before_task2, z2)
-compensate(book, field, KernelConfig(sigma=0.2), current_task=2)
+compensate(book, field, 0.2, current_task=2)
 
 err_comp = staleness(book)
 acc_comp = accuracies(book)

@@ -16,7 +16,6 @@ from .harness import (
 )
 from .models import EmbeddingNet, GrowingSoftmaxNet, snapshot
 from .prototypes import (
-    KernelConfig,
     PrototypeBook,
     collect_drift,
     compensate,

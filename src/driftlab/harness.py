@@ -31,8 +31,8 @@ from .models import EmbeddingNet, GrowingSoftmaxNet, snapshot
 from .optim import Adam
 from .prototypes import (
     WEIGHT_FLOOR,
-    KernelConfig,
     PrototypeBook,
+    check_sigma,
     collect_drift,
     compensate,
     compute_prototypes,
@@ -242,7 +242,7 @@ class MethodConfig:
         if self.fisher_variant not in FISHER_VARIANTS:
             raise ValueError(f"unknown fisher_variant {self.fisher_variant!r}; "
                              f"pick from {FISHER_VARIANTS}")
-        KernelConfig(self.sigma)  # the kernel's own sigma rule and message
+        check_sigma(self.sigma)  # the kernel's own sigma rule and message
         for key, ok, rule in (
             ("epochs", self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size >= 2, "at least 2"),
@@ -586,7 +586,6 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
         train_task(model, sequence.pretrain, config, rng)
 
     book = PrototypeBook()
-    kcfg = KernelConfig(sigma=config.sigma)
     penalty = None  # the regularizer against the last snapshot
     total = None  # running sum of the E-EWC/E-MAS maps, in task order
     means: dict = {}  # class -> test-embedding mean at the last checkpoint
@@ -610,7 +609,7 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
             )
             if sdc:  # a net that did not train has not moved: z is both sides
                 moves = compensate(book, collect_drift(old_z if trains else z, z),
-                                   kcfg, current_task=t)
+                                   config.sigma, current_task=t)
             del z, old_z  # [train rows, D], not held through the next task
 
         if t < len(sequence):  # the next task's importance and reference

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,37 +33,13 @@ class NonFiniteError(ValueError):
     """A prototype or an embedding holds NaN or inf."""
 
 
-@dataclass
-class KernelConfig:
-    sigma: float = 0.3
-
-    def __post_init__(self):
-        # the kernel divides by 2 sigma^2; one that underflows to 0 gives NaN
-        # drift on a drift point and no weight anywhere else
-        if not (0 < self.sigma and 0 < 2.0 * self.sigma * self.sigma < np.inf):
-            raise ValueError(f"sigma must be finite and positive, with 2 sigma^2 "
-                             f"in (0, inf), got {self.sigma!r}")
-
-
-@dataclass
-class DriftField:
-    """Embeddings of current-task data under the previous model, and how far
-    each moved under the current one."""
-
-    positions: np.ndarray
-    displacements: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.displacements = np.asarray(self.displacements, dtype=np.float64)
-        if self.positions.shape != self.displacements.shape:
-            raise ShapeError(
-                f"positions {self.positions.shape} vs displacements "
-                f"{self.displacements.shape}"
-            )
-
-    def __len__(self):
-        return self.positions.shape[0]
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless ``sigma`` is a kernel width the pass can use."""
+    # the kernel divides by 2 sigma^2; one that underflows to 0 gives NaN
+    # drift on a drift point and no weight anywhere else
+    if not (0 < sigma and 0 < 2.0 * sigma * sigma < np.inf):
+        raise ValueError(f"sigma must be finite and positive, with 2 sigma^2 "
+                         f"in (0, inf), got {sigma!r}")
 
 
 def _jsonable(obj):
@@ -254,46 +229,56 @@ def ncm_classify(embeddings, book: PrototypeBook) -> np.ndarray:
     return ids[best]
 
 
-def collect_drift(before, after) -> DriftField:
+def collect_drift(before, after) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint drift of the current task's training data: ``before`` is
     where the previous model put each sample (the model's ``embed_np``
-    before the task trained), ``after`` where the current model puts it."""
+    before the task trained), ``after`` where the current model puts it.
+    Returns the float64 pair ``(positions, displacements)``, ``before`` and
+    ``after - before``: the drift field ``interpolate_drift`` reads."""
     if np.shape(before) != np.shape(after):
         raise ShapeError(f"embeddings before {np.shape(before)} vs after {np.shape(after)}")
-    return DriftField(before, after - before)
+    before = np.asarray(before, dtype=np.float64)
+    return before, np.asarray(after, dtype=np.float64) - before
 
 
-def interpolate_drift(field: DriftField, query, cfg: KernelConfig) -> np.ndarray:
-    """Gaussian-kernel average of the drift field at a query point ``[D]``,
-    or at each row of a block of queries ``[C, D]`` (result ``[C, D]``).
+def interpolate_drift(positions, displacements, query, sigma: float):
+    """Gaussian-kernel average of the drift field ``(positions,
+    displacements)``, both ``[N, D]``, at a query point ``[D]`` or at each
+    row of a block of queries ``[..., D]``. Returns ``(drift, mass,
+    nearest)``: the average, shaped like ``query``, and each query's total
+    kernel mass and distance to the nearest drift point, shaped like
+    ``query`` less its last axis.
 
     Weights w_i = exp(-||pos_i - query||^2 / (2 sigma^2)). If a query's
     total weight underflows WEIGHT_FLOOR it is out of reach of all
-    evidence: its row is zero and the degenerate case is logged once for
+    evidence: its drift is zero and the degenerate case is logged once for
     that query. Each query row comes out bit-identical to a call with
     that row alone: distances and weighted sums keep the coordinate-wise
     reduction order. Queries go in blocks whose ``[block, N, D]``
     temporaries hold at most 2^16 entries (512 KB), small enough to stay
     in cache: blocks of 2^18 entries were slower than one query at a time.
     """
-    q = np.asarray(query, dtype=np.float64)
-    return _kernel_pass(field, q.reshape(-1, q.shape[-1]), cfg)[0].reshape(q.shape)
-
-
-def _kernel_pass(field: DriftField, queries: np.ndarray, cfg: KernelConfig):
-    """The kernel average at each row of ``queries`` ``[C, D]``, with each
-    query's total kernel mass and its distance to the nearest evidence:
-    ``(average [C, D], mass [C], nearest [C])``. See ``interpolate_drift``."""
-    if len(field) == 0:
+    check_sigma(sigma)
+    positions = np.asarray(positions, dtype=np.float64)
+    displacements = np.asarray(displacements, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape != displacements.shape:
+        raise ShapeError(f"drift field positions {positions.shape} vs displacements "
+                         f"{displacements.shape}: want one [N, D] shape")
+    if len(positions) == 0:
         raise ValueError("empty drift field")
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape[-1:] != positions.shape[1:]:
+        raise ShapeError(f"query {q.shape} vs drift field {positions.shape}: "
+                         f"want a last axis of {positions.shape[1]}")
+    queries = q.reshape(-1, q.shape[-1])
     out = np.zeros_like(queries)
     mass = np.empty(len(queries))
     nearest = np.empty(len(queries))
-    step = max(1, (1 << 16) // field.positions.size)
+    step = max(1, (1 << 16) // positions.size)
     for at in range(0, len(queries), step):
         block = queries[at : at + step]
-        d2 = np.sum((field.positions - block[:, None, :]) ** 2, axis=2)
-        w = np.exp(-d2 / (2.0 * cfg.sigma**2))
+        d2 = np.sum((positions - block[:, None, :]) ** 2, axis=2)
+        w = np.exp(-d2 / (2.0 * sigma**2))
         total = w.sum(axis=1)
         mass[at : at + step] = total
         nearest[at : at + step] = np.sqrt(d2.min(axis=1))
@@ -306,25 +291,26 @@ def _kernel_pass(field: DriftField, queries: np.ndarray, cfg: KernelConfig):
                 nearest[at + i],
             )
         ok = ~degenerate
-        weighted = (w[ok, :, None] * field.displacements).sum(axis=1)
+        weighted = (w[ok, :, None] * displacements).sum(axis=1)
         out[at : at + step][ok] = weighted / total[ok, None]
-    return out, mass, nearest
+    return out.reshape(q.shape), mass.reshape(q.shape[:-1]), nearest.reshape(q.shape[:-1])
 
 
-def compensate(book: PrototypeBook, field: DriftField, cfg: KernelConfig,
+def compensate(book: PrototypeBook, field: tuple[np.ndarray, np.ndarray], sigma: float,
                current_task: int):
     """Move every prototype learned before ``current_task`` by the drift
-    interpolated at its current (already-compensated) position. All old
-    prototypes go through one kernel pass, the one ``interpolate_drift``
-    makes. Returns ``(ids [M], delta [M, D], mass [M], nearest [M])`` of the
-    moved classes in class-id order: the drift applied, the total kernel
-    mass behind it (below WEIGHT_FLOOR, the prototype stayed in place), and
-    the distance to the nearest drift evidence."""
+    interpolated at its current (already-compensated) position, from
+    ``field``, the ``(positions, displacements)`` pair of ``collect_drift``.
+    All old prototypes go through one ``interpolate_drift`` pass. Returns
+    ``(ids [M], delta [M, D], mass [M], nearest [M])`` of the moved classes
+    in class-id order: the drift applied, the total kernel mass behind it
+    (below WEIGHT_FLOOR, the prototype stayed in place), and the distance
+    to the nearest drift evidence."""
     old = book.learned_at < current_task
     ids, queries = book.ids[old], book.vectors[old]
     if not ids.size:
         return ids, queries, np.empty(0), np.empty(0)
-    moved, mass, nearest = _kernel_pass(field, queries, cfg)
+    moved, mass, nearest = interpolate_drift(*field, queries, sigma)
     book.vectors[old] += moved
     book.compensation[old] += moved
     return ids, moved, mass, nearest

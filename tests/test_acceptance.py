@@ -37,7 +37,7 @@ from driftlab.losses import (
     triplet_loss,
 )
 from driftlab.models import EmbeddingNet, snapshot
-from driftlab.prototypes import DriftField, KernelConfig, interpolate_drift
+from driftlab.prototypes import interpolate_drift
 from driftlab.tensor import (
     Tensor,
     add,
@@ -110,8 +110,7 @@ def test_criterion_1_interpolation_matches_brute_force(capfd):
         pos = rng.normal(size=(n, d))
         disp = rng.normal(size=(n, d))
         q = pos[int(rng.integers(n))] + 0.5 * sigma * rng.normal(size=d)
-        got = interpolate_drift(DriftField(pos, disp), q,
-                                KernelConfig(sigma=sigma))
+        got = interpolate_drift(pos, disp, q, sigma)[0]
         err = float(np.max(np.abs(got - _brute_drift(pos, disp, q, sigma))))
         worst = max(worst, err)
     dt = time.perf_counter() - t0
@@ -130,29 +129,27 @@ def test_criterion_2_kernel_invariants(capfd):
     pos = rng.normal(size=(25, 4))
 
     delta = rng.normal(size=4)
-    const_field = DriftField(pos, np.tile(delta, (25, 1)))
+    const_disp = np.tile(delta, (25, 1))
     const_err = 0.0
     for _ in range(10):
         anchor = pos[int(rng.integers(25))]
         for sigma in (0.05, 0.3, 2.0, 50.0):
             # keep the query inside the kernel's floating-point reach
             q = anchor + 0.3 * sigma * rng.normal(size=4)
-            got = interpolate_drift(const_field, q, KernelConfig(sigma=sigma))
+            got = interpolate_drift(pos, const_disp, q, sigma)[0]
             const_err = max(const_err, float(np.max(np.abs(got - delta))))
 
     disp = rng.normal(size=(25, 4))
-    field = DriftField(pos, disp)
     shift = 10.0 * rng.normal(size=4)
     trans_err = 0.0
     for _ in range(10):
         q = pos[int(rng.integers(25))] + 0.2 * rng.normal(size=4)
-        a = interpolate_drift(field, q, KernelConfig(sigma=0.4))
-        b = interpolate_drift(DriftField(pos + shift, disp), q + shift,
-                              KernelConfig(sigma=0.4))
+        a = interpolate_drift(pos, disp, q, 0.4)[0]
+        b = interpolate_drift(pos + shift, disp, q + shift, 0.4)[0]
         trans_err = max(trans_err, float(np.max(np.abs(a - b))))
 
     q = pos[3] + 0.2 * rng.normal(size=4)
-    wide = interpolate_drift(field, q, KernelConfig(sigma=1e6))
+    wide = interpolate_drift(pos, disp, q, 1e6)[0]
     mean_err = float(np.max(np.abs(wide - disp.mean(axis=0))))
 
     # separated points, tiny sigma: only the nearest point keeps any mass
@@ -160,8 +157,7 @@ def test_criterion_2_kernel_invariants(capfd):
     sep_pos[:, 0] = 2.0 * np.arange(8)
     sep_disp = rng.normal(size=(8, 3))
     q = sep_pos[4] + np.array([3e-3, 0.0, 0.0])
-    narrow = interpolate_drift(DriftField(sep_pos, sep_disp), q,
-                               KernelConfig(sigma=1e-3))
+    narrow = interpolate_drift(sep_pos, sep_disp, q, 1e-3)[0]
     near_err = float(np.max(np.abs(narrow - sep_disp[4])))
 
     dt = time.perf_counter() - t0

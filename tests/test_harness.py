@@ -354,17 +354,30 @@ def test_readme_record_table_names_every_record_field():
 
 
 def test_readme_library_use_block_runs(capsys):
-    """README's "Library use" code runs as written: its split_tasks,
-    run_sequence and a_matrix_csv calls fill rows 1-3 of the matrix."""
+    """Every ``python`` block of README's "Library use" runs as written,
+    each in its own scope: the first block's split_tasks, run_sequence and
+    a_matrix_csv calls fill rows 1-3 of the matrix, and the second's SDC
+    step moves the old classes by the kernel pass it prints."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
-    scope = {}
-    exec(compile(code, "README.md, Library use", "exec"), scope)
-    record = scope["record"]
+    blocks = [b.split("\n```", 1)[0] for b in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    scopes = []
+    for n, code in enumerate(blocks, start=1):
+        scopes.append({})
+        exec(compile(code, f"README.md, Library use, block {n}", "exec"), scopes[-1])
+    out = capsys.readouterr().out
+    record = scopes[0]["record"]
     assert {k: sorted(row) for k, row in record.accuracy.items()} == {
         1: [1], 2: [1, 2], 3: [1, 2, 3]}
-    assert capsys.readouterr().out.endswith("\n" + record.a_matrix_csv() + "\n")
+    assert ("\n" + record.a_matrix_csv() + "\n") in out
+    sdc = scopes[1]
+    assert sdc["ids"].tolist() == [0, 1]
+    assert sdc["delta"].tobytes() == sdc["drift"].tobytes()
+    assert np.allclose(sdc["delta"], [0.1, -0.05], atol=1e-12)
+    assert sdc["book"].compensation.tobytes() == np.concatenate(
+        [sdc["drift"], [[0.0, 0.0]]]).tobytes()
+    assert out.endswith(f"{sdc['ids']} {sdc['delta']}\n")
 
 
 # ---- metrics against hand computation

@@ -12,10 +12,9 @@ from driftlab.data import gen_gaussian_clusters
 from driftlab.models import INFER_ROWS, EmbeddingNet, infer, snapshot
 from driftlab.prototypes import (
     WEIGHT_FLOOR,
-    DriftField,
-    KernelConfig,
     NonFiniteError,
     PrototypeBook,
+    check_sigma,
     collect_drift,
     compensate,
     compute_prototypes,
@@ -228,8 +227,8 @@ def test_collect_drift_zero_for_identical_models(rng):
     ds = gen_gaussian_clusters(2, 5, 4, 0.2, seed=1)
     m = EmbeddingNet(4, 2, seed=1)
     field = collect_drift(m.embed_np(ds.features), m.embed_np(ds.features))
-    assert len(field) == 10
-    assert np.max(np.abs(field.displacements)) == 0.0
+    assert len(field[0]) == 10
+    assert np.max(np.abs(field[1])) == 0.0
 
 
 def test_collect_drift_counts_and_mismatch(rng):
@@ -242,8 +241,8 @@ def test_collect_drift_counts_and_mismatch(rng):
         with pytest.raises(ShapeError):
             collect_drift(before, rows)
     field = collect_drift(before, EmbeddingNet(4, 2, seed=5).embed_np(ds.features))
-    assert len(field) == len(ds.labels)
-    assert np.max(np.abs(field.displacements)) > 0
+    assert len(field[0]) == len(ds.labels)
+    assert np.max(np.abs(field[1])) > 0
 
 
 def test_collect_drift_takes_precomputed_embeddings_bit_for_bit():
@@ -256,31 +255,30 @@ def test_collect_drift_takes_precomputed_embeddings_bit_for_bit():
     assert before.tobytes() == infer(snapshot(old), ds.features, normalize=True).tobytes()
     after = m.embed_np(ds.features)
     field = collect_drift(before, after)
-    assert field.positions.tobytes() == before.tobytes()
-    assert field.displacements.tobytes() == (after - before).tobytes()
-    assert np.max(np.abs(field.displacements)) > 0
+    assert field[0].tobytes() == before.tobytes()
+    assert field[1].tobytes() == (after - before).tobytes()
+    assert np.max(np.abs(field[1])) > 0
 
 
 def test_interp_single_point_at_query_returns_its_delta(rng):
     q = rng.normal(size=3)
     delta = rng.normal(size=3)
-    field = DriftField(q[None, :], delta[None, :])
-    out = interpolate_drift(field, q, KernelConfig(sigma=0.3))
+    out = interpolate_drift(q[None, :], delta[None, :], q, 0.3)[0]
     assert np.allclose(out, delta, atol=1e-15)
 
 
 def test_interp_uniform_field_returns_the_constant(rng):
     v = rng.normal(size=4)
     positions = rng.normal(size=(20, 4))
-    field = DriftField(positions, np.tile(v, (20, 1)))
+    field = (positions, np.tile(v, (20, 1)))
     for sigma in (0.3, 2.0, 50.0):
         for i in range(5):
             q = positions[i] + rng.normal(size=4) * 0.3  # stay near evidence
-            out = interpolate_drift(field, q, KernelConfig(sigma=sigma))
+            out = interpolate_drift(*field, q, sigma)[0]
             assert np.allclose(out, v, atol=1e-12)
     # small sigma still exact when the query sits near the field
     near = positions[3] + 0.02
-    out = interpolate_drift(field, near, KernelConfig(sigma=0.05))
+    out = interpolate_drift(*field, near, 0.05)[0]
     assert np.allclose(out, v, atol=1e-12)
 
 
@@ -292,7 +290,7 @@ def test_interp_matches_bruteforce_double_loop(rng):
         disps = rng.normal(size=(n, d))
         q = rng.normal(size=d)
         sigma = float(rng.uniform(0.05, 3.0))
-        got = interpolate_drift(DriftField(positions, disps), q, KernelConfig(sigma=sigma))
+        got = interpolate_drift(positions, disps, q, sigma)[0]
         want = brute_interp(positions, disps, q, sigma)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -301,7 +299,7 @@ def test_interp_sigma_to_infinity_is_plain_mean(rng):
     positions = rng.normal(size=(15, 3))
     disps = rng.normal(size=(15, 3))
     q = rng.normal(size=3)
-    out = interpolate_drift(DriftField(positions, disps), q, KernelConfig(sigma=1e6))
+    out = interpolate_drift(positions, disps, q, 1e6)[0]
     assert np.max(np.abs(out - disps.mean(axis=0))) < 1e-8
 
 
@@ -311,7 +309,7 @@ def test_interp_sigma_to_zero_is_nearest_point():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     disps = np.array([[1.0, 1.0], [-2.0, 0.5], [0.0, 3.0]])
     q = positions[1] + np.array([3e-3, 0.0])
-    out = interpolate_drift(DriftField(positions, disps), q, KernelConfig(sigma=1e-3))
+    out = interpolate_drift(positions, disps, q, 1e-3)[0]
     assert np.allclose(out, disps[1], atol=1e-12)
 
 
@@ -320,83 +318,79 @@ def test_interp_joint_translation_invariance(rng):
     disps = rng.normal(size=(10, 3))
     q = rng.normal(size=3)
     shift = rng.normal(size=3) * 5
-    cfg = KernelConfig(sigma=0.4)
-    a = interpolate_drift(DriftField(positions, disps), q, cfg)
-    b = interpolate_drift(DriftField(positions + shift, disps), q + shift, cfg)
+    a = interpolate_drift(positions, disps, q, 0.4)[0]
+    b = interpolate_drift(positions + shift, disps, q + shift, 0.4)[0]
     assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_interp_degenerate_mass_returns_zero_and_warns(caplog):
-    field = DriftField(np.zeros((3, 2)), np.ones((3, 2)))
     q = np.array([1e4, 0.0])  # ~1e8 / 2e-2 in the exponent: total underflow
     with caplog.at_level(logging.WARNING):
-        out = interpolate_drift(field, q, KernelConfig(sigma=0.1))
+        out = interpolate_drift(np.zeros((3, 2)), np.ones((3, 2)), q, 0.1)[0]
     assert np.array_equal(out, np.zeros(2))
     assert any("degenerate" in r.message for r in caplog.records)
 
 
 def test_interp_weight_floor_is_the_fallback_threshold():
     assert WEIGHT_FLOOR == 1e-12
-    field = DriftField(np.zeros((1, 1)), np.ones((1, 1)))
-    cfg = KernelConfig(sigma=1.0)
     for mass, want in ((1e-11, 1.0), (1e-13, 0.0)):
         q = np.array([np.sqrt(-2.0 * np.log(mass))])  # kernel weight = mass
-        assert interpolate_drift(field, q, cfg)[0] == pytest.approx(want)
+        assert interpolate_drift(np.zeros((1, 1)), np.ones((1, 1)), q, 1.0)[0][0] == \
+            pytest.approx(want)
 
 
 def test_interp_empty_field():
-    field = DriftField(np.zeros((0, 2)), np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        interpolate_drift(field, np.zeros(2), KernelConfig())
+    with pytest.raises(ValueError, match="empty drift field"):
+        interpolate_drift(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(2), 0.3)
 
 
-def loop_interpolate(field, q, cfg):
+def loop_interpolate(field, q, sigma):
     """The single-query kernel average as it was written before queries
     went in blocks: the bit-level reference for the block form."""
-    d2 = np.sum((field.positions - q) ** 2, axis=1)
-    w = np.exp(-d2 / (2.0 * cfg.sigma**2))
+    d2 = np.sum((field[0] - q) ** 2, axis=1)
+    w = np.exp(-d2 / (2.0 * sigma**2))
     total = w.sum()
     if total < WEIGHT_FLOOR:
         return np.zeros_like(q)
-    return (w[:, None] * field.displacements).sum(axis=0) / total
+    return (w[:, None] * field[1]).sum(axis=0) / total
 
 
 def test_interp_block_is_bitwise_the_per_query_loop(rng, caplog):
     # 200 x 75 field: blocks of 2^16 // 15000 = 4 queries, so 11 queries
     # cross two block boundaries; rows 2, 3, 4 and 9 sit out of reach
-    field = DriftField(rng.normal(size=(200, 75)), rng.normal(size=(200, 75)))
-    cfg = KernelConfig(sigma=2.5)
-    queries = field.positions[rng.integers(0, 200, size=11)] + rng.normal(size=(11, 75))
+    field = (rng.normal(size=(200, 75)), rng.normal(size=(200, 75)))
+    sigma = 2.5
+    queries = field[0][rng.integers(0, 200, size=11)] + rng.normal(size=(11, 75))
     far = [2, 3, 4, 9]
     queries[far] += 1e3
     with caplog.at_level(logging.WARNING):
-        block = interpolate_drift(field, queries, cfg)
+        block = interpolate_drift(*field, queries, sigma)[0]
     warned = [r for r in caplog.records if "degenerate kernel" in r.getMessage()]
     assert len(warned) == len(far)
-    want = np.stack([loop_interpolate(field, q, cfg) for q in queries])
+    want = np.stack([loop_interpolate(field, q, sigma) for q in queries])
     assert block.shape == queries.shape and block.tobytes() == want.tobytes()
     assert not block[far].any() and block[[0, 5, 10]].all()
     for q, row in zip(queries, block):
-        assert interpolate_drift(field, q, cfg).tobytes() == row.tobytes()
+        assert interpolate_drift(*field, q, sigma)[0].tobytes() == row.tobytes()
 
 
 def test_compensate_matches_per_class_loop(rng, caplog):
-    field = DriftField(rng.normal(size=(200, 75)), rng.normal(size=(200, 75)) * 0.1)
-    cfg = KernelConfig(sigma=2.5)
-    vecs = field.positions[:12] + rng.normal(size=(12, 75))
+    field = (rng.normal(size=(200, 75)), rng.normal(size=(200, 75)) * 0.1)
+    sigma = 2.5
+    vecs = field[0][:12] + rng.normal(size=(12, 75))
     vecs[[2, 7]] += 1e3  # two old prototypes out of reach of the evidence
     book = PrototypeBook()
     book.add_task({c: v for c, v in enumerate(vecs[:10])}, task_index=1)
     book.add_task({10: vecs[10], 11: vecs[11]}, task_index=2)
-    want = {c: loop_interpolate(field, vecs[c], cfg) for c in range(10)}
+    want = {c: loop_interpolate(field, vecs[c], sigma) for c in range(10)}
     with caplog.at_level(logging.WARNING):
-        ids, delta, mass, nearest = compensate(book, field, cfg, current_task=2)
+        ids, delta, mass, nearest = compensate(book, field, sigma, current_task=2)
     assert sum("degenerate kernel" in r.getMessage() for r in caplog.records) == 2
     assert ids.tolist() == list(range(10))
     for c in range(10):
         assert delta[c].tobytes() == want[c].tobytes()
-        d2 = np.sum((field.positions - vecs[c]) ** 2, axis=1)
-        assert mass[c] == np.exp(-d2 / (2.0 * cfg.sigma**2)).sum()
+        d2 = np.sum((field[0] - vecs[c]) ** 2, axis=1)
+        assert mass[c] == np.exp(-d2 / (2.0 * sigma**2)).sum()
         assert nearest[c] == np.sqrt(d2.min())
         assert (mass[c] < WEIGHT_FLOOR) == (c in (2, 7))
         assert book.vectors[c].tobytes() == (vecs[c] + want[c]).tobytes()
@@ -406,22 +400,59 @@ def test_compensate_matches_per_class_loop(rng, caplog):
         assert not book.compensation[c].any()
 
 
-def test_kernel_config_validation():
+def test_sigma_rule():
     # from 1e-200 to 1e-163 2 sigma^2 underflows to 0, which gives a query on
     # a drift point NaN drift; from 1e155 it overflows
+    pos, disp = np.zeros((3, 2)), np.ones((3, 2))
     for sigma in (0.0, -1.0, np.nan, np.inf, 1e-200, 1e-163, 1e155, 1e200):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
-            KernelConfig(sigma=sigma)
-    assert KernelConfig(sigma=1e-160).sigma == 1e-160  # 2 sigma^2 is 2e-320, not 0
-    with pytest.raises(ShapeError):
-        DriftField(np.zeros((3, 2)), np.zeros((2, 2)))
+            check_sigma(sigma)
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            interpolate_drift(pos, disp, np.zeros(2), sigma)
+    check_sigma(1e-160)  # 2 sigma^2 is 2e-320, not 0
+    drift, mass, nearest = interpolate_drift(pos, disp, np.zeros(2), 1e-160)
+    assert drift.tolist() == [1.0, 1.0] and mass == 3.0 and nearest == 0.0
+
+
+def test_drift_field_shape_errors_are_named():
+    """A field whose two halves differ, or a query of another width, is a
+    ShapeError naming both shapes, not a numpy broadcast error."""
+    with pytest.raises(ShapeError, match=r"before \(3, 2\) vs after \(2, 2\)"):
+        collect_drift(np.zeros((3, 2)), np.zeros((2, 2)))
+    for pos, disp in ((np.zeros((3, 2)), np.zeros((2, 2))),
+                      (np.zeros((4, 2)), np.zeros((4, 3))),
+                      (np.zeros(4), np.zeros(4))):
+        with pytest.raises(ShapeError, match=r"positions \(.*\) vs displacements"):
+            interpolate_drift(pos, disp, np.zeros(2), 0.3)
+    field = (np.zeros((4, 2)), np.ones((4, 2)))
+    for q in (np.zeros(3), np.zeros((5, 3)), np.float64(0.0)):
+        with pytest.raises(ShapeError, match=r"want a last axis of 2"):
+            interpolate_drift(*field, q, 0.3)
+    book = book_of(np.zeros((2, 3)), learned_at=1)
+    with pytest.raises(ShapeError, match=r"query \(2, 3\) vs drift field \(4, 2\)"):
+        compensate(book, field, 0.3, current_task=2)
+    assert not book.vectors.any() and not book.compensation.any()
+
+
+def test_interp_returns_mass_and_nearest_shaped_like_the_queries(rng):
+    pos, disp = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    queries = rng.normal(size=(2, 4, 3))
+    drift, mass, nearest = interpolate_drift(pos, disp, queries, 0.7)
+    assert drift.shape == (2, 4, 3) and mass.shape == nearest.shape == (2, 4)
+    for idx in np.ndindex(2, 4):
+        d2 = np.sum((pos - queries[idx]) ** 2, axis=1)
+        assert mass[idx] == np.exp(-d2 / (2.0 * 0.7**2)).sum()
+        assert nearest[idx] == np.sqrt(d2.min())
+        one = interpolate_drift(pos, disp, queries[idx], 0.7)
+        assert one[0].tobytes() == drift[idx].tobytes()
+        assert one[1].shape == one[2].shape == ()
 
 
 def test_compensate_zero_field_is_identity(rng):
     vecs = rng.normal(size=(3, 2))
     book = book_of(vecs, learned_at=1)
-    field = DriftField(rng.normal(size=(8, 2)), np.zeros((8, 2)))
-    compensate(book, field, KernelConfig(), current_task=2)
+    field = (rng.normal(size=(8, 2)), np.zeros((8, 2)))
+    compensate(book, field, 0.3, current_task=2)
     assert np.array_equal(book.vectors, vecs)
     assert np.array_equal(book.compensation, np.zeros((3, 2)))
 
@@ -431,9 +462,8 @@ def test_compensate_skips_current_task_prototypes(rng):
     book.add_task({0: rng.normal(size=2)}, task_index=1)
     book.add_task({1: rng.normal(size=2)}, task_index=2)
     keep = book.vectors[1].copy()
-    field = DriftField(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-    ids, delta, mass, nearest = compensate(book, field, KernelConfig(sigma=0.5),
-                                           current_task=2)
+    field = (rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
+    ids, delta, mass, nearest = compensate(book, field, 0.5, current_task=2)
     assert np.array_equal(book.vectors[1], keep)  # bit-unchanged
     assert not np.array_equal(book.compensation[0], np.zeros(2))
     # the returned deltas are exactly what was applied, old classes only
@@ -446,8 +476,8 @@ def test_compensate_without_old_classes_reads_no_field(rng):
     which an empty field would fail."""
     book = book_of(rng.normal(size=(3, 2)), learned_at=2)
     vectors = book.vectors.copy()
-    empty = DriftField(np.zeros((0, 2)), np.zeros((0, 2)))
-    ids, delta, mass, nearest = compensate(book, empty, KernelConfig(), current_task=2)
+    empty = (np.zeros((0, 2)), np.zeros((0, 2)))
+    ids, delta, mass, nearest = compensate(book, empty, 0.3, current_task=2)
     assert ids.shape == mass.shape == nearest.shape == (0,) and delta.shape == (0, 2)
     assert np.array_equal(book.vectors, vectors) and not book.compensation.any()
 
@@ -458,15 +488,14 @@ def test_compensate_two_transitions_unroll(rng):
     mu = rng.normal(size=2)
     book = PrototypeBook()
     book.add_task({0: mu}, task_index=1)
-    cfg = KernelConfig(sigma=0.5)
 
-    f1 = DriftField(rng.normal(size=(7, 2)), rng.normal(size=(7, 2)) * 0.3)
-    f2 = DriftField(rng.normal(size=(7, 2)), rng.normal(size=(7, 2)) * 0.3)
-    compensate(book, f1, cfg, current_task=2)
-    compensate(book, f2, cfg, current_task=3)
+    f1 = (rng.normal(size=(7, 2)), rng.normal(size=(7, 2)) * 0.3)
+    f2 = (rng.normal(size=(7, 2)), rng.normal(size=(7, 2)) * 0.3)
+    compensate(book, f1, 0.5, current_task=2)
+    compensate(book, f2, 0.5, current_task=3)
 
-    d1 = brute_interp(f1.positions, f1.displacements, mu, 0.5)
-    d2 = brute_interp(f2.positions, f2.displacements, mu + d1, 0.5)
+    d1 = brute_interp(*f1, mu, 0.5)
+    d2 = brute_interp(*f2, mu + d1, 0.5)
     assert np.max(np.abs(book.vectors[0] - (mu + d1 + d2))) < 1e-10
     assert np.max(np.abs(book.compensation[0] - (d1 + d2))) < 1e-10
 
