@@ -1,53 +1,57 @@
-"""Experiment configuration: INI files with three section kinds.
-
-::
-
-    [experiment]
-    output_dir = results
-    seeds = 0 1 2
-
-    [dataset]
-    source = synthetic          ; synthetic | digits | idx | csv
-    n_classes = 10
-    per_class = 100
-    dim = 16
-    spread = 0.15
-    n_tasks = 5
-    test_fraction = 0.2
-
-    [method E-FT+SDC]
-    method = E-FT               ; defaults to the section label
-    sdc = true
-
+"""Experiment configuration: an INI file with an ``[experiment]`` section
+(``output_dir``, ``seeds``), a ``[dataset]`` one, whose keys ``SPLIT_KEYS``
+and the ``SOURCE_SPECS`` rows declare, and ``[method LABEL]`` ones, whose
+keys are ``MethodConfig``'s fields (``method`` defaults to the label).
 Every unknown section or key is an error that names the offender, and so
-is a ``[dataset]`` key that only another source reads.
-"""
+is a ``[dataset]`` key that only another source reads."""
 
 from __future__ import annotations
 
 import configparser
 import os
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset, gen_gaussian_clusters, read_csv_dataset, read_idx
+from .data import LabeledDataset, check_spread, gen_gaussian_clusters, read_csv_dataset, read_idx
 from .harness import METHOD_SPECS, MethodConfig, check_plain_name, check_split, split_tasks
 
-# the [dataset] keys of every source: they split the loaded data into tasks
-_SPLIT_TYPES = {"source": str, "n_tasks": int, "first_task_fraction": float,
-                "test_fraction": float, "pretrain_classes": int}
-# each source's own keys, as {key: (type, required)}
-_SOURCE_KEYS = {
-    "synthetic": {"n_classes": (int, False), "per_class": (int, False),
-                  "dim": (int, False), "spread": (float, False)},
-    "digits": {},
-    "idx": {"images": (str, True), "labels": (str, True),
-            "test_images": (str, False), "test_labels": (str, False)},
-    "csv": {"path": (str, True)},
+
+class Key(NamedTuple):  # one [dataset] key
+    kind: type  # the type its value parses as
+    default: object = None  # fills the section where the key is left out; None: none
+    required: bool = False  # the section must give it
+    check: str | None = None  # a function here that raises ValueError on a bad value
+
+
+# the keys of every source: they split the loaded data into tasks
+SPLIT_KEYS = {"source": Key(str, "synthetic"), "n_tasks": Key(int, 2),
+              "first_task_fraction": Key(float), "test_fraction": Key(float, 0.2),
+              "pretrain_classes": Key(int, 0)}
+
+
+@dataclass(frozen=True)
+class SourceSpec:
+    """One ``[dataset]`` source, naming functions of this module as
+    ``METHOD_SPECS`` rows do: a wrapper put on one sees every call."""
+    load: str  # called with the row's keys the section holds; returns train or (train, test)
+    keys: dict = field(default_factory=dict)  # {key: Key}
+    seeded: bool = False  # load takes the seed, which draws the data; else one load serves all
+    rule: str | None = None  # a check of the section as written, run before the split's
+
+
+SOURCE_SPECS = {
+    "synthetic": SourceSpec("gen_gaussian_clusters", {
+        "n_classes": Key(int, 10), "per_class": Key(int, 100), "dim": Key(int, 16),
+        "spread": Key(float, 0.15, check="check_spread")}, seeded=True),
+    "digits": SourceSpec("_load_digits"),
+    "idx": SourceSpec("_load_idx", {
+        "images": Key(str, required=True), "labels": Key(str, required=True),
+        "test_images": Key(str), "test_labels": Key(str)}, rule="_check_test_files"),
+    "csv": SourceSpec("read_csv_dataset", {"path": Key(str, required=True)}),
 }
-SOURCES = tuple(_SOURCE_KEYS)
-_SEEDED_SOURCES = ("synthetic",)  # the others load the same data for every seed
+SOURCES = tuple(SOURCE_SPECS)
 
 
 class ConfigError(ValueError):
@@ -58,7 +62,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     output_dir: str
     seeds: list
-    dataset: dict
+    dataset: dict  # every default filled in
     methods: list = field(default_factory=list)  # [(label, kwargs), ...]
 
 
@@ -102,8 +106,42 @@ _PARSERS = {"bool": bool, "int": int, "float": float, "float | None": float,
             "str": str, "tuple": tuple}
 _METHOD_TYPES = {f.name: _PARSERS[f.type] for f in fields(MethodConfig) if f.name != "seed"}
 
-_DATASET_TYPES = {**_SPLIT_TYPES, **{key: kind for keys in _SOURCE_KEYS.values()
-                                      for key, (kind, _) in keys.items()}}
+_DATASET_TYPES = {key: k.kind for keys in (SPLIT_KEYS, *(s.keys for s in SOURCE_SPECS.values()))
+                  for key, k in keys.items()}
+
+
+def _filled(dataset: dict) -> dict:
+    """``dataset`` with each default of the split's and its source's keys filled in."""
+    keys = SPLIT_KEYS | SOURCE_SPECS[dataset.get("source", SPLIT_KEYS["source"].default)].keys
+    return {key: dataset.get(key, k.default) for key, k in keys.items()
+            if key in dataset or k.default is not None}
+
+
+def _checked(dataset: dict) -> dict:
+    """``dataset`` filled in, or a ValueError naming its first fault."""
+    source = dataset.get("source", SPLIT_KEYS["source"].default)
+    if (spec := SOURCE_SPECS.get(source)) is None:
+        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+    if missing := [key for key, k in spec.keys.items() if k.required and key not in dataset]:
+        raise ValueError(f"source = {source} needs the {missing[0]!r} key")
+    if foreign := [key for key in dataset if key not in SPLIT_KEYS | spec.keys]:
+        raise ValueError(f"{foreign[0]!r} is not read by source = {source}")
+    if spec.rule:
+        globals()[spec.rule](dataset)
+    dataset = _filled(dataset)
+    check_split(dataset["n_tasks"], dataset.get("first_task_fraction"),
+                dataset["test_fraction"], dataset["pretrain_classes"])
+    for key, k in spec.keys.items():
+        if k.check and key in dataset:
+            globals()[k.check](dataset[key])
+    return dataset
+
+
+def _check_test_files(dataset: dict) -> None:  # idx's rule
+    if ("test_images" in dataset) != ("test_labels" in dataset):
+        raise ValueError("test_images and test_labels go together")
+    if "test_images" in dataset and "test_fraction" in dataset:
+        raise ValueError("'test_fraction' is not read beside test_images/test_labels")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -133,30 +171,10 @@ def load_config(path: str) -> ExperimentConfig:
     output_dir = exp.get("output_dir", "results")
 
     dataset = _section(parser, "dataset", _DATASET_TYPES)
-    source = dataset.setdefault("source", "synthetic")
-    if source not in SOURCES:
-        raise ConfigError(f"[dataset] source must be one of {SOURCES}, "
-                          f"got {source!r}")
-    own = _SOURCE_KEYS[source]
-    for key, (_, required) in own.items():
-        if required and key not in dataset:
-            raise ConfigError(f"[dataset] source = {source} needs the {key!r} key")
-    for key in dataset:
-        if key not in own and key not in _SPLIT_TYPES:
-            raise ConfigError(f"[dataset] {key!r} is not read by source = {source}")
-    if ("test_images" in dataset) != ("test_labels" in dataset):
-        raise ConfigError("[dataset] test_images and test_labels go together")
-    if "test_images" in dataset and "test_fraction" in dataset:
-        raise ConfigError("[dataset] 'test_fraction' is not read beside test_images/test_labels")
-    n_tasks = dataset.setdefault("n_tasks", 2)
-    try:  # split_tasks' own rules, before any data is read
-        check_split(n_tasks, dataset.get("first_task_fraction"),
-                    dataset.get("test_fraction"), dataset.get("pretrain_classes", 0))
+    try:  # before any data is read
+        dataset = _checked(dataset)
     except ValueError as e:
         raise ConfigError(f"[dataset] {e}") from None
-    if not 0 <= dataset.get("spread", 0.0) < np.inf:  # NaN fails too
-        raise ConfigError("[dataset] spread must be finite and nonnegative, "
-                          f"got {dataset['spread']!r}")
 
     methods = []
     for name in parser.sections():
@@ -167,17 +185,16 @@ def load_config(path: str) -> ExperimentConfig:
         label = name[len("method "):].strip()
         try:
             check_plain_name(label, "method label")
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        try:
             os.fsencode(label)
         except UnicodeEncodeError as e:  # a C locale's file names are ASCII
             raise ConfigError(f"method label {label!r} cannot be a file name "
                               f"here: {e}") from None
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         kwargs = _section(parser, name, _METHOD_TYPES)
         kwargs.setdefault("method", label)
         spec = METHOD_SPECS.get(kwargs["method"])  # an unknown name fails below
-        if spec and spec.pretrain == "held-out" and dataset.get("pretrain_classes", 0) < 1:
+        if spec and spec.pretrain == "held-out" and dataset["pretrain_classes"] < 1:
             raise ConfigError(f"[{name}] {kwargs['method']} needs [dataset] "
                               "pretrain_classes of at least 1")
         try:  # surface bad method names/values as config errors, not at run time
@@ -194,56 +211,38 @@ def load_config(path: str) -> ExperimentConfig:
                             dataset=dataset, methods=methods)
 
 
-def _load_source(dataset: dict, seed: int) -> tuple:
-    """Returns (train, test-or-None) before any task splitting."""
-    source = dataset["source"]
-    if source == "synthetic":
-        train = gen_gaussian_clusters(
-            dataset.get("n_classes", 10), dataset.get("per_class", 100),
-            dataset.get("dim", 16), dataset.get("spread", 0.15), seed=seed,
-        )
-        return train, None
-    if source == "digits":
-        try:
-            from sklearn.datasets import load_digits
-        except ImportError:
-            raise ConfigError(
-                "source = digits needs scikit-learn (pip install driftlab[digits])"
-            ) from None
-        bunch = load_digits()
-        feats = bunch.data.astype(np.float64) / 16.0  # pixel range 0..16
-        return LabeledDataset(feats, bunch.target.astype(np.int64)), None
-    if source == "idx":
-        train = read_idx(dataset["images"], dataset["labels"])
-        test = (read_idx(dataset["test_images"], dataset["test_labels"])
-                if "test_images" in dataset else None)
-        return train, test
-    train = read_csv_dataset(dataset["path"])
-    return train, None
+def _load_digits() -> LabeledDataset:
+    try:
+        from sklearn.datasets import load_digits
+    except ImportError:
+        raise ConfigError("source = digits needs scikit-learn "
+                          "(pip install driftlab[digits])") from None
+    bunch = load_digits()  # pixel range 0..16
+    return LabeledDataset(bunch.data.astype(np.float64) / 16.0, bunch.target.astype(np.int64))
+
+
+def _load_idx(images, labels, test_images=None, test_labels=None) -> tuple:
+    train = read_idx(images, labels)
+    return train, None if test_images is None else read_idx(test_images, test_labels)
 
 
 def build_sequences(dataset: dict, seeds) -> dict:
-    """Realize a dataset section into {seed: TaskSequence}, one entry per
-    seed; a sequence carries its held-out pretraining data, if any.
-
-    A seeded source is drawn once per seed; a file-backed or bundled one is
-    loaded once and split per seed by ``split_tasks``. An unreadable or
-    malformed dataset file, synthetic counts a generator rejects, or a
-    split ``split_tasks`` rejects is a ConfigError.
-    """
-    sequences = {}
-    loaded = None
+    """Realize a dataset section, each key it leaves out at its default, into
+    {seed: TaskSequence}: a seeded source is drawn per seed, another loaded
+    once, and each split per seed by ``split_tasks`` (held-out pretraining data
+    too). A bad dataset file, or values the loader or split rejects, is a ConfigError."""
+    dataset = _filled(dataset)
+    spec = SOURCE_SPECS[dataset["source"]]
+    kwargs = {key: dataset[key] for key in spec.keys if key in dataset}
+    sequences, loaded = {}, None
     for seed in seeds:
         try:  # DatasetFormatError and a split rule's error are ValueErrors
-            if loaded is None or dataset["source"] in _SEEDED_SOURCES:
-                loaded = _load_source(dataset, seed)
-            train, test = loaded
+            if loaded is None or spec.seeded:
+                loaded = globals()[spec.load](**kwargs, **({"seed": seed} if spec.seeded else {}))
+            train, test = loaded if isinstance(loaded, tuple) else (loaded, None)
             sequences[seed] = split_tasks(
-                train, dataset.get("n_tasks", 2),
-                first_task_fraction=dataset.get("first_task_fraction"), seed=seed,
-                test=test, test_fraction=dataset.get("test_fraction", 0.2),
-                pretrain_classes=dataset.get("pretrain_classes", 0),
-            )
+                train, dataset["n_tasks"], dataset.get("first_task_fraction"), seed,
+                test, dataset["test_fraction"], dataset["pretrain_classes"])
         except (ValueError, OSError) as e:
             raise ConfigError(str(e)) from None
     return sequences

@@ -87,12 +87,20 @@ def distinct_labels(labels) -> np.ndarray:
     return v[keep]
 
 
+def check_spread(spread: float) -> None:
+    """Raise ValueError unless ``spread`` is a noise scale the generator can use."""
+    if not 0 <= spread < np.inf:  # NaN fails too
+        raise ValueError(f"spread must be finite and nonnegative, got {spread!r}")
+
+
 def gen_gaussian_clusters(
     n_classes: int, per_class: int, dim: int, spread: float, seed: int
 ) -> LabeledDataset:
-    """Isotropic Gaussian blobs around seeded random unit-sphere centers."""
+    """Isotropic Gaussian blobs around seeded random unit-sphere centers;
+    ``check_spread`` holds the rule of ``spread``."""
     if n_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("n_classes, per_class and dim must be positive")
+    check_spread(spread)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -283,27 +283,22 @@ POINT = (lambda v: isinstance(v, list) and len(v) >= 2 and all(map(NUMBER[0], v)
 # record.json's fields as every command can use them, nothing stricter: a leaf (test,
 # what); (s, test, what), shape s then a test of the whole; [s], a list of s; {int: s},
 # a map by checkpoint or class, keys read as ints; {"key": s, ...}, an object with them.
-RECORD = {
-    "method": (lambda v: check_plain_name(v, "field 'method'") is None, "a plain name"),
-    "seed": INT,
-    "n_tasks": (lambda v: type(v) is int and v >= 1, "an int of at least 1"),
-    "task_classes": [[ANY]],
-    "accuracy": {int: {int: ANY}},  # each cell then goes through set_acc
-    "proto_distance": {int: {int: NUMBER}},
-    "confusions": {int: (
-        {"classes": [ANY], "counts": [[(lambda v: type(v) is int and v >= 0, "a count")]]},
-        lambda e: [len(r) for r in e["counts"]] == [len(e["classes"])] * len(e["classes"]),
-        "a square of counts, a row and a column per class")},
-    "sdc_events": {int: {int: {}}},  # older records hold {"delta": [...]} per event
-    "embed2d": {int: ({"points": [POINT], "labels": [INT], "prototypes": {int: POINT},
-                       "compensation": {int: POINT}, "true_means": {int: POINT}},
-                      lambda e: e["compensation"].keys() <= e["prototypes"].keys(),
-                      "a capture whose compensated classes all have prototypes")},
-    "param_digest": {int: (lambda v: isinstance(v, str), "a string")},
-    "wall_time": NUMBER,
-    "config": {},
-}
-REQUIRED = ("method", "seed", "n_tasks", "task_classes", "accuracy")
+_PLAIN = (lambda v: check_plain_name(v, "field 'method'") is None, "a plain name")
+_TASKS = (lambda v: type(v) is int and v >= 1, "an int of at least 1")
+_CONFUSION = ({"classes": [ANY], "counts": [[(lambda v: type(v) is int and v >= 0, "a count")]]},
+              lambda e: [len(r) for r in e["counts"]] == [len(e["classes"])] * len(e["classes"]),
+              "a square of counts, a row and a column per class")
+_EMBED2D = ({"points": [POINT], "labels": [INT], "prototypes": {int: POINT},
+             "compensation": {int: POINT}, "true_means": {int: POINT}},
+            lambda e: e["compensation"].keys() <= e["prototypes"].keys(),
+            "a capture whose compensated classes all have prototypes")
+_DIGEST = (lambda v: isinstance(v, str), "a string")
+
+
+def _stored(shape, required=False, **kwargs):
+    """A RunRecord field that record.json holds as ``shape``; ``from_json``
+    rejects a text without a ``required`` one."""
+    return field(metadata={"shape": shape, "required": required}, **kwargs)
 
 
 def _check(shape, value, where: str):
@@ -330,18 +325,20 @@ def _check(shape, value, where: str):
 
 @dataclass
 class RunRecord:
-    method: str
-    seed: int
-    n_tasks: int
-    task_classes: list[list[int]]
-    accuracy: dict = field(default_factory=dict)  # {k: {j: acc}}
-    proto_distance: dict = field(default_factory=dict)  # {k: {class: dist}}
-    confusions: dict = field(default_factory=dict)  # {k: {"classes": [...], "counts": [[...]]}}
-    sdc_events: dict = field(default_factory=dict)  # {k: {class: _sdc_event scalars}}
-    embed2d: dict = field(default_factory=dict)  # {k: plotting payload}, 2-d runs only
-    param_digest: dict = field(default_factory=dict)  # {k: sha256 of all params}
-    wall_time: float = 0.0
-    config: dict = field(default_factory=dict)
+    method: str = _stored(_PLAIN, required=True)
+    seed: int = _stored(INT, required=True)
+    n_tasks: int = _stored(_TASKS, required=True)
+    task_classes: list[list[int]] = _stored([[ANY]], required=True)
+    # {k: {j: acc}}; each cell of a read record then goes through set_acc
+    accuracy: dict = _stored({int: {int: ANY}}, required=True, default_factory=dict)
+    proto_distance: dict = _stored({int: {int: NUMBER}}, default_factory=dict)  # {k: {c: dist}}
+    confusions: dict = _stored({int: _CONFUSION}, default_factory=dict)
+    # {k: {class: _sdc_event scalars}}; older records hold {"delta": [...]} per event
+    sdc_events: dict = _stored({int: {int: {}}}, default_factory=dict)
+    embed2d: dict = _stored({int: _EMBED2D}, default_factory=dict)  # 2-d runs only
+    param_digest: dict = _stored({int: _DIGEST}, default_factory=dict)  # {k: sha256 of params}
+    wall_time: float = _stored(NUMBER, default=0.0)
+    config: dict = _stored({}, default_factory=dict)
 
     def set_acc(self, k: int, j: int, value):  # a number, or a numeric string as in a CSV
         value = float(value) if isinstance(value, str) else value
@@ -404,6 +401,10 @@ class RunRecord:
             for j, a in row.items():
                 rec.set_acc(k, j, a)
         return rec
+
+
+RECORD = {f.name: f.metadata["shape"] for f in fields(RunRecord)}
+REQUIRED = tuple(f.name for f in fields(RunRecord) if f.metadata["required"])
 
 
 def avg_incremental_accuracy(record: RunRecord, k: int) -> float:
@@ -565,8 +566,15 @@ def run_sequence(config: MethodConfig, sequence: TaskSequence) -> RunRecord:
     class gets its ``_sdc_event`` diagnostics. The method's ``METHOD_SPECS``
     row sets the net, what NCM classifies (or the heads), which tasks
     train it, its pretraining and its regularizer. A net pretrained on the
-    union of all tasks (Joint) is evaluated only after the last task.
+    union of all tasks (Joint) is evaluated only after the last task. A
+    sequence whose train or test table does not lead with its tasks' rows,
+    task by task, as ``split_tasks`` lays them out, is a ValueError.
     """
+    for name in ("train", "test"):  # _embedding_eval reads the test rows as a prefix
+        rows = np.concatenate([getattr(t, name).labels for t in sequence.tasks] or [[]])
+        if not np.array_equal(getattr(sequence, name).labels[: len(rows)], rows):
+            raise ValueError(f"sequence.{name} is not in task order: its leading rows "
+                             f"are not task 1's {name} rows, then task 2's, and so on")
     start = time.perf_counter()
     record = RunRecord(
         method=config.method, seed=config.seed, n_tasks=len(sequence),

@@ -1,3 +1,4 @@
+import inspect
 import re
 import textwrap
 from dataclasses import fields
@@ -8,9 +9,16 @@ import pytest
 
 from conftest import write_csv_dataset
 from driftlab.cli import main
-from driftlab.config import ConfigError, build_sequences, load_config
+from driftlab.config import (
+    SOURCE_SPECS,
+    SOURCES,
+    SPLIT_KEYS,
+    ConfigError,
+    build_sequences,
+    load_config,
+)
 from driftlab.data import gen_gaussian_clusters
-from driftlab.harness import MethodConfig
+from driftlab.harness import MethodConfig, split_tasks
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -349,7 +357,8 @@ def test_indivisible_split_is_config_error():
 
 @pytest.mark.parametrize("key, value, message", [
     ("n_classes", 0, "must be positive"), ("per_class", 0, "must be positive"),
-    ("dim", 0, "must be positive"), ("spread", float("nan"), "feature row 0 holds NaN"),
+    ("dim", 0, "must be positive"),
+    ("spread", float("nan"), "spread must be finite and nonnegative"),
 ])
 def test_bad_synthetic_values_are_config_errors(key, value, message):
     opts = {"source": "synthetic", "n_classes": 4, "per_class": 10, "dim": 3,
@@ -400,3 +409,57 @@ def test_every_method_field_is_a_documented_key(tmp_path, name):
     paragraphs = (" ".join(p.split()) for p in readme.split("\n\n"))
     knobs = next(p for p in paragraphs if "Knobs, with defaults" in p)
     assert f"`{name}`" in knobs
+
+
+# ---- dataset keys are SPLIT_KEYS and the SOURCE_SPECS rows
+
+
+def _dataset_reference() -> list:
+    """README's ``[dataset]`` reference, from its opening sentence to the
+    method sections, as paragraphs with each run of whitespace one space."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("\n`[dataset]`: ", 1)[1].split("\n`[method LABEL]`", 1)[0]
+    return [" ".join(p.split()) for p in text.split("\n\n")]
+
+
+def test_readme_dataset_reference_matches_the_table():
+    """Every source, every key of its row with its default or as required,
+    and every split key with its default appears in README's reference."""
+    intro, listing, *rest = _dataset_reference()
+    assert intro.startswith(f"`source` (default `{SPLIT_KEYS['source'].default}`) is one of "
+                            + ", ".join(f"`{s}`" for s in SOURCES) + ".")
+    bullets = listing.split("- ")[1:]
+    assert [b.split("`")[1] for b in bullets] == list(SOURCES)
+    for bullet, spec in zip(bullets, SOURCE_SPECS.values()):
+        required = [f"`{key}`" for key, k in spec.keys.items() if k.required]
+        assert not required or "required " + " and ".join(required) in bullet
+        assert spec.keys or "no keys of its own" in bullet
+        for key, k in spec.keys.items():
+            assert (f"`{key}`" if k.default is None else f"`{key}` (default {k.default})") \
+                in bullet, key
+    split = next(p for p in rest if p.startswith("Split controls for every source:"))
+    for key, k in SPLIT_KEYS.items():
+        if key != "source":
+            aside = split.split(f"`{key}` (", 1)[1].split(")", 1)[0]
+            assert k.default is None or f"default {k.default}" in aside, key
+
+
+def test_split_defaults_are_split_tasks_defaults():
+    """A section's left-out split key reads as a library call that leaves
+    out the same argument of ``split_tasks``."""
+    params = inspect.signature(split_tasks).parameters
+    for key in ("first_task_fraction", "test_fraction", "pretrain_classes"):
+        assert SPLIT_KEYS[key].default == params[key].default, key
+
+
+@pytest.mark.parametrize("keys, filled", [
+    ("source = synthetic", {"n_classes": 10, "per_class": 100, "dim": 16, "spread": 0.15}),
+    ("source = csv\n    path = d.csv", {"path": "d.csv"}),
+    ("source = idx\n    images = a\n    labels = b\n    test_images = c\n    test_labels = d",
+     {"images": "a", "labels": "b", "test_images": "c", "test_labels": "d"}),
+])
+def test_loaded_section_has_every_default(tmp_path, keys, filled):
+    body = BASE.replace(SYNTHETIC_KEYS, keys + "\n").replace("    n_tasks = 2\n", "")
+    dataset = load_config(write_ini(tmp_path, body)).dataset
+    assert dataset == {"source": keys.split()[2], "n_tasks": 2, "test_fraction": 0.2,
+                       "pretrain_classes": 0, **filled}

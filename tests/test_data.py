@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -59,6 +60,14 @@ def test_counts_must_be_positive():
         gen_gaussian_clusters(0, 5, 2, 0.1, seed=0)
     with pytest.raises(ValueError):
         gen_gaussian_clusters(2, 5, 0, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf"), float("-inf")])
+def test_spread_must_be_finite_and_nonnegative(spread):
+    """The generator holds the rule an INI's spread meets, with its message."""
+    with pytest.raises(ValueError, match=rf"^spread must be finite and nonnegative, "
+                                         rf"got {re.escape(repr(spread))}$"):
+        gen_gaussian_clusters(3, 4, 5, spread=spread, seed=0)
 
 
 def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):

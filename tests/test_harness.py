@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import logging
@@ -464,6 +465,39 @@ def test_record_json_round_trip_keeps_every_field_of_a_run():
     back = RunRecord.from_json(rec.to_json())
     for f in fields(RunRecord):
         assert getattr(back, f.name) == getattr(rec, f.name), f.name
+
+
+def test_record_json_round_trip_sets_every_field():
+    """Each RunRecord field, set away from its default, reads back through
+    to_json and from_json: a field that from_json does not read fails here."""
+    values = {
+        "method": "E-FT", "seed": 3, "n_tasks": 2, "task_classes": [[0, 1], [2, 3]],
+        "accuracy": {1: {1: 0.5}, 2: {1: 0.25, 2: 1.0}}, "proto_distance": {1: {0: 0.01}},
+        "confusions": {1: {"classes": [0, 1], "counts": [[2, 0], [1, 1]]}},
+        "sdc_events": {2: {0: {"delta_norm": 0.1, "cosine": None}}},
+        "embed2d": {1: {"points": [[0.0, 1.0]], "labels": [0], "prototypes": {0: [0.5, 0.5]},
+                        "compensation": {0: [0.0, 0.1]}, "true_means": {0: [0.4, 0.6]}}},
+        "param_digest": {1: "ab" * 32}, "wall_time": 1.5, "config": {"sdc": True},
+    }
+    assert list(values) == [f.name for f in fields(RunRecord)] == list(harness.RECORD)
+    bare = RunRecord("E-FT", 0, 1, [])
+    assert all(values[n] != getattr(bare, n) for n in values if n not in harness.REQUIRED)
+    rec = RunRecord(**values)
+    assert RunRecord.from_json(rec.to_json()) == rec
+
+
+@pytest.mark.parametrize("table", ["train", "test"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_rejects_a_table_out_of_task_order(table, seed):
+    """A hand-made TaskSequence whose table does not lead with its tasks'
+    rows is a named ValueError, not a wrong accuracy or a numpy error."""
+    seq = split_tasks(gen_gaussian_clusters(4, 10, 3, 0.25, seed=0), 2, seed=0)
+    rows = getattr(seq, table)
+    shuffled = rows.subset(np.random.default_rng(seed).permutation(len(rows.labels)))
+    assert not np.array_equal(shuffled.labels, rows.labels)
+    with pytest.raises(ValueError, match=f"^sequence.{table} is not in task order"):
+        run_sequence(quick("E-FT", epochs=1), dataclasses.replace(seq, **{table: shuffled}))
+    assert run_sequence(quick("E-FT", epochs=1), seq).accuracy[2]
 
 
 # ---- end-to-end runs on synthetic clusters
