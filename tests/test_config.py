@@ -358,7 +358,10 @@ def test_indivisible_split_is_config_error():
 @pytest.mark.parametrize("key, value, message", [
     ("n_classes", 0, "must be positive"), ("per_class", 0, "must be positive"),
     ("dim", 0, "must be positive"),
-    ("spread", float("nan"), "spread must be finite and nonnegative"),
+    # The id is this case's earlier name, from when a NaN spread failed later,
+    # as a NaN feature row; the spread rule now rejects it first.
+    pytest.param("spread", float("nan"), "spread must be finite and nonnegative",
+                 id="spread-nan-feature row 0 holds NaN"),
 ])
 def test_bad_synthetic_values_are_config_errors(key, value, message):
     opts = {"source": "synthetic", "n_classes": 4, "per_class": 10, "dim": 3,
